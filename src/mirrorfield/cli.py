@@ -7,7 +7,6 @@ sweep with failing cases.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -17,22 +16,12 @@ from .sweep import (
     COMMANDS,
     ResultTable,
     SweepConfig,
+    config_from_settings,
     format_csv,
     oracle_failures,
+    split_settings,
     write_csv,
 )
-
-_ANGLE_FIELDS = {"phi1", "phi2", "phi3", "phi4"}
-_FLOAT_FIELDS = {
-    "r_a", "t_a", "l_a", "r_b", "t_b", "l_b",
-    "alignment", "u_min", "u_max", "l_sq",
-    "r_a_max", "r_b_max", "rel_tolerance",
-}
-_INT_FIELDS = {
-    "u_count", "grid_count", "seed", "cases",
-    "panels_per_oscillation", "points_per_panel", "min_panels",
-}
-_STR_FIELDS = {"side", "preset"}
 
 _SUBCOMMAND_FLAGS = {
     "eta-map": ["l_sq", "grid_count", "r_a_max", "r_b_max"],
@@ -49,65 +38,13 @@ _SUBCOMMAND_FLAGS = {
 }
 
 
-def parse_angle(text: str) -> float:
-    """Parse an angle given as a float or a multiple of pi (``pi``, ``-pi/2``, ``0.25pi``)."""
-    token = text.strip().lower()
-    try:
-        return float(token)
-    except ValueError:
-        pass
-    sign = 1.0
-    if token[:1] in ("+", "-"):
-        sign = -1.0 if token[0] == "-" else 1.0
-        token = token[1:]
-    head, sep, tail = token.partition("pi")
-    if not sep:
-        raise ConfigError(f"cannot parse angle {text!r}")
-    try:
-        factor = float(head) if head else 1.0
-        divisor = float(tail[1:]) if tail.startswith("/") else 1.0
-        if tail and not tail.startswith("/"):
-            raise ValueError(tail)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse angle {text!r}") from exc
-    return sign * factor * math.pi / divisor
-
-
-def _apply_setting(config: SweepConfig, key: str, raw: str) -> None:
-    try:
-        if key in _ANGLE_FIELDS:
-            value: object = parse_angle(raw)
-        elif key == "phi3_values":
-            value = tuple(parse_angle(part) for part in raw.split(","))
-        elif key in _FLOAT_FIELDS:
-            value = float(raw)
-        elif key in _INT_FIELDS:
-            value = int(raw)
-        elif key in _STR_FIELDS:
-            value = raw
-        else:
-            raise ConfigError(f"unknown option {key!r}")
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    setattr(config, key, value)
-
-
 def load_config_file(path: str) -> dict[str, str]:
     """Read a flat ``key = value`` file, ignoring blanks and # comments."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    settings: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        key, sep, value = body.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        settings[key.strip()] = value.strip()
-    return settings
+    return split_settings(text, path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,25 +99,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     namespace = parser.parse_args(argv)
     try:
-        config = SweepConfig(subcommand=namespace.subcommand)
-        if namespace.config:
-            for key, raw in load_config_file(namespace.config).items():
-                _apply_setting(config, key, raw)
+        settings = load_config_file(namespace.config) if namespace.config else {}
         for flag in _SUBCOMMAND_FLAGS[namespace.subcommand]:
             raw = getattr(namespace, flag)
             if raw is not None:
-                _apply_setting(config, flag, raw)
-        config.out = namespace.out
-        config.emit_svg = namespace.svg
-        if config.emit_svg and config.out is None:
+                settings[flag] = raw
+        config = config_from_settings(namespace.subcommand, settings)
+        out, emit_svg = namespace.out, namespace.svg
+        if emit_svg and out is None:
             raise ConfigError("--svg needs --out to name the plot file")
         table = COMMANDS[config.subcommand](config)
-        if config.out is None:
+        if out is None:
             sys.stdout.write(format_csv(table))
         else:
-            write_csv(table, config.out)
-        if config.emit_svg:
-            svg_path = Path(config.out).with_suffix(".svg")
+            write_csv(table, out)
+        if emit_svg:
+            svg_path = Path(out).with_suffix(".svg")
             svg_path.write_text(_render_svg(config, table), encoding="utf-8")
         if config.subcommand == "oracle-check":
             print(table.trailer, file=sys.stderr)

@@ -328,56 +328,3 @@ def fresnel_normal_reflectivity(medium: Medium) -> float:
     n = refractive_index(medium)
     return (n - 1.0) / (n + 1.0)
 
-
-_INTERFACE_KEYS = (
-    "r_a", "t_a", "l_a", "r_b", "t_b", "l_b",
-    "phi1", "phi2", "phi3", "phi4",
-)
-
-
-def interface_from_mapping(values: dict[str, float]) -> MirrorInterface:
-    """Build an interface from a flat ``key -> float`` mapping.
-
-    Required keys: ``r_a``, ``t_a``, ``r_b``, ``t_b``.  Loss keys ``l_a``
-    and ``l_b`` are optional; omitting one switches that side to relaxed
-    validation.  Phase keys default to zero.  Unknown keys are rejected.
-    """
-    unknown = sorted(set(values) - set(_INTERFACE_KEYS))
-    if unknown:
-        raise RangeError(f"unknown interface keys: {', '.join(unknown)}")
-    missing = sorted({"r_a", "t_a", "r_b", "t_b"} - set(values))
-    if missing:
-        raise RangeError(f"missing interface keys: {', '.join(missing)}")
-    return validate_interface(
-        r_a=values["r_a"],
-        t_a=values["t_a"],
-        l_a=values.get("l_a"),
-        r_b=values["r_b"],
-        t_b=values["t_b"],
-        l_b=values.get("l_b"),
-        phi1=values.get("phi1", 0.0),
-        phi2=values.get("phi2", 0.0),
-        phi3=values.get("phi3", 0.0),
-        phi4=values.get("phi4", 0.0),
-    )
-
-
-def parse_interface_text(text: str) -> MirrorInterface:
-    """Parse a flat ``key = value`` block into an interface.
-
-    Blank lines and ``#`` comments are ignored; values must parse as
-    floats.  The accepted keys match :func:`interface_from_mapping`.
-    """
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise RangeError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        try:
-            values[key.strip()] = float(value.strip())
-        except ValueError as exc:
-            raise RangeError(f"line {lineno}: bad float {value.strip()!r}") from exc
-    return interface_from_mapping(values)

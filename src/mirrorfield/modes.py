@@ -29,7 +29,7 @@ from .interface import (
     refractive_index,
     side_rate_terms,
 )
-from .rates import DipoleOrientation, PhysicalConstants
+from .rates import DipoleOrientation, PhysicalConstants, check_u
 
 #: Mode amplitudes are complex 3-vectors.
 ModeAmplitude = np.ndarray
@@ -254,8 +254,7 @@ def coupling_amplitude(
     of the angular decay-rate quadrature.
     """
     _check_species(species)
-    if not (u >= 0.0):
-        raise DomainError(f"u must be >= 0, got {u!r}")
+    check_u(u)
     terms = side_rate_terms(interface, side)
     e_pol = polarisation_vector(direction, polarisation)
     cos_theta = math.cos(direction.theta)

@@ -21,7 +21,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, QuadratureBudgetExceeded
 from .interface import MirrorInterface, SideRateTerms, side_rate_terms
-from .rates import DipoleOrientation, relative_decay_rate
+from .rates import DipoleOrientation, check_u, relative_decay_rate
 
 #: Fixed Gauss-Legendre order of the azimuthal rule.  The integrand is a
 #: trigonometric polynomial of degree two in the azimuth, for which this
@@ -68,6 +68,7 @@ class OracleReport:
 def panel_count(u: float, spec: QuadratureSpec) -> int:
     """Number of panels on [-1, 1]: at least ``min_panels``, growing as
     ``ceil(u / pi) * panels_per_oscillation`` once the phase oscillates."""
+    check_u(u)
     return max(spec.min_panels, math.ceil(u / math.pi) * spec.panels_per_oscillation)
 
 
@@ -146,11 +147,6 @@ def _distance_integrand(
     return isotropic + oscillatory
 
 
-def _check_u(u: float) -> None:
-    if not (u >= 0.0):
-        raise DomainError(f"u must be >= 0, got {u!r}")
-
-
 def _refined(label: str, spec: QuadratureSpec, evaluate) -> float:
     """Run ``evaluate`` at the configured and doubled point counts.
 
@@ -176,7 +172,7 @@ def decay_rate_2d_oracle(
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Rate ratio from the full solid-angle quadrature."""
-    _check_u(u)
+    check_u(u)
     terms = side_rate_terms(interface, side)
     n_panels = panel_count(u, spec)
     phi_x, phi_w = _phi_nodes()
@@ -198,7 +194,7 @@ def decay_rate_1d_oracle(
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Rate ratio from the single-axis distance-kernel quadrature."""
-    _check_u(u)
+    check_u(u)
     if not (0.0 <= alignment <= 1.0):
         raise DomainError(f"alignment must be in [0, 1], got {alignment!r}")
     terms = side_rate_terms(interface, side)

@@ -227,11 +227,16 @@ def oscillatory_bracket(u: float, alignment: float) -> float:
     return _bracket_direct(u, alignment)
 
 
+def check_u(u: float) -> None:
+    """Reject a scaled distance ``u`` that is negative, infinite or NaN."""
+    if not (0.0 <= u < math.inf):
+        raise DomainError(f"u must be finite and >= 0, got {u!r}")
+
+
 def _check_rate_args(alignment: float, u: float) -> None:
     if not (0.0 <= alignment <= 1.0):
         raise DomainError(f"alignment must be in [0, 1], got {alignment!r}")
-    if not (u >= 0.0):
-        raise DomainError(f"u must be >= 0, got {u!r}")
+    check_u(u)
 
 
 def relative_decay_rate(

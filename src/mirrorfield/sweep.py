@@ -8,7 +8,8 @@ replayed and compared bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,8 +71,6 @@ class SweepConfig:
     points_per_panel: int = 16
     min_panels: int = 8
     rel_tolerance: float = 1e-9
-    out: str | None = None
-    emit_svg: bool = False
 
     def validate(self) -> None:
         if self.subcommand not in COMMANDS:
@@ -82,8 +81,8 @@ class SweepConfig:
             raise ConfigError(f"alignment must be in [0, 1], got {self.alignment!r}")
         if self.u_count < 2:
             raise ConfigError("u_count must be >= 2")
-        if not (0.0 <= self.u_min < self.u_max):
-            raise ConfigError("need 0 <= u_min < u_max")
+        if not (0.0 <= self.u_min < self.u_max < math.inf):
+            raise ConfigError("need 0 <= u_min < u_max < inf")
         if self.grid_count < 2:
             raise ConfigError("grid_count must be >= 2")
         if not (0.0 <= self.l_sq <= 1.0):
@@ -133,6 +132,92 @@ class SweepConfig:
         )
 
 
+def parse_angle(text: str) -> float:
+    """Parse a float or a multiple of pi (``pi``, ``-pi/2``, ``0.25pi``).
+
+    Every string ``float()`` accepts parses to the same value, so numbers
+    written into a provenance line replay exactly.
+    """
+    token = text.strip().lower()
+    try:
+        return float(token)
+    except ValueError:
+        pass
+    sign = 1.0
+    if token[:1] in ("+", "-"):
+        sign = -1.0 if token[0] == "-" else 1.0
+        token = token[1:]
+    head, sep, tail = token.partition("pi")
+    if not sep:
+        raise ConfigError(f"cannot parse angle {text!r}")
+    try:
+        factor = float(head) if head else 1.0
+        divisor = float(tail[1:]) if tail.startswith("/") else 1.0
+        if (tail and not tail.startswith("/")) or divisor == 0.0:
+            raise ValueError(tail)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse angle {text!r}") from exc
+    return sign * factor * math.pi / divisor
+
+
+def _parse_angles(text: str) -> tuple[float, ...]:
+    return tuple(parse_angle(part) for part in text.split(","))
+
+
+_VALUE_PARSERS = {
+    "float": parse_angle,
+    "int": int,
+    "str": str,
+    "tuple[float, ...]": _parse_angles,
+}
+
+#: Text parser for every settable :class:`SweepConfig` field, chosen by
+#: the field's annotated type (``float | None`` parses as ``float``).
+_SETTINGS = {
+    item.name: _VALUE_PARSERS[item.type.split(" | ")[0]]
+    for item in fields(SweepConfig)
+    if item.name != "subcommand"
+}
+
+
+def split_settings(text: str, source: str = "settings") -> dict[str, str]:
+    """Read flat ``key = value`` lines, ignoring blanks and # comments."""
+    settings: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        key, sep, value = body.partition("=")
+        if not sep:
+            raise ConfigError(f"{source}:{lineno}: expected key = value")
+        settings[key.strip()] = value.strip()
+    return settings
+
+
+def config_from_settings(subcommand: str, settings: Mapping[str, str]) -> SweepConfig:
+    """Build a :class:`SweepConfig` from raw ``key -> text`` settings.
+
+    Config files, command-line flags and provenance lines all reach a
+    config through here.  Keys are the field names; unset fields keep
+    their defaults.
+
+    Raises
+    ------
+    ConfigError
+        For an unknown key or a value its field cannot parse.
+    """
+    values: dict[str, object] = {}
+    for key, raw in settings.items():
+        parse = _SETTINGS.get(key)
+        if parse is None:
+            raise ConfigError(f"unknown option {key!r}")
+        try:
+            values[key] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+    return SweepConfig(subcommand=subcommand, **values)
+
+
 @dataclass
 class ResultTable:
     """Rectangular float table plus its regeneration recipe."""
@@ -176,13 +261,18 @@ def parse_csv(text: str) -> ResultTable:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# provenance: "):
         raise ConfigError("missing provenance header")
+    if len(lines) < 2:
+        raise ConfigError("missing column header")
     provenance = lines[0][len("# provenance: "):]
+    body = lines[2:]
     trailer = None
-    if lines and lines[-1].startswith("# "):
-        trailer = lines[-1][2:]
-        lines = lines[:-1]
+    if body and body[-1].startswith("# "):
+        trailer = body.pop()[2:]
     columns = lines[1].split(",")
-    rows = [[float(token) for token in line.split(",")] for line in lines[2:]]
+    try:
+        rows = [[float(token) for token in line.split(",")] for line in body]
+    except ValueError as exc:
+        raise ConfigError(f"non-numeric table cell: {exc}") from exc
     return ResultTable(columns=columns, rows=rows, provenance=provenance, trailer=trailer)
 
 
@@ -205,13 +295,6 @@ def _provenance(subcommand: str, params: dict) -> str:
     return " ".join(parts)
 
 
-_INT_FIELDS = {
-    "u_count", "grid_count", "seed", "cases",
-    "panels_per_oscillation", "points_per_panel", "min_panels",
-}
-_STR_FIELDS = {"side", "preset"}
-
-
 def replay_provenance(provenance: str) -> ResultTable:
     """Regenerate the table described by a provenance line."""
     tokens = provenance.split()
@@ -220,20 +303,13 @@ def replay_provenance(provenance: str) -> ResultTable:
     subcommand = tokens[0]
     if subcommand not in COMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r} in provenance")
-    config = SweepConfig(subcommand=subcommand)
+    settings = {}
     for token in tokens[1:]:
         key, sep, raw = token.partition("=")
-        if not sep or not hasattr(config, key):
+        if not sep:
             raise ConfigError(f"bad provenance token {token!r}")
-        if key in _INT_FIELDS:
-            setattr(config, key, int(raw))
-        elif key in _STR_FIELDS:
-            setattr(config, key, raw)
-        elif key == "phi3_values":
-            setattr(config, key, tuple(float(v) for v in raw.split(",")))
-        else:
-            setattr(config, key, float(raw))
-    return COMMANDS[subcommand](config)
+        settings[key] = raw
+    return COMMANDS[subcommand](config_from_settings(subcommand, settings))
 
 
 def _grid(limit: float, count: int) -> np.ndarray:

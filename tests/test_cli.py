@@ -3,7 +3,8 @@ import math
 import pytest
 
 from mirrorfield import ConfigError, parse_csv, replay_provenance, format_csv
-from mirrorfield.cli import load_config_file, main, parse_angle
+from mirrorfield.cli import load_config_file, main
+from mirrorfield.sweep import parse_angle
 
 
 class TestAngleParsing:
@@ -22,7 +23,7 @@ class TestAngleParsing:
     def test_accepted_forms(self, text, expected):
         assert parse_angle(text) == pytest.approx(expected, rel=1e-15)
 
-    @pytest.mark.parametrize("text", ["", "pie", "pi*2", "two"])
+    @pytest.mark.parametrize("text", ["", "pie", "pi*2", "two", "pi/0"])
     def test_rejected_forms(self, text):
         with pytest.raises(ConfigError):
             parse_angle(text)
@@ -100,6 +101,12 @@ class TestMain:
     def test_bad_flag_value(self, capsys):
         assert main(["decay-curve", "--preset", "fig4", "--u-count", "many"]) == 1
         assert "bad value" in capsys.readouterr().err
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bogus = 1\n")
+        assert main(["eta-map", "--config", str(cfg)]) == 1
+        assert "unknown option 'bogus'" in capsys.readouterr().err
 
     def test_unknown_preset(self, capsys):
         assert main(["decay-curve", "--preset", "fig12"]) == 1

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mirrorfield import (
     AIR,
+    ConfigError,
     DegenerateTransparency,
     EnergyViolation,
     Medium,
@@ -13,16 +14,15 @@ from mirrorfield import (
     RangeError,
     SideCoefficients,
     fresnel_normal_reflectivity,
-    interface_from_mapping,
     lossless_interface,
     mirror_parameter,
     normalisation_constants,
     normalisation_from_rates,
-    parse_interface_text,
     refractive_index,
     side_rate_terms,
     validate_interface,
 )
+from mirrorfield.sweep import config_from_settings, split_settings
 
 TWO_PI = 2.0 * math.pi
 
@@ -204,34 +204,39 @@ class TestDielectricHelpers:
 
 
 class TestParsing:
+    """Coatings read through the sweep settings schema."""
+
     def test_mapping_roundtrip(self):
         values = {
             "r_a": 0.5, "t_a": 0.5, "l_a": math.sqrt(0.5),
             "r_b": 0.4, "t_b": 0.2, "l_b": math.sqrt(1 - 0.16 - 0.04),
             "phi1": 0.1, "phi2": 0.2, "phi3": 0.3, "phi4": 0.4,
         }
-        iface = interface_from_mapping(values)
+        texts = {key: repr(value) for key, value in values.items()}
+        iface = config_from_settings("decay-curve", texts).interface()
         assert iface.side_a.r == 0.5
+        assert iface.side_b.l == values["l_b"]
         assert iface.phi3 == 0.3
 
     def test_mapping_rejects_unknown_key(self):
-        with pytest.raises(RangeError):
-            interface_from_mapping({"r_a": 0.5, "bogus": 1.0})
+        with pytest.raises(ConfigError):
+            config_from_settings("decay-curve", {"r_a": "0.5", "bogus": "1.0"})
 
     def test_text_form(self):
-        iface = parse_interface_text(
+        texts = split_settings(
             """
             # coating under test
             r_a = 0.5
             t_a = 0.5
             r_b = 0.5
             t_b = 0.5
-            phi3 = 3.141592653589793
+            phi3 = pi
             """
         )
+        iface = config_from_settings("decay-curve", texts).interface()
         assert iface.phi3 == math.pi
         assert math.isclose(iface.side_a.l**2, 0.5, rel_tol=1e-12)
 
     def test_text_form_bad_line(self):
-        with pytest.raises(RangeError):
-            parse_interface_text("r_a 0.5")
+        with pytest.raises(ConfigError):
+            split_settings("r_a 0.5")

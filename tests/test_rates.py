@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mirrorfield import (
     CODATA2018,
+    DEFAULT_QUADRATURE,
     NATURAL_UNITS,
     AtomParams,
     DecayRateCurve,
@@ -14,6 +15,10 @@ from mirrorfield import (
     Medium,
     PhysicalConstants,
     RangeError,
+    WaveDirection,
+    coupling_amplitude,
+    decay_rate_1d_oracle,
+    decay_rate_2d_oracle,
     dimensionless_distance,
     excited_population,
     gamma_air,
@@ -21,6 +26,7 @@ from mirrorfield import (
     lossless_interface,
     MirrorInterface,
     oscillatory_bracket,
+    panel_count,
     relative_decay_rate,
     sample_decay_curve,
     unnormalised_decay_rate,
@@ -172,6 +178,31 @@ class TestRelativeDecayRate:
         assert raw == pytest.approx(direct, abs=1e-12)
         assert direct >= -1e-12
         assert direct <= 2.0 + 1e-12
+
+
+_HALF = lossless_interface(0.5)
+_DIPOLE = DipoleOrientation.aligned(0.0)
+
+
+class TestDistanceDomain:
+    @pytest.mark.parametrize("u", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda u: relative_decay_rate(_HALF, "a", 0.0, u),
+            lambda u: unnormalised_decay_rate(_HALF, "a", 0.0, u),
+            lambda u: decay_rate_1d_oracle(_HALF, "a", 0.0, u),
+            lambda u: decay_rate_2d_oracle(_HALF, "a", _DIPOLE, u),
+            lambda u: panel_count(u, DEFAULT_QUADRATURE),
+            lambda u: coupling_amplitude(
+                _HALF, "a", WaveDirection(0.5, 0.5, 1.0), 1, _DIPOLE, u, "a"
+            ),
+        ],
+        ids=["relative", "unnormalised", "oracle_1d", "oracle_2d", "panel_count", "coupling"],
+    )
+    def test_rejected_everywhere(self, call, u):
+        with pytest.raises(DomainError):
+            call(u)
 
 
 class TestDecayRateCurve:

@@ -1,6 +1,9 @@
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorfield import (
     ConfigError,
@@ -18,6 +21,7 @@ from mirrorfield.sweep import (
     cmd_eta_map,
     cmd_oracle_check,
     cmd_xi_map,
+    config_from_settings,
     oracle_failures,
 )
 
@@ -67,9 +71,14 @@ class TestCsv:
         assert b"\r" not in data
         assert data.endswith(b"\n")
 
-    def test_missing_provenance_rejected(self):
+    @pytest.mark.parametrize(
+        "text",
+        ["x\n1.0\n", "# provenance: eta-map\n", "# provenance: x\nx\nabc\n"],
+        ids=["no-header", "header-only", "non-numeric"],
+    )
+    def test_missing_provenance_rejected(self, text):
         with pytest.raises(ConfigError):
-            parse_csv("x\n1.0\n")
+            parse_csv(text)
 
 
 class TestConfigValidation:
@@ -89,6 +98,7 @@ class TestConfigValidation:
             {"seed": -1, "subcommand": "oracle-check"},
             {"points_per_panel": 1, "subcommand": "oracle-check"},
             {"phi3_values": (), "subcommand": "xi-map"},
+            {"u_max": math.inf, "subcommand": "decay-curve"},
         ],
     )
     def test_bad_values(self, overrides):
@@ -99,6 +109,34 @@ class TestConfigValidation:
         config = make_config(subcommand="decay-curve", r_a=0.5, t_a=0.5)
         with pytest.raises(ConfigError):
             config.interface()
+
+
+# Text that often parses: numbers, integers and multiples of pi.
+_NUMBER_TEXT = (
+    st.floats().map(repr)
+    | st.integers().map(str)
+    | st.from_regex(r"[+-]?[0-9.]{0,4}pi(/[0-9.]{0,3})?", fullmatch=True)
+)
+
+
+class TestSettingsSchema:
+    @given(
+        st.dictionaries(
+            st.sampled_from([item.name for item in fields(SweepConfig)]) | st.text(max_size=8),
+            _NUMBER_TEXT | st.text(max_size=16),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_parse_ends_in_config_or_config_error(self, raw):
+        # Parse and validate only: running a command could allocate
+        # without limit for a random grid_count.
+        try:
+            config = config_from_settings("decay-curve", raw)
+            config.validate()
+        except ConfigError:
+            return
+        assert isinstance(config, SweepConfig)
 
 
 class TestEtaMap:
@@ -222,3 +260,10 @@ class TestReplay:
         table = COMMANDS[config.subcommand](config)
         again = replay_provenance(table.provenance)
         assert format_csv(again) == format_csv(table)
+
+    @pytest.mark.parametrize(
+        "provenance", ["decay-curve u_count=abc", "eta-map emit_svg=1", "eta-map grid_count"]
+    )
+    def test_bad_provenance_is_a_config_error(self, provenance):
+        with pytest.raises(ConfigError):
+            replay_provenance(provenance)
