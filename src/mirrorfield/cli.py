@@ -14,6 +14,7 @@ from .errors import ConfigError, MirrorFieldError
 from .svgplot import heat_panels, line_plot
 from .sweep import (
     COMMANDS,
+    SUBCOMMAND_KEYS,
     ResultTable,
     SweepConfig,
     config_from_settings,
@@ -22,20 +23,6 @@ from .sweep import (
     split_settings,
     write_csv,
 )
-
-_SUBCOMMAND_FLAGS = {
-    "eta-map": ["l_sq", "grid_count", "r_a_max", "r_b_max"],
-    "xi-map": ["l_sq", "grid_count", "r_a_max", "r_b_max", "phi3_values"],
-    "decay-curve": [
-        "preset", "side", "alignment", "u_min", "u_max", "u_count",
-        "r_a", "t_a", "l_a", "r_b", "t_b", "l_b",
-        "phi1", "phi2", "phi3", "phi4",
-    ],
-    "oracle-check": [
-        "seed", "cases", "panels_per_oscillation", "points_per_panel",
-        "min_panels", "rel_tolerance",
-    ],
-}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -59,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         "decay-curve": "sample the decay-rate ratio against scaled distance",
         "oracle-check": "compare the closed form against numeric integrations",
     }
-    for name, flags in _SUBCOMMAND_FLAGS.items():
+    for name, flags in SUBCOMMAND_KEYS.items():
         sub = subparsers.add_parser(name, help=helps[name])
         sub.add_argument("--config", help="flat key = value settings file")
         sub.add_argument("--out", help="write CSV here instead of stdout")
@@ -100,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     namespace = parser.parse_args(argv)
     try:
         settings = load_config_file(namespace.config) if namespace.config else {}
-        for flag in _SUBCOMMAND_FLAGS[namespace.subcommand]:
+        for flag in SUBCOMMAND_KEYS[namespace.subcommand]:
             raw = getattr(namespace, flag)
             if raw is not None:
                 settings[flag] = raw

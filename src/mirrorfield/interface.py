@@ -12,12 +12,17 @@ Sides are labelled ``"a"`` for light that approaches the coating from the
 air half space (where reflection picks up ``phi3`` and transmission from
 the far side ``phi4``) and ``"b"`` for light approaching through the
 dielectric (reflection phase ``phi1``, transmission phase ``phi2``).
+
+Amplitudes may be numpy arrays: such a coating is a grid of coatings that
+share the four scalar phases, and every derived quantity is per cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DegenerateTransparency,
@@ -52,46 +57,64 @@ def _check_side(side: str) -> str:
     return side
 
 
+def as_value(value):
+    """``value`` as a Python float when it is a scalar, else a float array."""
+    array = np.asarray(value, dtype=float)
+    return float(array) if array.ndim == 0 else array
+
+
+def check_cells(ok, error: type[Exception], message: str, **values) -> None:
+    """Raise ``error`` unless the condition ``ok`` holds in every cell.
+
+    ``message`` is formatted with ``values`` taken at the first failing
+    cell as Python floats, so it reads the same for scalars and arrays.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        cell = int(np.argmin(ok.ravel()))
+        at = {name: float(np.broadcast_to(v, ok.shape).flat[cell]) for name, v in values.items()}
+        raise error(message.format(**at))
+
+
 @dataclass(frozen=True)
 class SideCoefficients:
     """Reflection, transmission and loss amplitudes for one approach side.
 
     All three amplitudes are real and non-negative; phases are carried
-    separately by :class:`MirrorInterface`.  Construction enforces
-    ``r**2 + t**2 + l**2 = 1`` within :data:`ENERGY_TOL`.
+    separately by :class:`MirrorInterface`.  Each amplitude is a float or
+    an array (broadcast against the others).  Construction enforces
+    ``r**2 + t**2 + l**2 = 1`` within :data:`ENERGY_TOL` in every cell.
     """
 
-    r: float
-    t: float
-    l: float
+    r: float | np.ndarray
+    t: float | np.ndarray
+    l: float | np.ndarray
 
     def __post_init__(self) -> None:
-        for name, value in (("r", self.r), ("t", self.t), ("l", self.l)):
-            if not (0.0 <= value <= 1.0):
-                raise RangeError(
-                    f"amplitude {name}={value!r} outside [0, 1]"
-                )
+        for name in ("r", "t", "l"):
+            value = as_value(getattr(self, name))
+            object.__setattr__(self, name, value)
+            check_cells((0.0 <= value) & (value <= 1.0), RangeError,
+                        f"amplitude {name}={{value!r}} outside [0, 1]", value=value)
         budget = self.r**2 + self.t**2 + self.l**2
-        if abs(budget - 1.0) > ENERGY_TOL:
-            raise EnergyViolation(
-                f"r^2 + t^2 + l^2 = {budget!r}, expected 1 within {ENERGY_TOL}"
-            )
+        check_cells(abs(budget - 1.0) <= ENERGY_TOL, EnergyViolation,
+                    f"r^2 + t^2 + l^2 = {{budget!r}}, expected 1 within {ENERGY_TOL}",
+                    budget=budget)
 
     @classmethod
-    def with_implied_loss(cls, r: float, t: float) -> "SideCoefficients":
+    def with_implied_loss(cls, r, t) -> "SideCoefficients":
         """Relaxed constructor: accept any ``r**2 + t**2 <= 1``, infer loss.
 
         Needed for the no-mirror limit where every rate is zero and the
         full energy budget goes into absorption.
         """
-        if not (0.0 <= r <= 1.0) or not (0.0 <= t <= 1.0):
-            raise RangeError(f"amplitudes r={r!r}, t={t!r} outside [0, 1]")
+        r, t = as_value(r), as_value(t)
+        check_cells((0.0 <= r) & (r <= 1.0) & (0.0 <= t) & (t <= 1.0), RangeError,
+                    "amplitudes r={r!r}, t={t!r} outside [0, 1]", r=r, t=t)
         remainder = 1.0 - r**2 - t**2
-        if remainder < -ENERGY_TOL:
-            raise EnergyViolation(
-                f"r^2 + t^2 = {r**2 + t**2!r} exceeds the unit energy budget"
-            )
-        return cls(r, t, math.sqrt(max(0.0, remainder)))
+        check_cells(remainder >= -ENERGY_TOL, EnergyViolation,
+                    "r^2 + t^2 = {total!r} exceeds the unit energy budget", total=r**2 + t**2)
+        return cls(r, t, np.sqrt(np.maximum(0.0, remainder)))
 
 
 @dataclass(frozen=True)
@@ -120,7 +143,7 @@ class MirrorInterface:
     reflection phases for light arriving from the dielectric and the air
     side respectively; ``phi2``/``phi4`` are the matching transmission
     phases.  Construction rejects coefficient pairs that would make a
-    normalisation denominator vanish.
+    normalisation denominator vanish in any cell.
     """
 
     side_a: SideCoefficients
@@ -135,11 +158,9 @@ class MirrorInterface:
             object.__setattr__(self, name, _reduce_phase(getattr(self, name)))
         for label, side in (("a", self.side_a), ("b", self.side_b)):
             denom = 1.0 + side.r**2 - side.t**2
-            if denom <= DEGENERACY_TOL:
-                raise DegenerateTransparency(
-                    f"1 + r^2 - t^2 = {denom!r} on side {label}; "
-                    "the field normalisation is undefined"
-                )
+            check_cells(denom > DEGENERACY_TOL, DegenerateTransparency,
+                        f"1 + r^2 - t^2 = {{denom!r}} on side {label}; "
+                        "the field normalisation is undefined", denom=denom)
 
 
 @dataclass(frozen=True)
@@ -233,9 +254,10 @@ def lossless_interface(
     [0, 1); ``r = 0`` produces a fully transparent coating, which the
     interface constructor rejects as degenerate.
     """
-    if not (0.0 <= r < 1.0):
-        raise RangeError(f"lossless reflection amplitude must be in [0, 1), got {r!r}")
-    t = math.sqrt(1.0 - r * r)
+    r = as_value(r)
+    check_cells((0.0 <= r) & (r < 1.0), RangeError,
+                "lossless reflection amplitude must be in [0, 1), got {r!r}", r=r)
+    t = np.sqrt(1.0 - r * r)
     side = SideCoefficients(r, t, 0.0)
     return MirrorInterface(side, side, phi1, phi2, phi3, phi4)
 

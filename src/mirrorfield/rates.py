@@ -5,7 +5,8 @@ depends on the coating is expressed through the dimensionless ratio
 ``Gamma_mirr / Gamma_ref`` as a function of ``u = 2 k0 x``, where ``x``
 is the emitter-coating distance and ``k0`` the transition wavenumber.
 The reference rate is the free-space rate for an emitter on the air side
-and the in-medium rate for an emitter inside the dielectric.
+and the in-medium rate for an emitter inside the dielectric.  ``u`` may be
+an array; a scalar ``u`` on a scalar coating gives a Python float.
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, RangeError
 from .interface import (
     Medium,
     MirrorInterface,
+    as_value,
+    check_cells,
     mirror_parameter,
     refractive_index,
     side_rate_terms,
@@ -146,26 +151,24 @@ class DipoleOrientation:
 
 @dataclass(frozen=True)
 class DecayRateCurve:
-    """Sampled decay-rate ratio along increasing ``u``."""
+    """Decay-rate ratio ``ratio[i]`` sampled at strictly increasing ``u[i]``."""
 
     side: str
     alignment: float
-    samples: tuple[tuple[float, float], ...]
+    u: np.ndarray
+    ratio: np.ndarray
 
     def __post_init__(self) -> None:
-        previous = -math.inf
-        for u, ratio in self.samples:
-            if u <= previous:
-                raise DomainError("samples must be strictly increasing in u")
-            previous = u
-            if not (-_RATIO_SLACK <= ratio <= 1.0 + 1.5 * BRACKET_BOUND + _RATIO_SLACK):
-                raise DomainError(f"ratio {ratio!r} at u={u!r} outside physical bounds")
-
-    def u_values(self) -> tuple[float, ...]:
-        return tuple(u for u, _ in self.samples)
-
-    def ratios(self) -> tuple[float, ...]:
-        return tuple(ratio for _, ratio in self.samples)
+        u, ratio = np.asarray(self.u, dtype=float), np.asarray(self.ratio, dtype=float)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "ratio", ratio)
+        if u.ndim != 1 or ratio.shape != u.shape:
+            raise DomainError("u and ratio must be 1-d arrays of one length")
+        if not np.all(np.diff(u) > 0.0):
+            raise DomainError("samples must be strictly increasing in u")
+        check_cells((-_RATIO_SLACK <= ratio) & (ratio <= 1.0 + 1.5 * BRACKET_BOUND + _RATIO_SLACK),
+                    DomainError, "ratio {ratio!r} at u={u!r} outside physical bounds",
+                    ratio=ratio, u=u)
 
 
 def gamma_air(atom: AtomParams, constants: PhysicalConstants) -> float:
@@ -197,51 +200,43 @@ def gamma_med(
     )
 
 
-def _bracket_series(u: float, alignment: float) -> float:
-    """Taylor form of the oscillatory bracket, accurate to O(u**4)."""
-    u_sq = u * u
-    sinc_part = 1.0 - u_sq / 6.0
-    tail_part = -1.0 / 3.0 + u_sq / 30.0
-    return (1.0 - alignment) * sinc_part + (1.0 + alignment) * tail_part
-
-
-def _bracket_direct(u: float, alignment: float) -> float:
-    """Oscillatory bracket evaluated from the trigonometric expressions."""
-    sin_u = math.sin(u)
-    cos_u = math.cos(u)
-    sinc_part = sin_u / u
-    tail_part = cos_u / (u * u) - sin_u / (u * u * u)
-    return (1.0 - alignment) * sinc_part + (1.0 + alignment) * tail_part
-
-
-def oscillatory_bracket(u: float, alignment: float) -> float:
+def oscillatory_bracket(u, alignment: float):
     """Distance-dependent bracket multiplying the mirror parameter.
 
     ``(1 - A) sin(u)/u + (1 + A) (cos(u)/u**2 - sin(u)/u**3)`` with
-    ``A = alignment``; below :data:`SMALL_U` the Taylor form is used to
-    avoid cancellation.  Its magnitude never exceeds 2/3, the value
-    reached in the ``u -> 0`` limit.
+    ``A = alignment``; below :data:`SMALL_U` the Taylor form, accurate to
+    O(u**4), is used to avoid cancellation.  Its magnitude never exceeds
+    2/3, the value reached in the ``u -> 0`` limit.  ``u`` may be an
+    array; a scalar gives a Python float.
     """
-    if u < SMALL_U:
-        return _bracket_series(u, alignment)
-    return _bracket_direct(u, alignment)
+    u = np.asarray(u, dtype=float)
+    u_sq = u * u
+    series = u < SMALL_U
+    # Below SMALL_U the trigonometric form can divide by zero or overflow;
+    # np.where discards those cells, so their warnings are silenced.
+    with np.errstate(all="ignore"):
+        sin_u = np.sin(u)
+        cos_u = np.cos(u)
+        sinc_part = np.where(series, 1.0 - u_sq / 6.0, sin_u / u)
+        tail_part = np.where(series, -1.0 / 3.0 + u_sq / 30.0,
+                             cos_u / (u * u) - sin_u / (u * u * u))
+    return as_value((1.0 - alignment) * sinc_part + (1.0 + alignment) * tail_part)
 
 
-def check_u(u: float) -> None:
-    """Reject a scaled distance ``u`` that is negative, infinite or NaN."""
-    if not (0.0 <= u < math.inf):
-        raise DomainError(f"u must be finite and >= 0, got {u!r}")
+def check_u(u) -> None:
+    """Reject a scaled distance ``u`` that is negative, infinite or NaN in any cell."""
+    u = np.asarray(u, dtype=float)
+    check_cells((0.0 <= u) & (u < math.inf), DomainError,
+                "u must be finite and >= 0, got {u!r}", u=u)
 
 
-def _check_rate_args(alignment: float, u: float) -> None:
+def _check_rate_args(alignment: float, u) -> None:
     if not (0.0 <= alignment <= 1.0):
         raise DomainError(f"alignment must be in [0, 1], got {alignment!r}")
     check_u(u)
 
 
-def relative_decay_rate(
-    interface: MirrorInterface, side: str, alignment: float, u: float
-) -> float:
+def relative_decay_rate(interface: MirrorInterface, side: str, alignment: float, u):
     """Decay rate near the coating over the reference rate for that side.
 
     Parameters
@@ -252,22 +247,21 @@ def relative_decay_rate(
         inside the dielectric ("b", reference ``gamma_med``).
     alignment : float
         Squared normal component of the dipole orientation, in [0, 1].
-    u : float
-        Dimensionless distance ``2 k0 x``, ``>= 0``.
+    u : float or array
+        Dimensionless distance ``2 k0 x``, ``>= 0`` in every cell.
 
     Returns
     -------
-    float
-        ``1 + xi * bracket(u, alignment)``; always within [0, 2].
+    float or array
+        ``1 + xi * bracket(u, alignment)``; always within [0, 2].  A
+        Python float when both ``u`` and the coating are scalar.
     """
     _check_rate_args(alignment, u)
     summary = mirror_parameter(interface, side)
     return 1.0 + summary.xi * oscillatory_bracket(u, alignment)
 
 
-def unnormalised_decay_rate(
-    interface: MirrorInterface, side: str, alignment: float, u: float
-) -> float:
+def unnormalised_decay_rate(interface: MirrorInterface, side: str, alignment: float, u):
     """Rate ratio with the constant term left in its raw two-species form.
 
     Evaluates ``(1 + r^2)/eta^2 + t_opp^2/eta_opp^2`` explicitly instead
@@ -302,8 +296,6 @@ def sample_decay_curve(
     u_values,
 ) -> DecayRateCurve:
     """Evaluate :func:`relative_decay_rate` on an increasing ``u`` grid."""
-    samples = tuple(
-        (float(u), relative_decay_rate(interface, side, alignment, float(u)))
-        for u in u_values
-    )
-    return DecayRateCurve(side=side, alignment=alignment, samples=samples)
+    u = np.asarray(u_values, dtype=float)
+    ratio = relative_decay_rate(interface, side, alignment, u)
+    return DecayRateCurve(side=side, alignment=alignment, u=u, ratio=ratio)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,10 +33,36 @@ ORACLE_FAIL_THRESHOLD = 1e-6
 #: Sentinel written in place of a result when the quadrature gives up.
 FAILED_VALUE = -1.0
 
+#: Most values (rows times columns) one table may hold: far above the paper's
+#: figures (401 x 401 maps, 20001-point curves), below exhausting memory.
+MAX_TABLE_VALUES = 5_000_000
+
 _INTERFACE_FIELDS = (
     "r_a", "t_a", "l_a", "r_b", "t_b", "l_b",
     "phi1", "phi2", "phi3", "phi4",
 )
+
+_QUADRATURE_FIELDS = tuple(item.name for item in fields(QuadratureSpec))
+
+#: The settings each subcommand reads, in provenance order; any other key
+#: is rejected.
+SUBCOMMAND_KEYS = {
+    "eta-map": ("l_sq", "grid_count", "r_a_max", "r_b_max"),
+    "xi-map": ("l_sq", "grid_count", "r_a_max", "r_b_max", "phi3_values"),
+    "decay-curve": (
+        "preset", "side", "u_min", "u_max", "u_count", "alignment", *_INTERFACE_FIELDS,
+    ),
+    "oracle-check": ("seed", "cases", *_QUADRATURE_FIELDS),
+}
+
+#: Settings a preset fixes, so ``decay-curve`` with a preset rejects them.
+_PRESET_FIXED = ("alignment", *_INTERFACE_FIELDS)
+
+
+def _keys_read(subcommand: str, preset: bool) -> list[str]:
+    """Settings ``subcommand`` reads, in provenance order."""
+    keys = SUBCOMMAND_KEYS[subcommand]
+    return [key for key in keys if key not in _PRESET_FIXED] if preset else list(keys)
 
 
 @dataclass
@@ -79,12 +105,8 @@ class SweepConfig:
             raise ConfigError(f"side must be 'a' or 'b', got {self.side!r}")
         if not (0.0 <= self.alignment <= 1.0):
             raise ConfigError(f"alignment must be in [0, 1], got {self.alignment!r}")
-        if self.u_count < 2:
-            raise ConfigError("u_count must be >= 2")
         if not (0.0 <= self.u_min < self.u_max < math.inf):
             raise ConfigError("need 0 <= u_min < u_max < inf")
-        if self.grid_count < 2:
-            raise ConfigError("grid_count must be >= 2")
         if not (0.0 <= self.l_sq <= 1.0):
             raise ConfigError(f"l_sq must be in [0, 1], got {self.l_sq!r}")
         for name in ("r_a_max", "r_b_max"):
@@ -98,22 +120,27 @@ class SweepConfig:
                 f"unknown preset {self.preset!r}; "
                 f"available: {', '.join(sorted(PRESETS))}"
             )
-        if self.cases < 1:
-            raise ConfigError("cases must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        # Widest tables: 2 + len(phi3_values) map columns; u plus the
+        # 8 curves of the largest preset; the 9 oracle-check columns.
+        for name, least, values in (
+            ("grid_count", 2, self.grid_count**2 * (2 + len(self.phi3_values))),
+            ("u_count", 2, self.u_count * 9),
+            ("cases", 1, self.cases * 9),
+        ):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
+            if values > MAX_TABLE_VALUES:
+                raise ConfigError(f"{name}={getattr(self, name)} gives a table of "
+                                  f"{values} values; the limit is {MAX_TABLE_VALUES}")
         try:
             self.quadrature()
         except MirrorFieldError as exc:
             raise ConfigError(str(exc)) from exc
 
     def quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(
-            panels_per_oscillation=self.panels_per_oscillation,
-            points_per_panel=self.points_per_panel,
-            min_panels=self.min_panels,
-            rel_tolerance=self.rel_tolerance,
-        )
+        return QuadratureSpec(**{name: getattr(self, name) for name in _QUADRATURE_FIELDS})
 
     def interface(self) -> MirrorInterface:
         missing = [
@@ -125,18 +152,15 @@ class SweepConfig:
                 "custom curves need interface amplitudes; "
                 f"missing: {', '.join(missing)}"
             )
-        return validate_interface(
-            r_a=self.r_a, t_a=self.t_a, l_a=self.l_a,
-            r_b=self.r_b, t_b=self.t_b, l_b=self.l_b,
-            phi1=self.phi1, phi2=self.phi2, phi3=self.phi3, phi4=self.phi4,
-        )
+        return validate_interface(**{name: getattr(self, name) for name in _INTERFACE_FIELDS})
 
 
 def parse_angle(text: str) -> float:
     """Parse a float or a multiple of pi (``pi``, ``-pi/2``, ``0.25pi``).
 
     Every string ``float()`` accepts parses to the same value, so numbers
-    written into a provenance line replay exactly.
+    written into a provenance line replay exactly.  A multiple of pi takes
+    one leading sign at most and an unsigned divisor.
     """
     token = text.strip().lower()
     try:
@@ -153,7 +177,8 @@ def parse_angle(text: str) -> float:
     try:
         factor = float(head) if head else 1.0
         divisor = float(tail[1:]) if tail.startswith("/") else 1.0
-        if (tail and not tail.startswith("/")) or divisor == 0.0:
+        signed = head[:1] in ("+", "-") or tail[1:2] in ("+", "-")
+        if (tail and not tail.startswith("/")) or divisor == 0.0 or signed:
             raise ValueError(tail)
     except ValueError as exc:
         raise ConfigError(f"cannot parse angle {text!r}") from exc
@@ -204,13 +229,22 @@ def config_from_settings(subcommand: str, settings: Mapping[str, str]) -> SweepC
     Raises
     ------
     ConfigError
-        For an unknown key or a value its field cannot parse.
+        For an unknown subcommand or key, a key the subcommand does not
+        read (see :data:`SUBCOMMAND_KEYS`; a preset fixes the coating and
+        alignment), or a value its field cannot parse.
     """
+    if subcommand not in SUBCOMMAND_KEYS:
+        raise ConfigError(f"unknown subcommand {subcommand!r}")
+    preset = "preset" in settings
+    read = _keys_read(subcommand, preset)
     values: dict[str, object] = {}
     for key, raw in settings.items():
         parse = _SETTINGS.get(key)
         if parse is None:
             raise ConfigError(f"unknown option {key!r}")
+        if key not in read:
+            reader = f"{subcommand} with a preset" if preset else subcommand
+            raise ConfigError(f"{reader} does not read option {key!r}")
         try:
             values[key] = parse(raw)
         except ValueError as exc:
@@ -286,12 +320,14 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _provenance(subcommand: str, params: dict) -> str:
-    parts = [subcommand]
-    for key, value in params.items():
-        if value is None:
-            continue
-        parts.append(f"{key}={_format_value(value)}")
+def _provenance(config: SweepConfig, **resolved) -> str:
+    """Every setting the command read, with ``resolved`` replacing the
+    values it worked out itself; unset (None) settings are left out."""
+    parts = [config.subcommand]
+    for key in _keys_read(config.subcommand, config.preset is not None):
+        value = resolved.get(key, getattr(config, key))
+        if value is not None:
+            parts.append(f"{key}={_format_value(value)}")
     return " ".join(parts)
 
 
@@ -301,22 +337,19 @@ def replay_provenance(provenance: str) -> ResultTable:
     if not tokens:
         raise ConfigError("empty provenance")
     subcommand = tokens[0]
-    if subcommand not in COMMANDS:
-        raise ConfigError(f"unknown subcommand {subcommand!r} in provenance")
     settings = {}
     for token in tokens[1:]:
         key, sep, raw = token.partition("=")
         if not sep:
             raise ConfigError(f"bad provenance token {token!r}")
         settings[key] = raw
-    return COMMANDS[subcommand](config_from_settings(subcommand, settings))
+    config = config_from_settings(subcommand, settings)
+    return COMMANDS[subcommand](config)
 
 
-def _grid(limit: float, count: int) -> np.ndarray:
-    return np.linspace(0.0, limit, count)
-
-
-def _map_grids(config: SweepConfig) -> tuple[np.ndarray, np.ndarray, float]:
+def _map_grid(config: SweepConfig) -> tuple[MirrorInterface, np.ndarray, np.ndarray, str]:
+    """The row-major (r_a, r_b) grid at fixed loss as one array-valued
+    coating, with its r_a and r_b columns and the table's provenance."""
     loss = math.sqrt(config.l_sq)
     default_max = math.sqrt(max(0.0, 1.0 - config.l_sq))
     r_a_max = default_max if config.r_a_max is None else config.r_a_max
@@ -326,37 +359,25 @@ def _map_grids(config: SweepConfig) -> tuple[np.ndarray, np.ndarray, float]:
             raise ConfigError(
                 f"{name}={value!r} exceeds sqrt(1 - l_sq) = {default_max!r}"
             )
-    return _grid(r_a_max, config.grid_count), _grid(r_b_max, config.grid_count), loss
-
-
-def _map_side(r: float, loss: float) -> SideCoefficients:
-    t_sq = max(0.0, 1.0 - r * r - loss * loss)
-    return SideCoefficients(r, math.sqrt(t_sq), loss)
+    count = config.grid_count
+    r_a = np.repeat(np.linspace(0.0, r_a_max, count), count)
+    r_b = np.tile(np.linspace(0.0, r_b_max, count), count)
+    side_a, side_b = (
+        SideCoefficients(r, np.sqrt(np.maximum(0.0, 1.0 - r * r - loss * loss)), loss)
+        for r in (r_a, r_b)
+    )
+    provenance = _provenance(config, r_a_max=float(r_a[-1]), r_b_max=float(r_b[-1]))
+    return MirrorInterface(side_a, side_b), r_a, r_b, provenance
 
 
 def cmd_eta_map(config: SweepConfig) -> ResultTable:
     """Normalisation constants on an (r_a, r_b) grid at fixed loss."""
     config.validate()
-    r_a_values, r_b_values, loss = _map_grids(config)
-    rows = []
-    sides_a = [_map_side(float(r), loss) for r in r_a_values]
-    sides_b = [_map_side(float(r), loss) for r in r_b_values]
-    for r_a, side_a in zip(r_a_values, sides_a):
-        for r_b, side_b in zip(r_b_values, sides_b):
-            pair = normalisation_constants(MirrorInterface(side_a, side_b))
-            rows.append([float(r_a), float(r_b), pair.eta_a_sq, pair.eta_b_sq])
-    provenance = _provenance(
-        "eta-map",
-        {
-            "l_sq": config.l_sq,
-            "grid_count": config.grid_count,
-            "r_a_max": float(r_a_values[-1]),
-            "r_b_max": float(r_b_values[-1]),
-        },
-    )
+    coating, r_a, r_b, provenance = _map_grid(config)
+    pair = normalisation_constants(coating)
     return ResultTable(
         columns=["r_a", "r_b", "eta_a_sq", "eta_b_sq"],
-        rows=rows,
+        rows=np.column_stack((r_a, r_b, pair.eta_a_sq, pair.eta_b_sq)).tolist(),
         provenance=provenance,
     )
 
@@ -364,32 +385,14 @@ def cmd_eta_map(config: SweepConfig) -> ResultTable:
 def cmd_xi_map(config: SweepConfig) -> ResultTable:
     """Mirror parameter on an (r_a, r_b) grid for each requested phase."""
     config.validate()
-    r_a_values, r_b_values, loss = _map_grids(config)
+    coating, r_a, r_b, provenance = _map_grid(config)
     phases = tuple(float(p) for p in config.phi3_values)
-    rows = []
-    sides_a = [_map_side(float(r), loss) for r in r_a_values]
-    sides_b = [_map_side(float(r), loss) for r in r_b_values]
-    for r_a, side_a in zip(r_a_values, sides_a):
-        for r_b, side_b in zip(r_b_values, sides_b):
-            row = [float(r_a), float(r_b)]
-            for phase in phases:
-                summary = mirror_parameter(
-                    MirrorInterface(side_a, side_b, phi3=phase), "a"
-                )
-                row.append(summary.xi)
-            rows.append(row)
-    provenance = _provenance(
-        "xi-map",
-        {
-            "l_sq": config.l_sq,
-            "grid_count": config.grid_count,
-            "r_a_max": float(r_a_values[-1]),
-            "r_b_max": float(r_b_values[-1]),
-            "phi3_values": phases,
-        },
+    xi = [mirror_parameter(replace(coating, phi3=p), "a").xi for p in phases]
+    return ResultTable(
+        columns=["r_a", "r_b"] + [f"xi_phi3={repr(p)}" for p in phases],
+        rows=np.column_stack((r_a, r_b, *xi)).tolist(),
+        provenance=provenance,
     )
-    columns = ["r_a", "r_b"] + [f"xi_phi3={repr(p)}" for p in phases]
-    return ResultTable(columns=columns, rows=rows, provenance=provenance)
 
 
 def _symmetric_interface(r_sq: float, l_sq: float, phase: float) -> MirrorInterface:
@@ -470,36 +473,20 @@ def cmd_decay_curve(config: SweepConfig) -> ResultTable:
     """Decay-rate ratio against ``u`` for a preset family or custom coating."""
     config.validate()
     u_values = np.linspace(config.u_min, config.u_max, config.u_count)
-    params: dict = {
-        "side": config.side,
-        "u_min": config.u_min,
-        "u_max": config.u_max,
-        "u_count": config.u_count,
-    }
     if config.preset is not None:
-        curves = [
-            (label, interface, alignment)
-            for label, interface, alignment in PRESETS[config.preset]()
-        ]
-        params = {"preset": config.preset, **params}
+        curves = PRESETS[config.preset]()
     else:
         reference = "gamma_air" if config.side == "a" else "gamma_med"
         curves = [(f"ratio_vs_{reference}", config.interface(), config.alignment)]
-        params["alignment"] = config.alignment
-        for name in _INTERFACE_FIELDS:
-            params[name] = getattr(config, name)
-
     columns = ["u"] + [label for label, _, _ in curves]
-    sampled = [
-        sample_decay_curve(interface, config.side, alignment, u_values).ratios()
+    ratios = [
+        sample_decay_curve(interface, config.side, alignment, u_values).ratio
         for _, interface, alignment in curves
     ]
-    rows = [
-        [float(u)] + [ratios[i] for ratios in sampled]
-        for i, u in enumerate(u_values)
-    ]
     return ResultTable(
-        columns=columns, rows=rows, provenance=_provenance("decay-curve", params)
+        columns=columns,
+        rows=np.column_stack((u_values, *ratios)).tolist(),
+        provenance=_provenance(config),
     )
 
 
@@ -591,17 +578,7 @@ def cmd_oracle_check(config: SweepConfig) -> ResultTable:
                 ok,
             ]
         )
-    provenance = _provenance(
-        "oracle-check",
-        {
-            "seed": config.seed,
-            "cases": config.cases,
-            "panels_per_oscillation": config.panels_per_oscillation,
-            "points_per_panel": config.points_per_panel,
-            "min_panels": config.min_panels,
-            "rel_tolerance": config.rel_tolerance,
-        },
-    )
+    provenance = _provenance(config)
     trailer = (
         f"summary: cases={config.cases} failures={failures} "
         f"worst_max_rel_error={worst!r}"

@@ -18,12 +18,13 @@ class TestAngleParsing:
             ("0.5pi", 0.5 * math.pi),
             ("-0.25pi", -0.25 * math.pi),
             ("2pi", 2.0 * math.pi),
+            ("1_0.5", 10.5),
         ],
     )
     def test_accepted_forms(self, text, expected):
         assert parse_angle(text) == pytest.approx(expected, rel=1e-15)
 
-    @pytest.mark.parametrize("text", ["", "pie", "pi*2", "two", "pi/0"])
+    @pytest.mark.parametrize("text", ["", "pie", "pi*2", "two", "pi/0", "+-0.5pi", "pi/-2"])
     def test_rejected_forms(self, text):
         with pytest.raises(ConfigError):
             parse_angle(text)
@@ -107,6 +108,21 @@ class TestMain:
         cfg.write_text("bogus = 1\n")
         assert main(["eta-map", "--config", str(cfg)]) == 1
         assert "unknown option 'bogus'" in capsys.readouterr().err
+
+    def test_key_the_subcommand_does_not_read(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("u_count = 5\n")
+        assert main(["eta-map", "--config", str(cfg)]) == 1
+        assert "eta-map does not read option 'u_count'" in capsys.readouterr().err
+
+    def test_preset_rejects_coating_and_alignment(self, capsys):
+        assert main(["decay-curve", "--preset", "fig4", "--phi3", "pi"]) == 1
+        assert "decay-curve with a preset does not read option 'phi3'" in capsys.readouterr().err
+
+    def test_degenerate_map_corner(self, capsys):
+        # l_sq = 0 makes the r_a = r_b = 0 cell a fully transparent sheet.
+        assert main(["eta-map", "--l-sq", "0", "--grid-count", "3"]) == 1
+        assert "the field normalisation is undefined" in capsys.readouterr().err
 
     def test_unknown_preset(self, capsys):
         assert main(["decay-curve", "--preset", "fig12"]) == 1

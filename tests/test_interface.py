@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +70,13 @@ class TestSideCoefficients:
     def test_energy_violation(self):
         with pytest.raises(EnergyViolation):
             SideCoefficients(0.8, 0.8, 0.0)
+
+    def test_array_with_one_bad_cell(self):
+        r = np.array([0.6, 0.8, 0.0])
+        t = np.array([0.8, 0.8, 1.0])
+        with pytest.raises(EnergyViolation, match=r"= 1\.28") as info:
+            SideCoefficients(r, t, 0.0)
+        assert "np.float64" not in str(info.value)
 
     def test_implied_loss(self):
         side = SideCoefficients.with_implied_loss(0.6, 0.0)

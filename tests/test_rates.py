@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from mirrorfield import (
     validate_interface,
 )
 
+from mirrorfield.rates import SMALL_U
 from test_interface import coatings
 
 ATOM = AtomParams(omega0=1.0, dipole_magnitude=1.0)
@@ -168,6 +170,24 @@ class TestRelativeDecayRate:
         with pytest.raises(DomainError):
             relative_decay_rate(iface, "c", 0.0, 1.0)
 
+    @given(
+        coatings(), st.sampled_from(["a", "b"]),
+        st.floats(0.0, 1.0, allow_nan=False),
+        st.lists(
+            st.floats(0.0, 2.0 * SMALL_U, allow_nan=False)
+            | st.floats(0.0, 200.0, allow_nan=False),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_array_path_equals_scalar_path(self, iface, side, alignment, extra):
+        # 0 and both sides of the Taylor switch are always present.
+        u = np.array([0.0, np.nextafter(SMALL_U, 0.0), SMALL_U, *extra])
+        ratio = relative_decay_rate(iface, side, alignment, u)
+        scalar = [relative_decay_rate(iface, side, alignment, float(x)) for x in u]
+        assert all(type(value) is float for value in scalar)
+        assert ratio.tolist() == scalar
+
     @given(coatings(), st.sampled_from(["a", "b"]),
            st.floats(0.0, 1.0, allow_nan=False),
            st.floats(0.0, 60.0, allow_nan=False))
@@ -209,13 +229,13 @@ class TestDecayRateCurve:
     def test_sampling(self):
         iface = lossless_interface(0.5, phi3=math.pi)
         curve = sample_decay_curve(iface, "a", 0.0, [0.1, 1.0, 10.0])
-        assert curve.u_values() == (0.1, 1.0, 10.0)
-        assert curve.ratios()[1] == relative_decay_rate(iface, "a", 0.0, 1.0)
+        assert curve.u.tolist() == [0.1, 1.0, 10.0]
+        assert curve.ratio[1] == relative_decay_rate(iface, "a", 0.0, 1.0)
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(DomainError):
-            DecayRateCurve("a", 0.0, ((1.0, 1.0), (0.5, 1.0)))
+            DecayRateCurve("a", 0.0, u=[1.0, 0.5], ratio=[1.0, 1.0])
 
     def test_rejects_unphysical_ratio(self):
         with pytest.raises(DomainError):
-            DecayRateCurve("a", 0.0, ((1.0, 2.5),))
+            DecayRateCurve("a", 0.0, u=[1.0], ratio=[2.5])

@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 
 from mirrorfield import (
     ConfigError,
+    MirrorInterface,
     ResultTable,
+    SideCoefficients,
     SweepConfig,
     format_csv,
+    mirror_parameter,
+    normalisation_constants,
     parse_csv,
     replay_provenance,
     seeded_oracle_cases,
@@ -99,6 +103,10 @@ class TestConfigValidation:
             {"points_per_panel": 1, "subcommand": "oracle-check"},
             {"phi3_values": (), "subcommand": "xi-map"},
             {"u_max": math.inf, "subcommand": "decay-curve"},
+            {"grid_count": 100_000},
+            {"phi3_values": (0.0,) * 1000, "subcommand": "xi-map"},
+            {"u_count": 10**7, "subcommand": "decay-curve"},
+            {"cases": 10**7, "subcommand": "oracle-check"},
         ],
     )
     def test_bad_values(self, overrides):
@@ -183,6 +191,34 @@ class TestXiMap:
             assert all(abs(v) <= 1.5 + 1e-12 for v in table.column(name))
 
 
+class TestArrayMaps:
+    @given(
+        st.floats(0.01, 1.0),
+        st.integers(2, 6),
+        st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_rows_equal_per_cell_scalar_calls(self, l_sq, count, phases):
+        eta = cmd_eta_map(make_config(grid_count=count, l_sq=l_sq))
+        xi = cmd_xi_map(make_config(
+            subcommand="xi-map", grid_count=count, l_sq=l_sq, phi3_values=tuple(phases)
+        ))
+        loss = math.sqrt(l_sq)
+
+        def side(r):
+            return SideCoefficients(r, math.sqrt(max(0.0, 1.0 - r * r - loss * loss)), loss)
+
+        for eta_row, xi_row in zip(eta.rows, xi.rows, strict=True):
+            r_a, r_b = eta_row[:2]
+            assert xi_row[:2] == [r_a, r_b]
+            pair = normalisation_constants(MirrorInterface(side(r_a), side(r_b)))
+            assert eta_row[2:] == [pair.eta_a_sq, pair.eta_b_sq]
+            assert xi_row[2:] == [
+                mirror_parameter(MirrorInterface(side(r_a), side(r_b), phi3=p), "a").xi
+                for p in phases
+            ]
+
+
 class TestDecayCurve:
     def test_custom_curve_column_name_tracks_side(self):
         base = dict(
@@ -262,7 +298,11 @@ class TestReplay:
         assert format_csv(again) == format_csv(table)
 
     @pytest.mark.parametrize(
-        "provenance", ["decay-curve u_count=abc", "eta-map emit_svg=1", "eta-map grid_count"]
+        "provenance",
+        [
+            "decay-curve u_count=abc", "eta-map emit_svg=1", "eta-map grid_count",
+            "eta-map u_count=5", "decay-curve preset=fig4 alignment=1.0", "bogus l_sq=0.2",
+        ],
     )
     def test_bad_provenance_is_a_config_error(self, provenance):
         with pytest.raises(ConfigError):
