@@ -7,13 +7,21 @@ analytically.  Both use composite Gauss-Legendre panels along the normal
 direction cosine, with the panel count scaled to the number of phase
 oscillations, so accuracy is uniform in ``u``.
 
+The 2D oracle evaluates its integrand in blocks of ``ROWS_PER_BLOCK``
+cos-theta rows and keeps only the weighted values of the whole grid, about
+8 bytes per fine-level node, which it sums in one pass.  Both oracles count
+their fine-level nodes before building any and raise
+:class:`QuadratureBudgetExceeded` above ``MAX_ORACLE_NODES``.
+
 Neither oracle touches the closed-form bracket: agreement between the
 three paths is the correctness check, not a construction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,19 @@ from .rates import DipoleOrientation, check_u, relative_decay_rate
 #: trigonometric polynomial of degree two in the azimuth, for which this
 #: order is converged far below the tolerances used anywhere here.
 PHI_ORDER = 32
+
+#: Largest Gauss-Legendre order per panel a spec may ask for; the rule
+#: costs a dense eigenproblem of twice this order at the fine level.
+MAX_POINTS_PER_PANEL = 512
+
+#: Largest fine-level node count either oracle builds: panels times
+#: ``2 * points_per_panel``, times ``PHI_ORDER`` for the 2D oracle.
+MAX_ORACLE_NODES = 2**24
+
+#: cos-theta rows of the 2D grid evaluated at once.  The weighted values
+#: are written to one array and summed there, so this changes memory use,
+#: not the summation order or the result.
+ROWS_PER_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -43,10 +64,12 @@ class QuadratureSpec:
             raise DomainError("panels_per_oscillation must be >= 1")
         if self.points_per_panel < 2:
             raise DomainError("points_per_panel must be >= 2")
+        if self.points_per_panel > MAX_POINTS_PER_PANEL:
+            raise DomainError(f"points_per_panel must be <= {MAX_POINTS_PER_PANEL}")
         if self.min_panels < 1:
             raise DomainError("min_panels must be >= 1")
-        if not (self.rel_tolerance > 0.0):
-            raise DomainError("rel_tolerance must be > 0")
+        if not (0.0 < self.rel_tolerance < math.inf):
+            raise DomainError("rel_tolerance must be finite and > 0")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -72,9 +95,21 @@ def panel_count(u: float, spec: QuadratureSpec) -> int:
     return max(spec.min_panels, math.ceil(u / math.pi) * spec.panels_per_oscillation)
 
 
+@functools.cache
+def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], one solve per order.
+
+    Orders are at most ``2 * MAX_POINTS_PER_PANEL``, which bounds the cache.
+    """
+    nodes, weights = leggauss(points)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _composite_nodes(n_panels: int, points: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1] split into equal panels."""
-    base_x, base_w = leggauss(points)
+    base_x, base_w = _gauss_legendre(points)
     edges = np.linspace(-1.0, 1.0, n_panels + 1)
     half_width = 0.5 * (edges[1:] - edges[:-1])
     centres = 0.5 * (edges[1:] + edges[:-1])
@@ -84,7 +119,7 @@ def _composite_nodes(n_panels: int, points: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _phi_nodes() -> tuple[np.ndarray, np.ndarray]:
-    base_x, base_w = leggauss(PHI_ORDER)
+    base_x, base_w = _gauss_legendre(PHI_ORDER)
     return math.pi * (base_x + 1.0), math.pi * base_w
 
 
@@ -92,16 +127,15 @@ def _angular_integrand(
     terms: SideRateTerms,
     dipole: DipoleOrientation,
     u: float,
-    cos_nodes: np.ndarray,
     phi_nodes: np.ndarray,
-) -> np.ndarray:
+) -> Callable[[np.ndarray], np.ndarray]:
     """Squared couplings summed over polarisations and photon species.
 
-    Vectorised over a (cos theta, phi) product grid; mirrors the scalar
-    coupling amplitudes of :mod:`mirrorfield.modes`.
+    Returns a function of a block of cos theta nodes that evaluates the
+    integrand on the (block, phi) product grid; the factors that depend on
+    the azimuth alone are computed once here.  Mirrors the scalar coupling
+    amplitudes of :mod:`mirrorfield.modes`.
     """
-    c = cos_nodes[:, None]
-    s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
     cos_phi = np.cos(phi_nodes)[None, :]
     sin_phi = np.sin(phi_nodes)[None, :]
 
@@ -109,24 +143,34 @@ def _angular_integrand(
     d2c = complex(dipole.d2).conjugate()
     d3c = complex(dipole.d3).conjugate()
 
-    # d* . e for both transverse vectors, and the image-dipole variants.
+    # d* . e for both transverse vectors, and the image-dipole variants:
+    # the first is p1 itself, the second is q2 below.
     p1 = d2c * sin_phi - d3c * cos_phi
     transverse = d2c * cos_phi + d3c * sin_phi
-    p2 = d1c * s - transverse * c
-    q1 = np.broadcast_to(p1, p2.shape)
-    q2 = -d1c * s - transverse * c
 
-    travel = np.exp(1j * 0.5 * u * c)
     reflect = terms.r * np.exp(1j * terms.reflection_phase)
+    reflected_p1 = reflect * p1
     eta = math.sqrt(terms.eta_sq)
-
-    g1 = (p1 * travel + reflect * q1 * np.conj(travel)) / eta
-    g2 = (p2 * travel + reflect * q2 * np.conj(travel)) / eta
-    same_side = np.abs(g1) ** 2 + np.abs(g2) ** 2
-
+    p1_sq = np.abs(p1) ** 2
     transmitted_weight = terms.t_opposite**2 / terms.eta_opposite_sq
-    far_side = transmitted_weight * (np.abs(p1) ** 2 + np.abs(p2) ** 2)
-    return same_side + far_side
+
+    def block(cos_nodes: np.ndarray) -> np.ndarray:
+        c = cos_nodes[:, None]
+        s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+        transverse_c = transverse * c
+        p2 = d1c * s - transverse_c
+        q2 = -d1c * s - transverse_c
+
+        travel = np.exp(1j * 0.5 * u * c)
+        back = np.conj(travel)
+        g1 = (p1 * travel + reflected_p1 * back) / eta
+        g2 = (p2 * travel + reflect * q2 * back) / eta
+        same_side = np.abs(g1) ** 2 + np.abs(g2) ** 2
+
+        far_side = transmitted_weight * (p1_sq + np.abs(p2) ** 2)
+        return same_side + far_side
+
+    return block
 
 
 def _distance_integrand(
@@ -145,6 +189,15 @@ def _distance_integrand(
         * np.cos(u * v - terms.reflection_phase)
     )
     return isotropic + oscillatory
+
+
+def _check_budget(label: str, fine_nodes: int) -> None:
+    """Refuse a quadrature whose doubled level would exceed the node budget."""
+    if fine_nodes > MAX_ORACLE_NODES:
+        raise QuadratureBudgetExceeded(
+            f"{label}: {fine_nodes} fine-level nodes exceed "
+            f"MAX_ORACLE_NODES={MAX_ORACLE_NODES}"
+        )
 
 
 def _refined(label: str, spec: QuadratureSpec, evaluate) -> float:
@@ -175,12 +228,17 @@ def decay_rate_2d_oracle(
     check_u(u)
     terms = side_rate_terms(interface, side)
     n_panels = panel_count(u, spec)
+    _check_budget("2d oracle", n_panels * 2 * spec.points_per_panel * PHI_ORDER)
     phi_x, phi_w = _phi_nodes()
+    integrand = _angular_integrand(terms, dipole, u, phi_x)
 
     def evaluate(points: int) -> float:
         cos_x, cos_w = _composite_nodes(n_panels, points)
-        values = _angular_integrand(terms, dipole, u, cos_x, phi_x)
-        weighted = (cos_w[:, None] * phi_w[None, :]) * values
+        weighted = np.empty((cos_x.size, PHI_ORDER))
+        for start in range(0, cos_x.size, ROWS_PER_BLOCK):
+            rows = slice(start, start + ROWS_PER_BLOCK)
+            weighted[rows] = (cos_w[rows, None] * phi_w[None, :]) * integrand(cos_x[rows])
+        # One sum over the whole grid: summing per block would change the order.
         return 3.0 / (8.0 * math.pi) * float(np.sum(weighted))
 
     return _refined("2d oracle", spec, evaluate)
@@ -199,6 +257,7 @@ def decay_rate_1d_oracle(
         raise DomainError(f"alignment must be in [0, 1], got {alignment!r}")
     terms = side_rate_terms(interface, side)
     n_panels = panel_count(u, spec)
+    _check_budget("1d oracle", n_panels * 2 * spec.points_per_panel)
 
     def evaluate(points: int) -> float:
         nodes, weights = _composite_nodes(n_panels, points)

@@ -151,6 +151,18 @@ class TestMain:
         assert code == 2
         assert "failures=3" in capsys.readouterr().err
 
+    def test_oversized_quadrature_spec(self, capsys):
+        assert main(["oracle-check", "--cases", "1", "--points-per-panel", "20000"]) == 1
+        assert "points_per_panel must be <= 512" in capsys.readouterr().err
+
+    def test_over_budget_case_is_a_failed_row(self, capsys):
+        # A million panels per oscillation asks for about 1e9 2D nodes.
+        code = main(["oracle-check", "--cases", "1", "--panels-per-oscillation", "1000000"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "failures=1" in captured.err
+        assert parse_csv(captured.out).column("ok") == [0.0]
+
     def test_stdout_replay_round_trip(self, capsys):
         assert main(["xi-map", "--grid-count", "3", "--phi3-values", "0,pi"]) == 0
         table = parse_csv(capsys.readouterr().out)

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
 
+from mirrorfield import oracle
 from mirrorfield import (
     DEFAULT_QUADRATURE,
     DipoleOrientation,
@@ -18,6 +20,8 @@ from mirrorfield import (
     validate_interface,
 )
 
+DEFAULT_ROWS_PER_BLOCK = oracle.ROWS_PER_BLOCK
+
 BLACK_SHEET = validate_interface(0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
 PERFECT_MIRROR = validate_interface(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, phi1=math.pi, phi3=math.pi)
 
@@ -30,6 +34,12 @@ class TestQuadratureSpec:
             QuadratureSpec(rel_tolerance=0.0)
         with pytest.raises(DomainError):
             QuadratureSpec(min_panels=0)
+        QuadratureSpec(points_per_panel=512)
+        with pytest.raises(DomainError, match="points_per_panel must be <= 512"):
+            QuadratureSpec(points_per_panel=513)
+        for tolerance in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="rel_tolerance"):
+                QuadratureSpec(rel_tolerance=tolerance)
 
     def test_panel_count_tracks_oscillations(self):
         assert panel_count(0.0, DEFAULT_QUADRATURE) == 8
@@ -103,8 +113,57 @@ class TestBudget:
         with pytest.raises(QuadratureBudgetExceeded):
             decay_rate_2d_oracle(iface, "a", DipoleOrientation.aligned(0.0), 20.0, starved)
 
+    def test_over_budget_raises_before_allocating(self):
+        # At u = 1e5 the 2D grid would hold about 130M nodes.
+        dipole = DipoleOrientation.aligned(0.3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureBudgetExceeded, match="MAX_ORACLE_NODES"):
+                decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 1e5)
+            with pytest.raises(QuadratureBudgetExceeded, match="MAX_ORACLE_NODES"):
+                decay_rate_1d_oracle(BLACK_SHEET, "a", 0.3, 1e7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_budget_counts_fine_level_nodes(self, monkeypatch):
+        # u = 0 with the default spec: 8 panels of 2 * 16 points at the fine level.
+        dipole = DipoleOrientation.aligned(0.3)
+        fine_2d = 8 * 32 * oracle.PHI_ORDER
+        monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", fine_2d)
+        assert decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0) == pytest.approx(1.0, abs=1e-9)
+        monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", fine_2d - 1)
+        with pytest.raises(QuadratureBudgetExceeded):
+            decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0)
+        monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", 8 * 32)
+        assert decay_rate_1d_oracle(BLACK_SHEET, "a", 0.3, 0.0) == pytest.approx(1.0, abs=1e-9)
+        monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", 8 * 32 - 1)
+        with pytest.raises(QuadratureBudgetExceeded):
+            decay_rate_1d_oracle(BLACK_SHEET, "a", 0.3, 0.0)
+
     def test_negative_distance_rejected(self):
         with pytest.raises(DomainError):
             decay_rate_2d_oracle(BLACK_SHEET, "a", DipoleOrientation.aligned(0.0), -0.5)
         with pytest.raises(DomainError):
             decay_rate_1d_oracle(BLACK_SHEET, "a", 1.5, 0.5)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("u", [300.0, 1e3])
+    def test_result_is_independent_of_block_size(self, monkeypatch, u):
+        # One block (the whole grid at once), a ragged last block, the default.
+        for case in seeded_oracle_cases(seed=11, count=2):
+            values = []
+            for rows in (10**9, 7, DEFAULT_ROWS_PER_BLOCK):
+                monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", rows)
+                values.append(decay_rate_2d_oracle(case.interface, case.side, case.dipole, u).hex())
+            assert values[0] == values[1] == values[2]
+
+    def test_cached_rules_are_read_only(self):
+        nodes, weights = oracle._gauss_legendre(16)
+        assert oracle._gauss_legendre(16)[0] is nodes
+        assert not nodes.flags.writeable
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
