@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, MirrorFieldError
 from .svgplot import heat_panels, line_plot
 from .sweep import (
@@ -59,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _matrix(table: ResultTable, name: str, count: int) -> list[list[float]]:
-    column = table.column(name)
-    return [column[i * count:(i + 1) * count] for i in range(count)]
-
-
 def _render_svg(config: SweepConfig, table: ResultTable) -> str:
     if config.subcommand == "decay-curve":
         u = table.column("u")
@@ -76,8 +73,9 @@ def _render_svg(config: SweepConfig, table: ResultTable) -> str:
     count = config.grid_count
     axis = table.column("r_b")[:count]
     r_a_axis = [table.rows[i * count][0] for i in range(count)]
-    names = table.columns[2:]
-    panels = [(name, _matrix(table, name, count)) for name in names]
+    panels = [
+        (name, np.reshape(table.column(name), (count, count))) for name in table.columns[2:]
+    ]
     title = "Normalisation map" if config.subcommand == "eta-map" else "Mirror parameter map"
     return heat_panels(axis, r_a_axis, panels, title, "r_b", "r_a")
 

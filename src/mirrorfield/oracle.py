@@ -8,9 +8,10 @@ direction cosine, with the panel count scaled to the number of phase
 oscillations, so accuracy is uniform in ``u``.
 
 The 2D oracle evaluates its integrand in blocks of ``ROWS_PER_BLOCK``
-cos-theta rows and keeps only the weighted values of the whole grid, about
-8 bytes per fine-level node, which it sums in one pass.  Both oracles count
-their fine-level nodes before building any and raise
+cos-theta rows, the 1D oracle in blocks of whole panels with at most as
+many nodes as one 2D block.  Each keeps only the weighted values of its
+whole grid, about 8 bytes per fine-level node, which it sums in one pass.
+Both oracles count their fine-level nodes before building any and raise
 :class:`QuadratureBudgetExceeded` above ``MAX_ORACLE_NODES``.
 
 Neither oracle touches the closed-form bracket: agreement between the
@@ -44,9 +45,10 @@ MAX_POINTS_PER_PANEL = 512
 #: ``2 * points_per_panel``, times ``PHI_ORDER`` for the 2D oracle.
 MAX_ORACLE_NODES = 2**24
 
-#: cos-theta rows of the 2D grid evaluated at once.  The weighted values
-#: are written to one array and summed there, so this changes memory use,
-#: not the summation order or the result.
+#: cos-theta rows of the 2D grid evaluated at once; the 1D oracle takes
+#: whole panels up to ``ROWS_PER_BLOCK * PHI_ORDER`` nodes at once.  The
+#: weighted values are written to one array and summed there, so this
+#: changes memory use, not the summation order or the result.
 ROWS_PER_BLOCK = 1024
 
 
@@ -107,12 +109,17 @@ def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _composite_nodes(n_panels: int, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] split into equal panels."""
-    base_x, base_w = _gauss_legendre(points)
+def _panels(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centres and half-widths of ``n_panels`` equal panels on [-1, 1]."""
     edges = np.linspace(-1.0, 1.0, n_panels + 1)
-    half_width = 0.5 * (edges[1:] - edges[:-1])
-    centres = 0.5 * (edges[1:] + edges[:-1])
+    return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+
+
+def _composite_nodes(
+    centres: np.ndarray, half_width: np.ndarray, points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the given panels, panel by panel."""
+    base_x, base_w = _gauss_legendre(points)
     nodes = (centres[:, None] + half_width[:, None] * base_x[None, :]).ravel()
     weights = (half_width[:, None] * base_w[None, :]).ravel()
     return nodes, weights
@@ -233,7 +240,7 @@ def decay_rate_2d_oracle(
     integrand = _angular_integrand(terms, dipole, u, phi_x)
 
     def evaluate(points: int) -> float:
-        cos_x, cos_w = _composite_nodes(n_panels, points)
+        cos_x, cos_w = _composite_nodes(*_panels(n_panels), points)
         weighted = np.empty((cos_x.size, PHI_ORDER))
         for start in range(0, cos_x.size, ROWS_PER_BLOCK):
             rows = slice(start, start + ROWS_PER_BLOCK)
@@ -259,10 +266,18 @@ def decay_rate_1d_oracle(
     n_panels = panel_count(u, spec)
     _check_budget("1d oracle", n_panels * 2 * spec.points_per_panel)
 
+    centres, half_width = _panels(n_panels)
+
     def evaluate(points: int) -> float:
-        nodes, weights = _composite_nodes(n_panels, points)
-        values = _distance_integrand(terms, alignment, u, nodes)
-        return 0.375 * float(np.sum(weights * values))
+        weighted = np.empty(n_panels * points)
+        step = max(1, ROWS_PER_BLOCK * PHI_ORDER // points)
+        for first in range(0, n_panels, step):
+            block = slice(first, first + step)
+            nodes, weights = _composite_nodes(centres[block], half_width[block], points)
+            values = _distance_integrand(terms, alignment, u, nodes)
+            weighted[first * points:(first + step) * points] = weights * values
+        # One sum over the whole grid: summing per block would change the order.
+        return 0.375 * float(np.sum(weighted))
 
     return _refined("1d oracle", spec, evaluate)
 

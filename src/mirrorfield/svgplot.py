@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 _WIDTH = 860
 _HEIGHT = 520
@@ -16,9 +16,19 @@ _PALETTE = (
     "#6b46c1", "#986801", "#0e7490", "#97266d",
 )
 
+# Heat-map colour stops (r, g, b): cold at fraction 0, white at 0.5, hot at 1.
+_COLD = np.array([43, 75, 155])
+_WHITE = np.array([255, 255, 255])
+_HOT = np.array([196, 57, 43])
 
-def _finite_range(values) -> tuple[float, float]:
-    finite = [v for v in values if math.isfinite(v)]
+
+def _finite_range(*arrays: np.ndarray) -> tuple[float, float]:
+    """Least and greatest finite value over ``arrays``, widened by 0.5 each
+    way when equal; ``(0, 1)`` when no value is finite."""
+    values = np.concatenate([np.empty(0), *(array.ravel() for array in arrays)])
+    # Python's min/max keep the first of equal values, so a range that starts
+    # at zero keeps the sign of the first zero met, as the scale text shows.
+    finite = values[np.isfinite(values)].tolist()
     if not finite:
         return 0.0, 1.0
     lo, hi = min(finite), max(finite)
@@ -37,10 +47,10 @@ def _fmt(value: float) -> str:
 
 def line_plot(x, series, title: str = "", x_label: str = "", y_label: str = "") -> str:
     """Render ``series`` (label -> y values) against ``x`` as polylines."""
-    x = list(map(float, x))
+    x = np.asarray(x, dtype=float)
     x_lo, x_hi = _finite_range(x)
-    y_all = [v for _, ys in series for v in ys]
-    y_lo, y_hi = _finite_range(y_all)
+    y_series = [np.asarray(ys, dtype=float) for _, ys in series]
+    y_lo, y_hi = _finite_range(*y_series)
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -92,13 +102,12 @@ def line_plot(x, series, title: str = "", x_label: str = "", y_label: str = "") 
         f'<text x="18" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">{y_label}</text>'
     )
-    for index, (label, ys) in enumerate(series):
+    for index, ((label, _), ys) in enumerate(zip(series, y_series)):
         colour = _PALETTE[index % len(_PALETTE)]
-        points = " ".join(
-            f"{sx(px):.2f},{sy(py):.2f}"
-            for px, py in zip(x, ys)
-            if math.isfinite(py)
-        )
+        count = min(x.size, ys.size)
+        keep = np.isfinite(ys[:count])
+        xy = np.column_stack((sx(x[:count][keep]), sy(ys[:count][keep])))
+        points = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline fill="none" stroke="{colour}" stroke-width="1.6" points="{points}"/>'
         )
@@ -113,20 +122,17 @@ def line_plot(x, series, title: str = "", x_label: str = "", y_label: str = "") 
     return "\n".join(parts) + "\n"
 
 
-def _heat_colour(fraction: float) -> str:
-    """Two-stop blue-to-red map through white."""
-    fraction = min(1.0, max(0.0, fraction))
-    if fraction < 0.5:
-        mix = fraction / 0.5
-        r = int(43 + (255 - 43) * mix)
-        g = int(75 + (255 - 75) * mix)
-        b = int(155 + (255 - 155) * mix)
-    else:
-        mix = (fraction - 0.5) / 0.5
-        r = int(255 + (196 - 255) * mix)
-        g = int(255 + (57 - 255) * mix)
-        b = int(255 + (43 - 255) * mix)
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _heat_rgb(fraction: np.ndarray) -> np.ndarray:
+    """Two-stop blue-to-red map through white: one (r, g, b) row per fraction."""
+    # As Python's min(1.0, max(0.0, f)): a nan fraction maps to 0.
+    fraction = np.where(fraction > 0.0, fraction, 0.0)
+    fraction = np.where(fraction < 1.0, fraction, 1.0)[:, None]
+    low = fraction < 0.5
+    mix = np.where(low, fraction / 0.5, (fraction - 0.5) / 0.5)
+    start = np.where(low, _COLD, _WHITE)
+    span = np.where(low, _WHITE - _COLD, _HOT - _WHITE)
+    # astype(int) truncates toward zero, as int() does.
+    return (start + span * mix).astype(int)
 
 
 def heat_panels(x_values, y_values, panels, title: str = "",
@@ -142,8 +148,9 @@ def heat_panels(x_values, y_values, panels, title: str = "",
     width = _MARGIN_L + n_panels * panel_w + (n_panels - 1) * gap + 30
     height = panel_h + 130
 
-    all_values = [v for _, matrix in panels for row in matrix for v in row]
-    lo, hi = _finite_range(all_values)
+    nx, ny = len(x_values), len(y_values)
+    matrices = [np.asarray(matrix, dtype=float).reshape(nx, ny) for _, matrix in panels]
+    lo, hi = _finite_range(*matrices)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -151,22 +158,23 @@ def heat_panels(x_values, y_values, panels, title: str = "",
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="15">{title}</text>',
     ]
-    nx, ny = len(x_values), len(y_values)
     cell_w = panel_w / nx
     cell_h = panel_h / ny
-    for index, (label, matrix) in enumerate(panels):
+    rect = (
+        f'<rect x="%.2f" y="%.2f" width="{cell_w + 0.5:.2f}" '
+        f'height="{cell_h + 0.5:.2f}" fill="#%02x%02x%02x"/>'
+    )
+    top = 45
+    # Cells in (i, j) order, i along x_values; row j counts up from the bottom.
+    cell_y = np.tile(top + panel_h - np.arange(1, ny + 1) * cell_h, nx)
+    for index, ((label, _), matrix) in enumerate(zip(panels, matrices)):
         left = _MARGIN_L + index * (panel_w + gap)
-        top = 45
-        for i in range(nx):
-            for j in range(ny):
-                value = matrix[i][j]
-                frac = 0.0 if hi == lo else (value - lo) / (hi - lo)
-                px = left + i * cell_w
-                py = top + panel_h - (j + 1) * cell_h
-                parts.append(
-                    f'<rect x="{px:.2f}" y="{py:.2f}" width="{cell_w + 0.5:.2f}" '
-                    f'height="{cell_h + 0.5:.2f}" fill="{_heat_colour(frac)}"/>'
-                )
+        fraction = np.zeros(nx * ny) if hi == lo else (matrix.ravel() - lo) / (hi - lo)
+        cells = np.empty((nx * ny, 5), dtype=object)
+        cells[:, 0] = np.repeat(left + np.arange(nx) * cell_w, ny)
+        cells[:, 1] = cell_y
+        cells[:, 2:] = _heat_rgb(fraction)
+        parts.append("\n".join([rect] * (nx * ny)) % tuple(cells.ravel().tolist()))
         parts.append(
             f'<rect x="{left}" y="{top}" width="{panel_w}" height="{panel_h}" '
             f'fill="none" stroke="#444"/>'

@@ -276,13 +276,26 @@ class ResultTable:
 
 
 def format_csv(table: ResultTable) -> str:
-    """Serialise with a provenance header, repr floats and LF endings."""
-    lines = [f"# provenance: {table.provenance}", ",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(repr(float(value)) for value in row))
-    if table.trailer:
-        lines.append(f"# {table.trailer}")
-    return "\n".join(lines) + "\n"
+    """Serialise with a provenance header, repr floats and LF endings.
+
+    Each value is written as ``repr(float(value))``.  ``repr`` runs once per
+    distinct bit pattern (not per distinct value: ``-0.0 == 0.0`` but their
+    texts differ), and one row template formats the whole body.
+    """
+    width = len(table.columns)
+    values = np.array(table.rows, dtype=float).reshape(len(table.rows), width)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    del values
+    # float.__repr__ reads each numpy scalar as the Python float it is, with
+    # no list of Python floats alive at once; repr() would give "np.float64(...)".
+    texts = np.array(list(map(float.__repr__, bits.view(np.float64))), dtype=object)
+    # The inverse has the input's shape on some numpy versions, flat on others.
+    cells = tuple(texts[inverse.ravel()])
+    # Only the texts and the cells stay alive while the body is built.
+    del bits, inverse, texts
+    body = (",".join(["%s"] * width) + "\n") * len(table.rows) % cells
+    trailer = f"# {table.trailer}\n" if table.trailer else ""
+    return f"# provenance: {table.provenance}\n{','.join(table.columns)}\n{body}{trailer}"
 
 
 def write_csv(table: ResultTable, path) -> None:

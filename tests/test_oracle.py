@@ -160,6 +160,31 @@ class TestRowBlocks:
                 values.append(decay_rate_2d_oracle(case.interface, case.side, case.dipole, u).hex())
             assert values[0] == values[1] == values[2]
 
+    @pytest.mark.parametrize("u", [300.0, 3e3])
+    def test_1d_result_is_independent_of_block_size(self, monkeypatch, u):
+        # Blocks of whole panels: all at once, one or two panels, ragged, the default.
+        ragged = QuadratureSpec(points_per_panel=7, panels_per_oscillation=3)
+        for case in seeded_oracle_cases(seed=12, count=2):
+            for spec in (DEFAULT_QUADRATURE, ragged):
+                values = []
+                for rows in (10**9, 1, 7, DEFAULT_ROWS_PER_BLOCK):
+                    monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", rows)
+                    values.append(
+                        decay_rate_1d_oracle(case.interface, case.side, case.dipole.alignment, u, spec).hex()
+                    )
+                assert len(set(values)) == 1
+
+    def test_1d_peak_memory(self):
+        # 2.04M fine-level nodes: 16 MB of weighted values plus one block.
+        case = seeded_oracle_cases(seed=12, count=1)[0]
+        tracemalloc.start()
+        try:
+            decay_rate_1d_oracle(case.interface, case.side, case.dipole.alignment, 5e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+
     def test_cached_rules_are_read_only(self):
         nodes, weights = oracle._gauss_legendre(16)
         assert oracle._gauss_legendre(16)[0] is nodes

@@ -2,7 +2,7 @@ import math
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorfield import (
@@ -83,6 +83,48 @@ class TestCsv:
     def test_missing_provenance_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_csv(text)
+
+
+def per_value_csv(table: ResultTable) -> str:
+    """The one-repr-per-value serialisation that ``format_csv`` must match."""
+    lines = [f"# provenance: {table.provenance}", ",".join(table.columns)]
+    lines += [",".join(repr(float(value)) for value in row) for row in table.rows]
+    if table.trailer:
+        lines.append(f"# {table.trailer}")
+    return "\n".join(lines) + "\n"
+
+
+# Signed zeros, subnormals, and both sides of repr's switches to exponent
+# form at 1e16 and below 1e-4.
+CSV_EDGE_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0,
+    1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e-5, -1e16, -1e-5,
+)
+
+
+@st.composite
+def csv_tables(draw):
+    width = draw(st.integers(1, 9))
+    value = st.sampled_from(CSV_EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(value, min_size=width, max_size=width), max_size=12))
+    trailer = draw(st.sampled_from([None, "summary: cases=1 failures=0"]))
+    columns = [f"c{index}" for index in range(width)]
+    return ResultTable(columns=columns, rows=rows, provenance="p", trailer=trailer)
+
+
+class TestCsvBytes:
+    @given(csv_tables())
+    @example(ResultTable(columns=["x", "y"], rows=[[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]],
+                         provenance="p"))
+    @example(ResultTable(columns=["x"], rows=[], provenance="p", trailer="t"))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_value_repr(self, table):
+        assert format_csv(table) == per_value_csv(table)
+
+    def test_map_tables(self):
+        for table in (cmd_eta_map(make_config(grid_count=9)),
+                      cmd_xi_map(make_config(subcommand="xi-map", grid_count=7))):
+            assert format_csv(table) == per_value_csv(table)
 
 
 class TestConfigValidation:
