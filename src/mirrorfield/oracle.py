@@ -8,11 +8,15 @@ direction cosine, with the panel count scaled to the number of phase
 oscillations, so accuracy is uniform in ``u``.
 
 The 2D oracle evaluates its integrand in blocks of ``ROWS_PER_BLOCK``
-cos-theta rows, the 1D oracle in blocks of whole panels with at most as
-many nodes as one 2D block.  Each keeps only the weighted values of its
-whole grid, about 8 bytes per fine-level node, which it sums in one pass.
-Both oracles count their fine-level nodes before building any and raise
-:class:`QuadratureBudgetExceeded` above ``MAX_ORACLE_NODES``.
+(512) cos-theta rows, the 1D oracle in blocks of whole panels with at most
+as many nodes as one 2D block (16384).  Each keeps only the weighted values
+of its whole grid, about 8 bytes per fine-level node, plus about 1 MB of
+temporaries per block in flight.  The blocks write disjoint slices of that
+one array on up to ``MAX_WORKERS`` threads, one per usable CPU (numpy
+releases the interpreter lock inside its loops), and the array is summed
+once when all are done, so every result has the same bits whatever the
+worker count.  Both oracles count their fine-level nodes before building
+any and raise :class:`QuadratureBudgetExceeded` above ``MAX_ORACLE_NODES``.
 
 Neither oracle touches the closed-form bracket: agreement between the
 three paths is the correctness check, not a construction.
@@ -22,15 +26,19 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, QuadratureBudgetExceeded
 from .interface import MirrorInterface, SideRateTerms, side_rate_terms
 from .rates import DipoleOrientation, check_u, relative_decay_rate
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 #: Fixed Gauss-Legendre order of the azimuthal rule.  The integrand is a
 #: trigonometric polynomial of degree two in the azimuth, for which this
@@ -49,7 +57,11 @@ MAX_ORACLE_NODES = 2**24
 #: whole panels up to ``ROWS_PER_BLOCK * PHI_ORDER`` nodes at once.  The
 #: weighted values are written to one array and summed there, so this
 #: changes memory use, not the summation order or the result.
-ROWS_PER_BLOCK = 1024
+ROWS_PER_BLOCK = 512
+
+#: Most threads that evaluate blocks at once; fewer where this process may
+#: use fewer CPUs.  Like the block size, it changes no result bit.
+MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,8 @@ def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
 
     Orders are at most ``2 * MAX_POINTS_PER_PANEL``, which bounds the cache.
     """
+    from numpy.polynomial.legendre import leggauss  # only the oracles pay its import
+
     nodes, weights = leggauss(points)
     nodes.flags.writeable = False
     weights.flags.writeable = False
@@ -118,16 +132,59 @@ def _panels(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
 def _composite_nodes(
     centres: np.ndarray, half_width: np.ndarray, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the given panels, panel by panel."""
+    """Gauss-Legendre nodes and weights on the given panels, one row per panel."""
     base_x, base_w = _gauss_legendre(points)
-    nodes = (centres[:, None] + half_width[:, None] * base_x[None, :]).ravel()
-    weights = (half_width[:, None] * base_w[None, :]).ravel()
+    nodes = centres[:, None] + half_width[:, None] * base_x[None, :]
+    weights = half_width[:, None] * base_w[None, :]
     return nodes, weights
 
 
 def _phi_nodes() -> tuple[np.ndarray, np.ndarray]:
     base_x, base_w = _gauss_legendre(PHI_ORDER)
     return math.pi * (base_x + 1.0), math.pi * base_w
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on, capped at ``MAX_WORKERS``."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        usable = os.cpu_count() or 1
+    return min(MAX_WORKERS, usable)
+
+
+@functools.cache
+def _pool(workers: int, pid: int) -> ThreadPoolExecutor:
+    """One lazily started thread pool per worker count and process.
+
+    Keyed by the process id too, because a forked child inherits the
+    cached pool but none of its threads.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # only the oracles pay its import
+
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mirrorfield-oracle")
+
+
+def _blocked_sum(
+    shape: tuple[int, int], rows_per_block: int, fill: Callable[[slice, np.ndarray], None]
+) -> float:
+    """Sum an array whose row blocks ``fill(rows, out)`` writes on the pool.
+
+    Each call writes only ``out``, its own slice of rows, so the blocks may
+    run in any order and at once.  The array is summed in one pass when all
+    are done: summing per block would change the order and the bits.  An
+    exception from any block reaches the caller.
+    """
+    weighted = np.empty(shape)
+
+    def run(start: int) -> None:
+        rows = slice(start, start + rows_per_block)
+        fill(rows, weighted[rows])
+
+    pool = _pool(_worker_count(), os.getpid())
+    for _ in pool.map(run, range(0, shape[0], rows_per_block)):
+        pass
+    return float(np.sum(weighted))
 
 
 def _angular_integrand(
@@ -167,14 +224,18 @@ def _angular_integrand(
         transverse_c = transverse * c
         p2 = d1c * s - transverse_c
         q2 = -d1c * s - transverse_c
+        del transverse_c
+        # reflect * q2 in place; ``q2 *= reflect`` would change the bits.
+        np.multiply(reflect, q2, out=q2)
 
         travel = np.exp(1j * 0.5 * u * c)
         back = np.conj(travel)
-        g1 = (p1 * travel + reflected_p1 * back) / eta
-        g2 = (p2 * travel + reflect * q2 * back) / eta
-        same_side = np.abs(g1) ** 2 + np.abs(g2) ** 2
-
+        g2 = (p2 * travel + q2 * back) / eta
+        del q2
         far_side = transmitted_weight * (p1_sq + np.abs(p2) ** 2)
+        del p2
+        g1 = (p1 * travel + reflected_p1 * back) / eta
+        same_side = np.abs(g1) ** 2 + np.abs(g2) ** 2
         return same_side + far_side
 
     return block
@@ -241,12 +302,14 @@ def decay_rate_2d_oracle(
 
     def evaluate(points: int) -> float:
         cos_x, cos_w = _composite_nodes(*_panels(n_panels), points)
-        weighted = np.empty((cos_x.size, PHI_ORDER))
-        for start in range(0, cos_x.size, ROWS_PER_BLOCK):
-            rows = slice(start, start + ROWS_PER_BLOCK)
-            weighted[rows] = (cos_w[rows, None] * phi_w[None, :]) * integrand(cos_x[rows])
-        # One sum over the whole grid: summing per block would change the order.
-        return 3.0 / (8.0 * math.pi) * float(np.sum(weighted))
+        cos_x, cos_w = cos_x.ravel(), cos_w.ravel()
+
+        def fill(rows: slice, out: np.ndarray) -> None:
+            # The weights first, then times the integrand in place.
+            np.multiply(cos_w[rows, None], phi_w[None, :], out=out)
+            np.multiply(out, integrand(cos_x[rows]), out=out)
+
+        return 3.0 / (8.0 * math.pi) * _blocked_sum((cos_x.size, PHI_ORDER), ROWS_PER_BLOCK, fill)
 
     return _refined("2d oracle", spec, evaluate)
 
@@ -269,15 +332,12 @@ def decay_rate_1d_oracle(
     centres, half_width = _panels(n_panels)
 
     def evaluate(points: int) -> float:
-        weighted = np.empty(n_panels * points)
-        step = max(1, ROWS_PER_BLOCK * PHI_ORDER // points)
-        for first in range(0, n_panels, step):
-            block = slice(first, first + step)
-            nodes, weights = _composite_nodes(centres[block], half_width[block], points)
-            values = _distance_integrand(terms, alignment, u, nodes)
-            weighted[first * points:(first + step) * points] = weights * values
-        # One sum over the whole grid: summing per block would change the order.
-        return 0.375 * float(np.sum(weighted))
+        def fill(panels: slice, out: np.ndarray) -> None:
+            nodes, weights = _composite_nodes(centres[panels], half_width[panels], points)
+            np.multiply(weights, _distance_integrand(terms, alignment, u, nodes), out=out)
+
+        panels_per_block = max(1, ROWS_PER_BLOCK * PHI_ORDER // points)
+        return 0.375 * _blocked_sum((n_panels, points), panels_per_block, fill)
 
     return _refined("1d oracle", spec, evaluate)
 

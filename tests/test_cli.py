@@ -1,6 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import mirrorfield
 
 from mirrorfield import ConfigError, parse_csv, replay_provenance, format_csv
 from mirrorfield.cli import load_config_file, main
@@ -167,3 +173,25 @@ class TestMain:
         assert main(["xi-map", "--grid-count", "3", "--phi3-values", "0,pi"]) == 0
         table = parse_csv(capsys.readouterr().out)
         assert format_csv(replay_provenance(table.provenance)) == format_csv(table)
+
+
+class TestImports:
+    def test_only_the_oracles_load_their_modules(self):
+        # Starting the command line loads neither the thread pool nor the
+        # Gauss-Legendre rule module; the first oracle call loads both.
+        # Modules that numpy itself loads on import are left out.
+        code = (
+            "import sys, numpy\n"
+            "names = ('concurrent.futures', 'numpy.polynomial')\n"
+            "by_numpy = {name for name in names if name in sys.modules}\n"
+            "import mirrorfield.cli\n"
+            "print(sorted(set(names) & set(sys.modules) - by_numpy))\n"
+            "mirrorfield.decay_rate_1d_oracle(mirrorfield.lossless_interface(0.5), 'a', 0.3, 1.0)\n"
+            "print(sorted(set(names) & set(sys.modules)))\n"
+        )
+        src = str(Path(mirrorfield.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+        )
+        assert result.stdout.splitlines() == ["[]", "['concurrent.futures', 'numpy.polynomial']"]

@@ -1,9 +1,13 @@
 import math
+import multiprocessing
+import os
+import threading
 import tracemalloc
 
 import pytest
 
 from mirrorfield import oracle
+from mirrorfield.cli import main
 from mirrorfield import (
     DEFAULT_QUADRATURE,
     DipoleOrientation,
@@ -173,6 +177,92 @@ class TestRowBlocks:
                         decay_rate_1d_oracle(case.interface, case.side, case.dipole.alignment, u, spec).hex()
                     )
                 assert len(set(values)) == 1
+
+    def test_result_is_independent_of_worker_count(self, monkeypatch):
+        # Worker counts and block sizes in every combination, for both
+        # oracles, the default and a ragged 7-point spec.
+        ragged = QuadratureSpec(points_per_panel=7, panels_per_oscillation=3)
+        specs = (DEFAULT_QUADRATURE, ragged)
+        values = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+            for rows in (10**9, 7, DEFAULT_ROWS_PER_BLOCK):
+                monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", rows)
+                values[workers, rows] = [
+                    decay_rate_2d_oracle(case.interface, case.side, case.dipole, 100.0, spec).hex()
+                    for case in seeded_oracle_cases(seed=11, count=2)
+                    for spec in specs
+                ] + [
+                    decay_rate_1d_oracle(case.interface, case.side, case.dipole.alignment, 3e3, spec).hex()
+                    for case in seeded_oracle_cases(seed=12, count=2)
+                    for spec in specs
+                ]
+        first = values[1, 10**9]
+        assert all(found == first for found in values.values())
+
+    def test_oracle_check_bytes_are_independent_of_worker_count(self, monkeypatch, capsys):
+        outputs = []
+        for workers in (1, oracle._worker_count()):
+            monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+            assert main(["oracle-check", "--seed", "1", "--cases", "8"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_block_error_reaches_the_caller(self, monkeypatch, workers):
+        class BlockFailed(Exception):
+            pass
+
+        real_integrand = oracle._angular_integrand
+        lock = threading.Lock()
+        calls = []
+
+        def failing_integrand(*args):
+            block = real_integrand(*args)
+
+            def second_block_raises(cos_nodes):
+                with lock:
+                    calls.append(len(cos_nodes))
+                    count = len(calls)
+                if count == 2:
+                    raise BlockFailed("second block")
+                return block(cos_nodes)
+
+            return second_block_raises
+
+        dipole = DipoleOrientation.aligned(0.3)
+        monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+        # u = 0: 8 panels of 16 rows, so 8 blocks of 16 rows.
+        monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", 16)
+        pool = oracle._pool(workers, os.getpid())
+        monkeypatch.setattr(oracle, "_angular_integrand", failing_integrand)
+        with pytest.raises(BlockFailed, match="second block"):
+            decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0)
+        assert len(calls) >= 2
+        monkeypatch.setattr(oracle, "_angular_integrand", real_integrand)
+        assert decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0) == pytest.approx(1.0, abs=1e-9)
+        assert oracle._pool(workers, os.getpid()) is pool
+
+    def test_forked_child_starts_its_own_pool(self):
+        # A forked child inherits the parent's cached pool but none of its threads.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("this platform cannot fork")
+        dipole = DipoleOrientation.aligned(0.3)
+        expected = decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 3.7)
+        with multiprocessing.get_context("fork").Pool(1) as children:
+            found = children.apply_async(decay_rate_2d_oracle, (BLACK_SHEET, "a", dipole, 3.7))
+            assert found.get(timeout=60) == expected
+
+    def test_2d_peak_memory(self):
+        # 2.6M fine-level nodes: 21 MB of weighted values plus the blocks in flight.
+        case = seeded_oracle_cases(seed=12, count=1)[0]
+        tracemalloc.start()
+        try:
+            decay_rate_2d_oracle(case.interface, case.side, case.dipole, 2e3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
     def test_1d_peak_memory(self):
         # 2.04M fine-level nodes: 16 MB of weighted values plus one block.
