@@ -7,16 +7,19 @@ analytically.  Both use composite Gauss-Legendre panels along the normal
 direction cosine, with the panel count scaled to the number of phase
 oscillations, so accuracy is uniform in ``u``.
 
-The 2D oracle evaluates its integrand in blocks of ``ROWS_PER_BLOCK``
-(512) cos-theta rows, the 1D oracle in blocks of whole panels with at most
-as many nodes as one 2D block (16384).  Each keeps only the weighted values
-of its whole grid, about 8 bytes per fine-level node, plus about 1 MB of
-temporaries per block in flight.  The blocks write disjoint slices of that
-one array on up to ``MAX_WORKERS`` threads, one per usable CPU (numpy
-releases the interpreter lock inside its loops), and the array is summed
-once when all are done, so every result has the same bits whatever the
-worker count.  Both oracles count their fine-level nodes before building
-any and raise :class:`QuadratureBudgetExceeded` above ``MAX_ORACLE_NODES``.
+Both oracles sum their weighted values leaf by leaf along numpy's own
+pairwise summation tree, never building the whole grid: a leaf holds at
+most ``ROWS_PER_BLOCK * PHI_ORDER`` (32768) values, 512 to 1024 cos-theta
+rows of the 2D grid or a run of 1D panels.  The leaves run on up to
+``MAX_WORKERS`` threads, one per usable CPU (numpy releases the interpreter
+lock inside its loops), and their sums are added up the same tree, so every
+result has the bits of one ``np.sum`` over the whole grid whatever the leaf
+size or worker count.  Each worker needs a fixed amount of memory, at
+most about 2.1 MB for the 2D oracle, whatever ``u`` is; beyond that an
+oracle holds only its node and weight vectors, about 16 bytes per 2D
+cos-theta row or per 1D panel.  Both oracles count their fine-level nodes
+before building any and raise :class:`QuadratureBudgetExceeded` above
+``MAX_ORACLE_NODES``, which bounds their time, not their memory.
 
 Neither oracle touches the closed-form bracket: agreement between the
 three paths is the correctness check, not a construction.
@@ -27,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -53,14 +57,17 @@ MAX_POINTS_PER_PANEL = 512
 #: ``2 * points_per_panel``, times ``PHI_ORDER`` for the 2D oracle.
 MAX_ORACLE_NODES = 2**24
 
-#: cos-theta rows of the 2D grid evaluated at once; the 1D oracle takes
-#: whole panels up to ``ROWS_PER_BLOCK * PHI_ORDER`` nodes at once.  The
-#: weighted values are written to one array and summed there, so this
-#: changes memory use, not the summation order or the result.
-ROWS_PER_BLOCK = 512
+#: Both oracles sum their weighted values in leaves of numpy's pairwise
+#: summation tree of at most ``ROWS_PER_BLOCK * PHI_ORDER`` values, so a 2D
+#: leaf holds 512 to 1024 cos-theta rows.  This changes memory use and the
+#: work per leaf, not the summation order or the result.
+ROWS_PER_BLOCK = 1024
 
-#: Most threads that evaluate blocks at once; fewer where this process may
-#: use fewer CPUs.  Like the block size, it changes no result bit.
+#: Most values numpy's pairwise sum adds in one unrolled loop, unsplit.
+_PAIRWISE_BLOCK = 128
+
+#: Most threads that evaluate leaves at once; fewer where this process may
+#: use fewer CPUs.  Like the leaf size, it changes no result bit.
 MAX_WORKERS = 4
 
 
@@ -165,26 +172,74 @@ def _pool(workers: int, pid: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mirrorfield-oracle")
 
 
-def _blocked_sum(
-    shape: tuple[int, int], rows_per_block: int, fill: Callable[[slice, np.ndarray], None]
-) -> float:
-    """Sum an array whose row blocks ``fill(rows, out)`` writes on the pool.
+def _pairwise(start: int, count: int, leaf_size: int, leaf: Callable[[int, int], float]) -> float:
+    """Walk numpy's pairwise summation tree over ``count`` values from ``start``.
 
-    Each call writes only ``out``, its own slice of rows, so the blocks may
-    run in any order and at once.  The array is summed in one pass when all
-    are done: summing per block would change the order and the bits.  An
-    exception from any block reaches the caller.
+    ``np.sum`` of a contiguous float64 array sums up to ``_PAIRWISE_BLOCK``
+    values in one unrolled loop; above that it splits at half the count,
+    rounded down to a multiple of 8, and adds the sums of the two halves,
+    each summed the same way.  ``leaf(start, count)`` returns the sum of
+    each subtree of at most ``leaf_size`` values (or one unrolled loop, if
+    larger), left to right, and the leaf sums are added as the tree adds
+    them.  With ``leaf`` taking ``np.sum`` of its values, the result has the
+    bits of ``np.sum`` over all of them.
     """
-    weighted = np.empty(shape)
+    if count <= max(leaf_size, _PAIRWISE_BLOCK):
+        return leaf(start, count)
+    half = count // 2
+    half -= half % 8
+    left = _pairwise(start, half, leaf_size, leaf)
+    return left + _pairwise(start + half, count - half, leaf_size, leaf)
 
-    def run(start: int) -> None:
-        rows = slice(start, start + rows_per_block)
-        fill(rows, weighted[rows])
 
-    pool = _pool(_worker_count(), os.getpid())
-    for _ in pool.map(run, range(0, shape[0], rows_per_block)):
-        pass
-    return float(np.sum(weighted))
+def _blocked_sum(
+    shape: tuple[int, int], leaf_size: int, fill: Callable[[slice, np.ndarray], None]
+) -> float:
+    """``np.sum`` of an array whose rows ``fill(rows, out)`` computes, never built whole.
+
+    The sum is split at the subtrees of numpy's own pairwise summation tree
+    that hold at most ``leaf_size`` values (see :func:`_pairwise`).  Each
+    worker of the pool takes the next leaf, has ``fill`` write the rows that
+    cover it into ``out``, a buffer the worker allocates once per call, and
+    sums the leaf's values alone; a row split between two leaves is filled
+    for both.  The leaf sums are then added up the same tree, so the result
+    has the bits of one ``np.sum`` over the whole array, whatever the leaf
+    size or worker count.  An exception from any leaf reaches the caller.
+    """
+    n_rows, width = shape
+    leaves: list[tuple[int, int, slice]] = []
+
+    def add_leaf(start: int, count: int) -> float:
+        leaves.append((start, count, slice(start // width, -(-(start + count) // width))))
+        return 0.0
+
+    _pairwise(0, n_rows * width, leaf_size, add_leaf)
+    max_rows = max(rows.stop - rows.start for _, _, rows in leaves)
+    next_leaf = iter(leaves)
+    lock = threading.Lock()
+    sums: dict[int, float] = {}
+
+    def work() -> None:
+        buffer = np.empty((max_rows, width))
+        while True:
+            with lock:
+                leaf = next(next_leaf, None)
+            if leaf is None:
+                return
+            start, count, rows = leaf
+            out = buffer[: rows.stop - rows.start]
+            fill(rows, out)
+            offset = start - rows.start * width
+            sums[start] = float(np.sum(out.reshape(-1)[offset : offset + count]))
+
+    workers = _worker_count()
+    pool = _pool(workers, os.getpid())
+    futures = [pool.submit(work) for _ in range(min(workers, len(leaves)))]
+    for future in futures:
+        future.exception()  # wait for every worker before any error is raised
+    for future in futures:
+        future.result()
+    return _pairwise(0, n_rows * width, leaf_size, lambda start, count: sums[start])
 
 
 def _angular_integrand(
@@ -199,6 +254,12 @@ def _angular_integrand(
     integrand on the (block, phi) product grid; the factors that depend on
     the azimuth alone are computed once here.  Mirrors the scalar coupling
     amplitudes of :mod:`mirrorfield.modes`.
+
+    Every intermediate of the size of the grid is written into buffers that
+    each calling thread keeps for the life of this function, so the returned
+    array is valid until that thread's next call.  Each operation keeps the
+    operands and their order of the plain expression
+    ``(p2 * travel + q2 * back) / eta`` and so on, which keeps the bits.
     """
     cos_phi = np.cos(phi_nodes)[None, :]
     sin_phi = np.sin(phi_nodes)[None, :]
@@ -214,29 +275,51 @@ def _angular_integrand(
 
     reflect = terms.r * np.exp(1j * terms.reflection_phase)
     reflected_p1 = reflect * p1
-    eta = math.sqrt(terms.eta_sq)
+    # Dividing by the real eta is multiplying by its inverse, bit for bit
+    # in every value that reaches the squared magnitudes.
+    inverse_eta = 1.0 / math.sqrt(terms.eta_sq)
     p1_sq = np.abs(p1) ** 2
     transmitted_weight = terms.t_opposite**2 / terms.eta_opposite_sq
+    scratch = threading.local()
+
+    def buffers(rows: int) -> list[np.ndarray]:
+        held = getattr(scratch, "held", None)
+        if held is None or len(held[0]) < rows:
+            shape = (rows, phi_nodes.size)
+            held = scratch.held = [np.empty(shape, complex) for _ in range(2)] + [
+                np.empty(shape) for _ in range(3)
+            ]
+        return [array[:rows] for array in held]
 
     def block(cos_nodes: np.ndarray) -> np.ndarray:
+        first, second, far_side, g2_sq, same_side = buffers(len(cos_nodes))
         c = cos_nodes[:, None]
         s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-        transverse_c = transverse * c
-        p2 = d1c * s - transverse_c
-        q2 = -d1c * s - transverse_c
-        del transverse_c
+        transverse_c = np.multiply(transverse, c, out=second)
+        p2 = np.subtract(d1c * s, transverse_c, out=first)
+        q2 = np.subtract(-d1c * s, transverse_c, out=second)
         # reflect * q2 in place; ``q2 *= reflect`` would change the bits.
         np.multiply(reflect, q2, out=q2)
+        # far_side = transmitted_weight * (p1_sq + |p2|**2), first, so that
+        # g2 may take p2's buffer.
+        np.square(np.abs(p2, out=far_side), out=far_side)
+        np.multiply(transmitted_weight, np.add(p1_sq, far_side, out=far_side), out=far_side)
 
         travel = np.exp(1j * 0.5 * u * c)
         back = np.conj(travel)
-        g2 = (p2 * travel + q2 * back) / eta
-        del q2
-        far_side = transmitted_weight * (p1_sq + np.abs(p2) ** 2)
-        del p2
-        g1 = (p1 * travel + reflected_p1 * back) / eta
-        same_side = np.abs(g1) ** 2 + np.abs(g2) ** 2
-        return same_side + far_side
+        # g2 = (p2 * travel + q2 * back) / eta, in p2's buffer
+        g2 = np.multiply(p2, travel, out=first)
+        np.add(g2, np.multiply(q2, back, out=q2), out=g2)
+        np.multiply(g2, inverse_eta, out=g2)
+        np.square(np.abs(g2, out=g2_sq), out=g2_sq)
+        # g1 = (p1 * travel + reflected_p1 * back) / eta, in q2's buffer
+        g1 = np.multiply(p1, travel, out=second)
+        np.add(g1, np.multiply(reflected_p1, back, out=first), out=g1)
+        np.multiply(g1, inverse_eta, out=g1)
+        # |g1|**2 + |g2|**2 + far_side
+        np.square(np.abs(g1, out=same_side), out=same_side)
+        np.add(same_side, g2_sq, out=same_side)
+        return np.add(same_side, far_side, out=same_side)
 
     return block
 
@@ -309,7 +392,9 @@ def decay_rate_2d_oracle(
             np.multiply(cos_w[rows, None], phi_w[None, :], out=out)
             np.multiply(out, integrand(cos_x[rows]), out=out)
 
-        return 3.0 / (8.0 * math.pi) * _blocked_sum((cos_x.size, PHI_ORDER), ROWS_PER_BLOCK, fill)
+        return 3.0 / (8.0 * math.pi) * _blocked_sum(
+            (cos_x.size, PHI_ORDER), ROWS_PER_BLOCK * PHI_ORDER, fill
+        )
 
     return _refined("2d oracle", spec, evaluate)
 
@@ -336,8 +421,7 @@ def decay_rate_1d_oracle(
             nodes, weights = _composite_nodes(centres[panels], half_width[panels], points)
             np.multiply(weights, _distance_integrand(terms, alignment, u, nodes), out=out)
 
-        panels_per_block = max(1, ROWS_PER_BLOCK * PHI_ORDER // points)
-        return 0.375 * _blocked_sum((n_panels, points), panels_per_block, fill)
+        return 0.375 * _blocked_sum((n_panels, points), ROWS_PER_BLOCK * PHI_ORDER, fill)
 
     return _refined("1d oracle", spec, evaluate)
 

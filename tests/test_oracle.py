@@ -1,9 +1,11 @@
 import math
 import multiprocessing
 import os
+import sys
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mirrorfield import oracle
@@ -23,6 +25,7 @@ from mirrorfield import (
     seeded_oracle_cases,
     validate_interface,
 )
+from mirrorfield.interface import side_rate_terms
 
 DEFAULT_ROWS_PER_BLOCK = oracle.ROWS_PER_BLOCK
 
@@ -254,7 +257,7 @@ class TestRowBlocks:
             assert found.get(timeout=60) == expected
 
     def test_2d_peak_memory(self):
-        # 2.6M fine-level nodes: 21 MB of weighted values plus the blocks in flight.
+        # 2.6M fine-level nodes, summed leaf by leaf: the node vectors plus a fixed scratch per worker.
         case = seeded_oracle_cases(seed=12, count=1)[0]
         tracemalloc.start()
         try:
@@ -265,7 +268,7 @@ class TestRowBlocks:
         assert peak < 30e6
 
     def test_1d_peak_memory(self):
-        # 2.04M fine-level nodes: 16 MB of weighted values plus one block.
+        # 2.04M fine-level nodes, summed leaf by leaf: the panel vectors plus a fixed scratch per worker.
         case = seeded_oracle_cases(seed=12, count=1)[0]
         tracemalloc.start()
         try:
@@ -275,6 +278,33 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < 30e6
 
+    # Two workers, so that the bounds do not depend on the machine's CPU
+    # count; each further worker adds its own fixed scratch.  The grids grow
+    # fourfold and eightfold between the two distances, the peaks do not.
+    @pytest.mark.parametrize("u, bound", [(2e3, 10e6), (8e3, 14e6)])
+    def test_2d_peak_memory_is_flat_in_u(self, monkeypatch, u, bound):
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
+        case = seeded_oracle_cases(seed=12, count=1)[0]
+        tracemalloc.start()
+        try:
+            decay_rate_2d_oracle(case.interface, case.side, case.dipole, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @pytest.mark.parametrize("u, bound", [(5e4, 8e6), (4e5, 20e6)])
+    def test_1d_peak_memory_is_flat_in_u(self, monkeypatch, u, bound):
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
+        case = seeded_oracle_cases(seed=12, count=1)[0]
+        tracemalloc.start()
+        try:
+            decay_rate_1d_oracle(case.interface, case.side, case.dipole.alignment, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     def test_cached_rules_are_read_only(self):
         nodes, weights = oracle._gauss_legendre(16)
         assert oracle._gauss_legendre(16)[0] is nodes
@@ -282,3 +312,108 @@ class TestRowBlocks:
         assert not weights.flags.writeable
         with pytest.raises(ValueError):
             nodes[0] = 0.0
+
+
+class TestPairwiseTree:
+    """The oracles sum leaf by leaf along numpy's own pairwise summation tree.
+
+    This is the only check that ``np.sum`` still adds in the order that
+    ``oracle._pairwise`` walks: the streamed sum must have the bits of one
+    ``np.sum`` over the whole grid.
+    """
+
+    # Rows, and so for width 1 values: below 8, from 8 to 128, 129, odd
+    # primes, and (with the last row count) about 1e5 values for every width.
+    ROWS = (1, 3, 5, 8, 16, 17, 128, 129, 997, 7919)
+
+    @pytest.mark.parametrize("width", [1, 7, 16, 32])
+    @pytest.mark.parametrize("leaf_rows", [1, 7, "default", 10**9])
+    def test_streamed_sum_equals_np_sum(self, monkeypatch, width, leaf_rows):
+        if leaf_rows == "default":
+            leaf_size = oracle.ROWS_PER_BLOCK * oracle.PHI_ORDER
+        else:
+            leaf_size = leaf_rows * width
+        rng = np.random.default_rng(width * 1000 + (leaf_size % 997))
+        for rows in (*self.ROWS, 100003 // width):
+            # Mixed signs over 24 decades, so that the order of the additions shows.
+            grid = rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-12.0, 12.0, (rows, width))
+
+            def fill(block: slice, out: np.ndarray) -> None:
+                out[...] = grid[block]
+
+            expected = float(np.sum(grid)).hex()
+            for workers in (1, 3):
+                monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+                assert oracle._blocked_sum(grid.shape, leaf_size, fill).hex() == expected, (rows, workers)
+
+    def test_workers_take_each_leaf_once(self, monkeypatch):
+        # More workers than cores, switching threads as often as possible:
+        # a leaf taken twice or lost shows in the fill count or the bits.
+        rng = np.random.default_rng(8)
+        grid = rng.standard_normal((20011, 7)) * 10.0 ** rng.uniform(-12.0, 12.0, (20011, 7))
+        lock = threading.Lock()
+        filled = []
+
+        def fill(block: slice, out: np.ndarray) -> None:
+            with lock:
+                filled.append(block.start)
+            out[...] = grid[block]
+
+        leaves = []
+        oracle._pairwise(0, grid.size, 7, lambda start, count: leaves.append(start) or 0.0)
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            found = oracle._blocked_sum(grid.shape, 7, fill)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(filled) == len(leaves)
+        assert found.hex() == float(np.sum(grid)).hex()
+
+
+class TestAngularKernel:
+    """The 2D block kernel writes into reused buffers; its bits must not move."""
+
+    @staticmethod
+    def plain_block(terms, dipole, u, phi_nodes, cos_nodes):
+        # The kernel as one plain numpy expression per quantity.
+        cos_phi = np.cos(phi_nodes)[None, :]
+        sin_phi = np.sin(phi_nodes)[None, :]
+        d1c = complex(dipole.d1).conjugate()
+        d2c = complex(dipole.d2).conjugate()
+        d3c = complex(dipole.d3).conjugate()
+        p1 = d2c * sin_phi - d3c * cos_phi
+        transverse = d2c * cos_phi + d3c * sin_phi
+        reflect = terms.r * np.exp(1j * terms.reflection_phase)
+        reflected_p1 = reflect * p1
+        eta = math.sqrt(terms.eta_sq)
+        p1_sq = np.abs(p1) ** 2
+        transmitted_weight = terms.t_opposite**2 / terms.eta_opposite_sq
+        c = cos_nodes[:, None]
+        s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+        p2 = d1c * s - transverse * c
+        q2 = reflect * (-d1c * s - transverse * c)
+        travel = np.exp(1j * 0.5 * u * c)
+        back = np.conj(travel)
+        g2 = (p2 * travel + q2 * back) / eta
+        far_side = transmitted_weight * (p1_sq + np.abs(p2) ** 2)
+        g1 = (p1 * travel + reflected_p1 * back) / eta
+        return np.abs(g1) ** 2 + np.abs(g2) ** 2 + far_side
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, 20.0, 1e3, 5e4])
+    def test_block_matches_the_plain_expression(self, u):
+        phi_nodes, _ = oracle._phi_nodes()
+        rng = np.random.default_rng(int(u) + 3)
+        cases = seeded_oracle_cases(seed=1, count=4) + seeded_oracle_cases(seed=2, count=3)
+        for case in cases:
+            terms = side_rate_terms(case.interface, case.side)
+            block = oracle._angular_integrand(terms, case.dipole, u, phi_nodes)
+            # A full leaf, then ragged ones: the buffers grow and are reused smaller.
+            for rows in (1024, 7, 1025, 513, 1):
+                cos_nodes = np.sort(rng.uniform(-1.0, 1.0, rows))
+                cos_nodes[: min(rows, 3)] = (-1.0, 0.0, 1.0)[: min(rows, 3)]
+                found = block(cos_nodes)
+                expected = self.plain_block(terms, case.dipole, u, phi_nodes, cos_nodes)
+                assert found.shape == expected.shape
+                assert found.tobytes() == expected.tobytes(), (case.index, rows)
