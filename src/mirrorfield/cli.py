@@ -10,8 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, MirrorFieldError
 from .svgplot import heat_panels, line_plot
 from .sweep import (
@@ -72,10 +70,8 @@ def _render_svg(config: SweepConfig, table: ResultTable) -> str:
         return line_plot(cases, series, "Oracle agreement", "case", "max rel error")
     count = config.grid_count
     axis = table.column("r_b")[:count]
-    r_a_axis = [table.rows[i * count][0] for i in range(count)]
-    panels = [
-        (name, np.reshape(table.column(name), (count, count))) for name in table.columns[2:]
-    ]
+    r_a_axis = table.column("r_a")[::count]
+    panels = [(name, table.column(name)) for name in table.columns[2:]]
     title = "Normalisation map" if config.subcommand == "eta-map" else "Mirror parameter map"
     return heat_panels(axis, r_a_axis, panels, title, "r_b", "r_a")
 
@@ -93,14 +89,19 @@ def main(argv: list[str] | None = None) -> int:
         out, emit_svg = namespace.out, namespace.svg
         if emit_svg and out is None:
             raise ConfigError("--svg needs --out to name the plot file")
+        if emit_svg and Path(out).suffix == ".svg":
+            raise ConfigError(f"--out {out} is where the plot would go; name the CSV otherwise")
         table = COMMANDS[config.subcommand](config)
         if out is None:
             sys.stdout.write(format_csv(table))
         else:
-            write_csv(table, out)
-        if emit_svg:
-            svg_path = Path(out).with_suffix(".svg")
-            svg_path.write_text(_render_svg(config, table), encoding="utf-8")
+            try:
+                write_csv(table, out)
+                if emit_svg:
+                    svg = _render_svg(config, table)
+                    Path(out).with_suffix(".svg").write_text(svg, encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"cannot write output: {exc}") from exc
         if config.subcommand == "oracle-check":
             print(table.trailer, file=sys.stderr)
             if oracle_failures(table) > 0:

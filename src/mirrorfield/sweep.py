@@ -252,27 +252,36 @@ def config_from_settings(subcommand: str, settings: Mapping[str, str]) -> SweepC
     return SweepConfig(subcommand=subcommand, **values)
 
 
-@dataclass
+@dataclass(eq=False)
 class ResultTable:
-    """Rectangular float table plus its regeneration recipe."""
+    """Rectangular float table plus its regeneration recipe: ``rows`` is one
+    read-only float64 array of shape ``(n, len(columns))``, converted once
+    when given as nested lists.  ``==`` compares identity."""
 
     columns: list[str]
-    rows: list[list[float]]
+    rows: np.ndarray
     provenance: str
     trailer: str | None = None
 
     def __post_init__(self) -> None:
         width = len(self.columns)
-        for row in self.rows:
-            if len(row) != width:
-                raise ConfigError("table rows must match the column count")
-            for value in row:
-                if not math.isfinite(value):
-                    raise ConfigError(f"table values must be finite, got {value!r}")
+        try:
+            rows = np.asarray(self.rows, dtype=float)
+        except ValueError as exc:  # a ragged nested list
+            raise ConfigError("table rows must match the column count") from exc
+        if rows.shape == (0,):
+            rows = rows.reshape(0, width)
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ConfigError("table rows must match the column count")
+        finite = np.isfinite(rows)
+        if not finite.all():
+            raise ConfigError(f"table values must be finite, got {float(rows[~finite][0])!r}")
+        # Read-only, so no value can turn non-finite after the check.
+        rows.flags.writeable = False
+        self.rows = rows
 
-    def column(self, name: str) -> list[float]:
-        index = self.columns.index(name)
-        return [row[index] for row in self.rows]
+    def column(self, name: str) -> np.ndarray:
+        return self.rows[:, self.columns.index(name)]
 
 
 def format_csv(table: ResultTable) -> str:
@@ -282,10 +291,7 @@ def format_csv(table: ResultTable) -> str:
     distinct bit pattern (not per distinct value: ``-0.0 == 0.0`` but their
     texts differ), and one row template formats the whole body.
     """
-    width = len(table.columns)
-    values = np.array(table.rows, dtype=float).reshape(len(table.rows), width)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    del values
+    bits, inverse = np.unique(table.rows.view(np.int64), return_inverse=True)
     # float.__repr__ reads each numpy scalar as the Python float it is, with
     # no list of Python floats alive at once; repr() would give "np.float64(...)".
     texts = np.array(list(map(float.__repr__, bits.view(np.float64))), dtype=object)
@@ -293,7 +299,7 @@ def format_csv(table: ResultTable) -> str:
     cells = tuple(texts[inverse.ravel()])
     # Only the texts and the cells stay alive while the body is built.
     del bits, inverse, texts
-    body = (",".join(["%s"] * width) + "\n") * len(table.rows) % cells
+    body = (",".join(["%s"] * len(table.columns)) + "\n") * len(table.rows) % cells
     trailer = f"# {table.trailer}\n" if table.trailer else ""
     return f"# provenance: {table.provenance}\n{','.join(table.columns)}\n{body}{trailer}"
 
@@ -390,7 +396,7 @@ def cmd_eta_map(config: SweepConfig) -> ResultTable:
     pair = normalisation_constants(coating)
     return ResultTable(
         columns=["r_a", "r_b", "eta_a_sq", "eta_b_sq"],
-        rows=np.column_stack((r_a, r_b, pair.eta_a_sq, pair.eta_b_sq)).tolist(),
+        rows=np.column_stack((r_a, r_b, pair.eta_a_sq, pair.eta_b_sq)),
         provenance=provenance,
     )
 
@@ -403,7 +409,7 @@ def cmd_xi_map(config: SweepConfig) -> ResultTable:
     xi = [mirror_parameter(replace(coating, phi3=p), "a").xi for p in phases]
     return ResultTable(
         columns=["r_a", "r_b"] + [f"xi_phi3={repr(p)}" for p in phases],
-        rows=np.column_stack((r_a, r_b, *xi)).tolist(),
+        rows=np.column_stack((r_a, r_b, *xi)),
         provenance=provenance,
     )
 
@@ -498,7 +504,7 @@ def cmd_decay_curve(config: SweepConfig) -> ResultTable:
     ]
     return ResultTable(
         columns=columns,
-        rows=np.column_stack((u_values, *ratios)).tolist(),
+        rows=np.column_stack((u_values, *ratios)),
         provenance=_provenance(config),
     )
 
@@ -562,8 +568,6 @@ def cmd_oracle_check(config: SweepConfig) -> ResultTable:
     config.validate()
     spec = config.quadrature()
     rows = []
-    failures = 0
-    worst = 0.0
     for case in seeded_oracle_cases(config.seed, config.cases):
         try:
             report = oracle_compare(case.interface, case.side, case.dipole, case.u, spec)
@@ -572,39 +576,29 @@ def cmd_oracle_check(config: SweepConfig) -> ResultTable:
             row_values = (FAILED_VALUE, FAILED_VALUE, FAILED_VALUE, FAILED_VALUE)
         else:
             ok = 1.0 if report.max_rel_error <= ORACLE_FAIL_THRESHOLD else 0.0
-            worst = max(worst, report.max_rel_error)
             row_values = (
                 report.closed_form,
                 report.oracle_2d,
                 report.oracle_1d,
                 report.max_rel_error,
             )
-        if ok == 0.0:
-            failures += 1
-        rows.append(
-            [
-                float(case.index),
-                0.0 if case.side == "a" else 1.0,
-                case.u,
-                case.dipole.alignment,
-                *row_values,
-                ok,
-            ]
-        )
-    provenance = _provenance(config)
-    trailer = (
-        f"summary: cases={config.cases} failures={failures} "
-        f"worst_max_rel_error={worst!r}"
-    )
-    return ResultTable(
+        side_is_b = 0.0 if case.side == "a" else 1.0
+        rows.append([float(case.index), side_is_b, case.u, case.dipole.alignment, *row_values, ok])
+    table = ResultTable(
         columns=[
             "case", "side_is_b", "u", "alignment",
             "closed_form", "oracle_2d", "oracle_1d", "max_rel_error", "ok",
         ],
         rows=rows,
-        provenance=provenance,
-        trailer=trailer,
+        provenance=_provenance(config),
     )
+    # Sentinel rows hold -1.0, below every measured error.
+    worst = float(table.column("max_rel_error").max(initial=0.0))
+    table.trailer = (
+        f"summary: cases={config.cases} failures={oracle_failures(table)} "
+        f"worst_max_rel_error={worst!r}"
+    )
+    return table
 
 
 COMMANDS = {
@@ -617,4 +611,4 @@ COMMANDS = {
 
 def oracle_failures(table: ResultTable) -> int:
     """Count failed rows of an oracle-check table."""
-    return sum(1 for value in table.column("ok") if value == 0.0)
+    return int(np.count_nonzero(table.column("ok") == 0.0))

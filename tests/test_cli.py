@@ -10,7 +10,7 @@ import mirrorfield
 
 from mirrorfield import ConfigError, parse_csv, replay_provenance, format_csv
 from mirrorfield.cli import load_config_file, main
-from mirrorfield.sweep import parse_angle
+from mirrorfield.sweep import COMMANDS, parse_angle
 
 
 class TestAngleParsing:
@@ -86,9 +86,39 @@ class TestMain:
         svg = (tmp_path / "map.svg").read_text()
         assert svg.startswith("<svg") and "rect" in svg
 
+    def test_heat_map_axes_span_the_grid(self, tmp_path):
+        out = tmp_path / "map.csv"
+        args = ["eta-map", "--grid-count", "3", "--r-a-max", "0.5", "--out", str(out), "--svg"]
+        assert main(args) == 0
+        assert "r_b: 0 to 0.8944, r_a: 0 to 0.5</text>" in (tmp_path / "map.svg").read_text()
+
     def test_svg_requires_out(self, capsys):
         assert main(["eta-map", "--svg"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_svg_may_not_replace_the_csv(self, tmp_path, capsys, monkeypatch):
+        def refuse(config):
+            raise AssertionError("computed before rejecting --out")
+
+        monkeypatch.setitem(COMMANDS, "eta-map", refuse)
+        out = tmp_path / "plot.svg"
+        assert main(["eta-map", "--grid-count", "3", "--out", str(out), "--svg"]) == 1
+        assert "is where the plot would go" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("svg", [False, True], ids=["csv", "csv-and-svg"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys, target, svg):
+        out = tmp_path / "no" / "such" / "x.csv" if target == "missing-dir" else tmp_path
+        assert main(["eta-map", "--grid-count", "3", "--out", str(out)] + ["--svg"] * svg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and str(out) in err
+
+    def test_unwritable_svg_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "map.svg").mkdir()
+        out = tmp_path / "map.csv"
+        assert main(["eta-map", "--grid-count", "3", "--out", str(out), "--svg"]) == 1
+        assert "cannot write output: " in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -146,7 +176,7 @@ class TestMain:
         assert main(["oracle-check", "--cases", "4"]) == 0
         captured = capsys.readouterr()
         assert "failures=0" in captured.err
-        assert parse_csv(captured.out).column("ok") == [1.0] * 4
+        assert parse_csv(captured.out).column("ok").tolist() == [1.0] * 4
 
     def test_oracle_check_starved_exit_code(self, capsys):
         code = main([

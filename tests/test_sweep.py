@@ -1,6 +1,7 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -48,7 +49,33 @@ class TestResultTable:
 
     def test_column_access(self):
         table = ResultTable(columns=["a", "b"], rows=[[1.0, 2.0], [3.0, 4.0]], provenance="x")
-        assert table.column("b") == [2.0, 4.0]
+        assert table.column("b").tolist() == [2.0, 4.0]
+
+    def test_rejects_ragged_nested_list(self):
+        with pytest.raises(ConfigError, match="match the column count"):
+            ResultTable(columns=["a", "b"], rows=[[1.0], [1.0, 2.0]], provenance="x")
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 3))], ids=["list", "array"])
+    def test_empty_rows_have_the_column_width(self, rows):
+        table = ResultTable(columns=["a", "b", "c"], rows=rows, provenance="x")
+        assert table.rows.shape == (0, 3)
+        assert table.rows.dtype == np.float64
+
+    def test_rows_and_column_views_are_read_only(self):
+        table = ResultTable(columns=["a", "b"], rows=np.ones((2, 2)), provenance="x")
+        with pytest.raises(ValueError):
+            table.rows[0, 0] = math.nan
+        with pytest.raises(ValueError):
+            table.column("b")[1] = math.inf
+        assert np.isfinite(table.rows).all()
+
+    @pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0, float("nan")]],
+                                      np.array([[1.0, 2.0], [3.0, math.nan]])],
+                             ids=["list", "array"])
+    def test_non_finite_message_names_the_first_bad_value(self, rows):
+        with pytest.raises(ConfigError) as caught:
+            ResultTable(columns=["a", "b"], rows=rows, provenance="x")
+        assert str(caught.value) == "table values must be finite, got nan"
 
 
 class TestCsv:
@@ -60,7 +87,10 @@ class TestCsv:
             trailer="summary: cases=2 failures=0",
         )
         again = parse_csv(format_csv(table))
-        assert again == table
+        assert (again.columns, again.provenance, again.trailer) == (
+            table.columns, table.provenance, table.trailer,
+        )
+        assert again.rows.tobytes() == table.rows.tobytes()
 
     def test_shortest_repr_floats_survive(self):
         value = 1.4555436966701532
@@ -125,6 +155,24 @@ class TestCsvBytes:
         for table in (cmd_eta_map(make_config(grid_count=9)),
                       cmd_xi_map(make_config(subcommand="xi-map", grid_count=7))):
             assert format_csv(table) == per_value_csv(table)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            make_config(subcommand="decay-curve", preset="fig4", u_count=41),
+            make_config(
+                subcommand="decay-curve", r_a=0.6, t_a=0.2, r_b=0.3, t_b=0.1,
+                phi3=math.pi, alignment=0.5, u_min=0.0, u_count=33,
+            ),
+            make_config(subcommand="oracle-check", cases=3, seed=5),
+        ],
+        ids=["preset-curve", "custom-curve", "oracle-check"],
+    )
+    def test_command_tables(self, config):
+        from mirrorfield.sweep import COMMANDS
+
+        table = COMMANDS[config.subcommand](config)
+        assert format_csv(table) == per_value_csv(table)
 
 
 class TestConfigValidation:
@@ -250,7 +298,7 @@ class TestArrayMaps:
         def side(r):
             return SideCoefficients(r, math.sqrt(max(0.0, 1.0 - r * r - loss * loss)), loss)
 
-        for eta_row, xi_row in zip(eta.rows, xi.rows, strict=True):
+        for eta_row, xi_row in zip(eta.rows.tolist(), xi.rows.tolist(), strict=True):
             r_a, r_b = eta_row[:2]
             assert xi_row[:2] == [r_a, r_b]
             pair = normalisation_constants(MirrorInterface(side(r_a), side(r_b)))
@@ -314,7 +362,36 @@ class TestOracleCheck:
         table = cmd_oracle_check(config)
         assert oracle_failures(table) == 4
         # sentinel rows stay finite so the CSV still parses
-        assert parse_csv(format_csv(table)).column("closed_form") == [-1.0] * 4
+        assert parse_csv(format_csv(table)).column("closed_form").tolist() == [-1.0] * 4
+
+    @pytest.mark.parametrize(
+        "errors,ok,summary",
+        [
+            ([2e-9, None, 3e-3, 0.0], [1.0, 0.0, 0.0, 1.0],
+             "summary: cases=4 failures=2 worst_max_rel_error=0.003"),
+            ([None, None], [0.0, 0.0], "summary: cases=2 failures=2 worst_max_rel_error=0.0"),
+        ],
+        ids=["mixed", "all-over-budget"],
+    )
+    def test_summary_counts_failed_rows_and_the_worst_measured_error(
+        self, monkeypatch, errors, ok, summary
+    ):
+        # None stands for a case whose quadrature runs over budget.
+        from mirrorfield import OracleReport, QuadratureBudgetExceeded
+        import mirrorfield.sweep as sweep
+
+        remaining = iter(errors)
+
+        def fake_compare(interface, side, dipole, u, spec):
+            error = next(remaining)
+            if error is None:
+                raise QuadratureBudgetExceeded("starved")
+            return OracleReport(u, dipole.alignment, side, 1.0, 1.0, 1.0, error)
+
+        monkeypatch.setattr(sweep, "oracle_compare", fake_compare)
+        table = cmd_oracle_check(make_config(subcommand="oracle-check", cases=len(errors)))
+        assert table.column("ok").tolist() == ok
+        assert table.trailer == summary
 
 
 class TestReplay:
