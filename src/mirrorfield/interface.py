@@ -340,13 +340,3 @@ def mirror_parameter(interface: MirrorInterface, side: str) -> MirrorSideSummary
 def refractive_index(medium: Medium) -> float:
     """``n = sqrt(eps_rel * mu_rel)``."""
     return math.sqrt(medium.eps_rel * medium.mu_rel)
-
-
-def fresnel_normal_reflectivity(medium: Medium) -> float:
-    """Normal-incidence field reflection amplitude ``(n - 1)/(n + 1)``.
-
-    Signed: media with ``n < 1`` give a negative amplitude.
-    """
-    n = refractive_index(medium)
-    return (n - 1.0) / (n + 1.0)
-

@@ -10,16 +10,18 @@ oscillations, so accuracy is uniform in ``u``.
 Both oracles sum their weighted values leaf by leaf along numpy's own
 pairwise summation tree, never building the whole grid: a leaf holds at
 most ``ROWS_PER_BLOCK * PHI_ORDER`` (32768) values, 512 to 1024 cos-theta
-rows of the 2D grid or a run of 1D panels.  The leaves run on up to
-``MAX_WORKERS`` threads, one per usable CPU (numpy releases the interpreter
-lock inside its loops), and their sums are added up the same tree, so every
-result has the bits of one ``np.sum`` over the whole grid whatever the leaf
-size or worker count.  Each worker needs a fixed amount of memory, at
-most about 2.1 MB for the 2D oracle, whatever ``u`` is; beyond that an
-oracle holds only its node and weight vectors, about 16 bytes per 2D
-cos-theta row or per 1D panel.  Both oracles count their fine-level nodes
-before building any and raise :class:`QuadratureBudgetExceeded` above
-``MAX_ORACLE_NODES``, which bounds their time, not their memory.
+rows of the 2D grid or a run of 1D panels, and each leaf builds the nodes
+of its own panels.  Each call runs its leaves on the calling thread plus
+helper threads it starts and joins itself, up to ``MAX_WORKERS`` in all
+and one per usable CPU (numpy releases the interpreter lock inside its
+loops); the leaf sums are added up the same tree, so every result has the
+bits of one ``np.sum`` over the whole grid whatever the leaf size or
+worker count.  Each worker needs a fixed amount of memory, at most about
+2.1 MB for the 2D oracle, whatever ``u`` is; beyond that an oracle holds
+only its panel centres and half-widths, 16 bytes per panel.  Both oracles
+count their fine-level nodes before building any and raise
+:class:`QuadratureBudgetExceeded` above ``MAX_ORACLE_NODES``, which bounds
+their time, not their memory.
 
 Neither oracle touches the closed-form bracket: agreement between the
 three paths is the correctness check, not a construction.
@@ -33,16 +35,12 @@ import os
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, QuadratureBudgetExceeded
 from .interface import MirrorInterface, SideRateTerms, side_rate_terms
 from .rates import DipoleOrientation, check_u, relative_decay_rate
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 #: Fixed Gauss-Legendre order of the azimuthal rule.  The integrand is a
 #: trigonometric polynomial of degree two in the azimuth, for which this
@@ -160,18 +158,6 @@ def _worker_count() -> int:
     return min(MAX_WORKERS, usable)
 
 
-@functools.cache
-def _pool(workers: int, pid: int) -> ThreadPoolExecutor:
-    """One lazily started thread pool per worker count and process.
-
-    Keyed by the process id too, because a forked child inherits the
-    cached pool but none of its threads.
-    """
-    from concurrent.futures import ThreadPoolExecutor  # only the oracles pay its import
-
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mirrorfield-oracle")
-
-
 def _pairwise(start: int, count: int, leaf_size: int, leaf: Callable[[int, int], float]) -> float:
     """Walk numpy's pairwise summation tree over ``count`` values from ``start``.
 
@@ -198,13 +184,15 @@ def _blocked_sum(
     """``np.sum`` of an array whose rows ``fill(rows, out)`` computes, never built whole.
 
     The sum is split at the subtrees of numpy's own pairwise summation tree
-    that hold at most ``leaf_size`` values (see :func:`_pairwise`).  Each
-    worker of the pool takes the next leaf, has ``fill`` write the rows that
-    cover it into ``out``, a buffer the worker allocates once per call, and
-    sums the leaf's values alone; a row split between two leaves is filled
-    for both.  The leaf sums are then added up the same tree, so the result
-    has the bits of one ``np.sum`` over the whole array, whatever the leaf
-    size or worker count.  An exception from any leaf reaches the caller.
+    that hold at most ``leaf_size`` values (see :func:`_pairwise`).  The
+    calling thread and the helper threads it starts for this call each take
+    the next leaf, have ``fill`` write the rows that cover it into ``out``, a
+    buffer each worker allocates once per call, and sum the leaf's values
+    alone; a row split between two leaves is filled for both.  The leaf sums
+    are then added up the same tree, so the result has the bits of one
+    ``np.sum`` over the whole array, whatever the leaf size or worker count.
+    The first exception from any leaf stops the workers from taking more
+    leaves and reaches the caller once every helper has been joined.
     """
     n_rows, width = shape
     leaves: list[tuple[int, int, slice]] = []
@@ -218,27 +206,36 @@ def _blocked_sum(
     next_leaf = iter(leaves)
     lock = threading.Lock()
     sums: dict[int, float] = {}
+    errors: list[BaseException] = []
 
     def work() -> None:
-        buffer = np.empty((max_rows, width))
-        while True:
+        try:
+            buffer = np.empty((max_rows, width))
+            while True:
+                with lock:
+                    leaf = None if errors else next(next_leaf, None)
+                if leaf is None:
+                    return
+                start, count, rows = leaf
+                out = buffer[: rows.stop - rows.start]
+                fill(rows, out)
+                offset = start - rows.start * width
+                sums[start] = float(np.sum(out.reshape(-1)[offset : offset + count]))
+        except BaseException as error:  # the caller re-raises it after the joins
             with lock:
-                leaf = next(next_leaf, None)
-            if leaf is None:
-                return
-            start, count, rows = leaf
-            out = buffer[: rows.stop - rows.start]
-            fill(rows, out)
-            offset = start - rows.start * width
-            sums[start] = float(np.sum(out.reshape(-1)[offset : offset + count]))
+                errors.append(error)
 
-    workers = _worker_count()
-    pool = _pool(workers, os.getpid())
-    futures = [pool.submit(work) for _ in range(min(workers, len(leaves)))]
-    for future in futures:
-        future.exception()  # wait for every worker before any error is raised
-    for future in futures:
-        future.result()
+    helpers = [
+        threading.Thread(target=work, name="mirrorfield-oracle")
+        for _ in range(min(_worker_count(), len(leaves)) - 1)
+    ]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     return _pairwise(0, n_rows * width, leaf_size, lambda start, count: sums[start])
 
 
@@ -382,18 +379,20 @@ def decay_rate_2d_oracle(
     _check_budget("2d oracle", n_panels * 2 * spec.points_per_panel * PHI_ORDER)
     phi_x, phi_w = _phi_nodes()
     integrand = _angular_integrand(terms, dipole, u, phi_x)
+    centres, half_width = _panels(n_panels)
 
     def evaluate(points: int) -> float:
-        cos_x, cos_w = _composite_nodes(*_panels(n_panels), points)
-        cos_x, cos_w = cos_x.ravel(), cos_w.ravel()
-
         def fill(rows: slice, out: np.ndarray) -> None:
-            # The weights first, then times the integrand in place.
-            np.multiply(cos_w[rows, None], phi_w[None, :], out=out)
-            np.multiply(out, integrand(cos_x[rows]), out=out)
+            # The nodes of the panels that cover these rows, then the
+            # weights, then times the integrand in place.
+            panels = slice(rows.start // points, -(-rows.stop // points))
+            cos_x, cos_w = _composite_nodes(centres[panels], half_width[panels], points)
+            own = slice(rows.start - panels.start * points, rows.stop - panels.start * points)
+            np.multiply(cos_w.ravel()[own, None], phi_w[None, :], out=out)
+            np.multiply(out, integrand(cos_x.ravel()[own]), out=out)
 
         return 3.0 / (8.0 * math.pi) * _blocked_sum(
-            (cos_x.size, PHI_ORDER), ROWS_PER_BLOCK * PHI_ORDER, fill
+            (n_panels * points, PHI_ORDER), ROWS_PER_BLOCK * PHI_ORDER, fill
         )
 
     return _refined("2d oracle", spec, evaluate)

@@ -14,7 +14,6 @@ from mirrorfield import (
     MirrorInterface,
     RangeError,
     SideCoefficients,
-    fresnel_normal_reflectivity,
     lossless_interface,
     mirror_parameter,
     normalisation_constants,
@@ -203,12 +202,6 @@ class TestDielectricHelpers:
     def test_refractive_index(self):
         assert refractive_index(AIR) == 1.0
         assert refractive_index(Medium(eps_rel=2.25)) == 1.5
-
-    def test_fresnel_normal_incidence(self):
-        assert fresnel_normal_reflectivity(Medium(eps_rel=2.25)) == 0.2
-        assert fresnel_normal_reflectivity(AIR) == 0.0
-        # denser-to-rarer sign convention not used here: value is n-relative
-        assert fresnel_normal_reflectivity(Medium(eps_rel=4.0)) == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 class TestParsing:

@@ -1,6 +1,5 @@
 import math
 import multiprocessing
-import os
 import sys
 import threading
 import tracemalloc
@@ -237,17 +236,60 @@ class TestRowBlocks:
         monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
         # u = 0: 8 panels of 16 rows, so 8 blocks of 16 rows.
         monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", 16)
-        pool = oracle._pool(workers, os.getpid())
         monkeypatch.setattr(oracle, "_angular_integrand", failing_integrand)
         with pytest.raises(BlockFailed, match="second block"):
             decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0)
         assert len(calls) >= 2
         monkeypatch.setattr(oracle, "_angular_integrand", real_integrand)
         assert decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0) == pytest.approx(1.0, abs=1e-9)
-        assert oracle._pool(workers, os.getpid()) is pool
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_calls_leave_no_threads_behind(self, monkeypatch, workers):
+        # Each call joins every helper thread it started before it returns,
+        # also when a leaf raised; no thread outlives the call.
+        class LeafFailed(Exception):
+            pass
+
+        def second_leaf_raises(leaf):
+            lock = threading.Lock()
+            calls = []
+
+            def counted(*args):
+                with lock:
+                    calls.append(None)
+                    count = len(calls)
+                if count == 2:
+                    raise LeafFailed
+                return leaf(*args)
+
+            return counted
+
+        def oracle_threads():
+            return [thread for thread in threading.enumerate() if thread.name.startswith("mirrorfield")]
+
+        dipole = DipoleOrientation.aligned(0.3)
+        monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+        # 8 leaves of 16 rows for the 2D oracle at u = 0, 16 leaves of 384
+        # values for the 1D oracle at u = 300 (twice that at the fine level).
+        monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", 16)
+        before = threading.active_count()
+        decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0)
+        decay_rate_1d_oracle(BLACK_SHEET, "a", 0.3, 300.0)
+        assert threading.active_count() == before
+        real_2d, real_1d = oracle._angular_integrand, oracle._distance_integrand
+        monkeypatch.setattr(oracle, "_angular_integrand", lambda *args: second_leaf_raises(real_2d(*args)))
+        with pytest.raises(LeafFailed):
+            decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0)
+        assert threading.active_count() == before
+        monkeypatch.setattr(oracle, "_distance_integrand", second_leaf_raises(real_1d))
+        with pytest.raises(LeafFailed):
+            decay_rate_1d_oracle(BLACK_SHEET, "a", 0.3, 300.0)
+        assert threading.active_count() == before
+        assert oracle_threads() == []
 
     def test_forked_child_starts_its_own_pool(self):
-        # A forked child inherits the parent's cached pool but none of its threads.
+        # A forked child inherits none of the parent's threads; its oracle
+        # call starts and joins its own.
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("this platform cannot fork")
         dipole = DipoleOrientation.aligned(0.3)
@@ -257,7 +299,7 @@ class TestRowBlocks:
             assert found.get(timeout=60) == expected
 
     def test_2d_peak_memory(self):
-        # 2.6M fine-level nodes, summed leaf by leaf: the node vectors plus a fixed scratch per worker.
+        # 2.6M fine-level nodes, summed leaf by leaf: the panel vectors plus a fixed scratch per worker.
         case = seeded_oracle_cases(seed=12, count=1)[0]
         tracemalloc.start()
         try:

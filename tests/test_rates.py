@@ -20,8 +20,6 @@ from mirrorfield import (
     coupling_amplitude,
     decay_rate_1d_oracle,
     decay_rate_2d_oracle,
-    dimensionless_distance,
-    excited_population,
     gamma_air,
     gamma_med,
     lossless_interface,
@@ -62,11 +60,36 @@ class TestConstants:
         with pytest.raises(RangeError):
             AtomParams(omega0=1.0, dipole_magnitude=-1.0)
 
-    def test_wavenumber_and_distance(self):
-        assert ATOM.wavenumber(NATURAL_UNITS) == 1.0
-        assert dimensionless_distance(0.25, ATOM, NATURAL_UNITS) == 0.5
+    def test_rate_outside_the_float_range(self):
+        # Valid parameters whose rate overflows: a typed error, not OverflowError.
+        huge = AtomParams(omega0=1.0, dipole_magnitude=1e308)
+        with pytest.raises(RangeError, match="gamma_air"):
+            gamma_air(huge, NATURAL_UNITS)
+        with pytest.raises(RangeError, match="gamma_med"):
+            gamma_med(huge, NATURAL_UNITS, Medium(eps_rel=2.25))
+        with pytest.raises(RangeError, match="gamma_air"):
+            gamma_air(AtomParams(omega0=1e200, dipole_magnitude=1.0), CODATA2018)
+
+
+class TestDipoleOrientation:
+    def test_huge_components(self):
+        with pytest.raises(DomainError, match="unit vector"):
+            DipoleOrientation(1e308, 0.0, 0.0)
+        dipole = DipoleOrientation.from_components(1e308, 1.0, 0.0)
+        assert (dipole.d1, dipole.d2, dipole.d3) == (1.0, 1e-308, 0.0)
+        dipole = DipoleOrientation.from_components(1e308 + 1e308j, 0.0, 0.0)
+        assert dipole.alignment == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_components(self, bad):
         with pytest.raises(DomainError):
-            dimensionless_distance(-1e-9, ATOM, NATURAL_UNITS)
+            DipoleOrientation(bad, 0.0, 0.0)
+        with pytest.raises(DomainError):
+            DipoleOrientation.from_components(bad, 1.0, 0.0)
+
+    def test_vanishing_components(self):
+        with pytest.raises(DomainError, match="vanish"):
+            DipoleOrientation.from_components(0.0, 0.0, 0.0)
 
 
 class TestReferenceRates:
@@ -88,14 +111,6 @@ class TestReferenceRates:
         # n^3 / eps_rel with n = sqrt(eps mu): eps = mu = 2 gives factor 4
         rate = gamma_med(ATOM, NATURAL_UNITS, Medium(eps_rel=2.0, mu_rel=2.0))
         assert rate == pytest.approx(4.0 * gamma_air(ATOM, NATURAL_UNITS), rel=1e-12)
-
-    def test_population_decay(self):
-        gamma = 2.0
-        assert excited_population(gamma, 0.0) == 1.0
-        # central difference against the defining rate equation
-        t, h = 0.7, 1e-5
-        slope = (excited_population(gamma, t + h) - excited_population(gamma, t - h)) / (2 * h)
-        assert slope == pytest.approx(-gamma * excited_population(gamma, t), rel=1e-6)
 
 
 class TestOscillatoryBracket:
@@ -169,6 +184,24 @@ class TestRelativeDecayRate:
             relative_decay_rate(iface, "a", 0.0, -1.0)
         with pytest.raises(DomainError):
             relative_decay_rate(iface, "c", 0.0, 1.0)
+        for alignment in (math.nan, math.inf, -math.inf):
+            for call in (relative_decay_rate, unnormalised_decay_rate):
+                with pytest.raises(DomainError, match="alignment"):
+                    call(iface, "a", alignment, 1.0)
+            with pytest.raises(DomainError, match="alignment"):
+                oscillatory_bracket(1.0, alignment)
+
+    def test_each_call_checks_its_arguments_once(self, monkeypatch):
+        from mirrorfield import rates
+
+        calls = []
+        real_check = rates.check_u
+        monkeypatch.setattr(rates, "check_u", lambda u: calls.append(u) or real_check(u))
+        iface = lossless_interface(0.5)
+        for call in (relative_decay_rate, unnormalised_decay_rate):
+            call(iface, "a", 0.3, 1.0)
+            assert len(calls) == 1, call
+            calls.clear()
 
     @given(
         coatings(), st.sampled_from(["a", "b"]),
@@ -205,11 +238,12 @@ _DIPOLE = DipoleOrientation.aligned(0.0)
 
 
 class TestDistanceDomain:
-    @pytest.mark.parametrize("u", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan, -1.0])
     @pytest.mark.parametrize(
         "call",
         [
             lambda u: relative_decay_rate(_HALF, "a", 0.0, u),
+            lambda u: oscillatory_bracket(u, 0.0),
             lambda u: unnormalised_decay_rate(_HALF, "a", 0.0, u),
             lambda u: decay_rate_1d_oracle(_HALF, "a", 0.0, u),
             lambda u: decay_rate_2d_oracle(_HALF, "a", _DIPOLE, u),
@@ -218,7 +252,7 @@ class TestDistanceDomain:
                 _HALF, "a", WaveDirection(0.5, 0.5, 1.0), 1, _DIPOLE, u, "a"
             ),
         ],
-        ids=["relative", "unnormalised", "oracle_1d", "oracle_2d", "panel_count", "coupling"],
+        ids=["relative", "bracket", "unnormalised", "oracle_1d", "oracle_2d", "panel_count", "coupling"],
     )
     def test_rejected_everywhere(self, call, u):
         with pytest.raises(DomainError):
