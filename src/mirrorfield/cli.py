@@ -68,12 +68,13 @@ def _render_svg(config: SweepConfig, table: ResultTable) -> str:
         cases = table.column("case")
         series = [("max_rel_error", table.column("max_rel_error"))]
         return line_plot(cases, series, "Oracle agreement", "case", "max rel error")
+    # Rows are row-major in (r_a, r_b), so each column's first index is r_a.
     count = config.grid_count
-    axis = table.column("r_b")[:count]
-    r_a_axis = table.column("r_a")[::count]
+    r_a = table.column("r_a")[::count]
+    r_b = table.column("r_b")[:count]
     panels = [(name, table.column(name)) for name in table.columns[2:]]
     title = "Normalisation map" if config.subcommand == "eta-map" else "Mirror parameter map"
-    return heat_panels(axis, r_a_axis, panels, title, "r_b", "r_a")
+    return heat_panels(r_a, r_b, panels, title, "r_a", "r_b")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,7 +20,7 @@ share the four scalar phases, and every derived quantity is per cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,7 +42,7 @@ DEGENERACY_TOL = 1e-9
 _SIDES = ("a", "b")
 
 
-def _reduce_phase(phase: float) -> float:
+def reduce_phase(phase: float) -> float:
     """Map a finite phase onto [0, 2*pi)."""
     if not math.isfinite(phase):
         raise RangeError(f"phase must be finite, got {phase!r}")
@@ -74,6 +74,23 @@ def check_cells(ok, error: type[Exception], message: str, **values) -> None:
         cell = int(np.argmin(ok.ravel()))
         at = {name: float(np.broadcast_to(v, ok.shape).flat[cell]) for name, v in values.items()}
         raise error(message.format(**at))
+
+
+def check_finite(record, *names: str) -> None:
+    """Raise :class:`DomainError` unless each named field of the dataclass
+    ``record`` (every field, if none is named) is finite in every cell."""
+    for name in names or [item.name for item in fields(record)]:
+        value = getattr(record, name)
+        if not (isinstance(value, float) and math.isfinite(value)):  # finite floats skip numpy
+            check_cells(np.isfinite(value), DomainError,
+                        f"{name} must be finite, got {{value!r}}", value=value)
+
+
+def check_count(name: str, value, least: int, error: type[Exception] = DomainError) -> None:
+    """Raise ``error`` unless ``value`` is an int or a numpy integer, not a
+    bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -125,10 +142,14 @@ class Medium:
     mu_rel: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.eps_rel >= 0.0 and math.isfinite(self.eps_rel)):
-            raise RangeError(f"eps_rel must be >= 0, got {self.eps_rel!r}")
-        if not (self.mu_rel > 0.0 and math.isfinite(self.mu_rel)):
+        if not self.eps_rel > 0.0:
+            raise RangeError(f"eps_rel must be > 0, got {self.eps_rel!r}")
+        if not self.mu_rel > 0.0:
             raise RangeError(f"mu_rel must be > 0, got {self.mu_rel!r}")
+        # Positive factors have a finite product only if both are finite;
+        # the product also keeps the refractive index finite.
+        if not math.isfinite(self.eps_rel * self.mu_rel):
+            raise RangeError("eps_rel * mu_rel must be finite")
 
 
 #: Vacuum / air on both sides.
@@ -155,7 +176,7 @@ class MirrorInterface:
 
     def __post_init__(self) -> None:
         for name in ("phi1", "phi2", "phi3", "phi4"):
-            object.__setattr__(self, name, _reduce_phase(getattr(self, name)))
+            object.__setattr__(self, name, reduce_phase(getattr(self, name)))
         for label, side in (("a", self.side_a), ("b", self.side_b)):
             denom = 1.0 + side.r**2 - side.t**2
             check_cells(denom > DEGENERACY_TOL, DegenerateTransparency,
@@ -170,6 +191,9 @@ class NormalisationPair:
     eta_a_sq: float
     eta_b_sq: float
 
+    def __post_init__(self) -> None:
+        check_finite(self)
+
 
 @dataclass(frozen=True)
 class MirrorSideSummary:
@@ -177,6 +201,9 @@ class MirrorSideSummary:
 
     eta_sq: float
     xi: float
+
+    def __post_init__(self) -> None:
+        check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -194,6 +221,9 @@ class SideRateTerms:
     transmission_phase: float
     eta_sq: float
     eta_opposite_sq: float
+
+    def __post_init__(self) -> None:
+        check_finite(self)
 
 
 def validate_interface(
@@ -262,21 +292,6 @@ def lossless_interface(
     return MirrorInterface(side, side, phi1, phi2, phi3, phi4)
 
 
-def normalisation_from_rates(
-    r_a: float, t_a: float, r_b: float, t_b: float
-) -> tuple[float, float]:
-    """Evaluate the two normalisation constants on raw amplitudes.
-
-    This is the unconstrained two-line formula; it performs no validation
-    and is exposed so limits can be probed outside the energy constraint.
-    """
-    num_a = 1.0 + r_a * r_a - t_a * t_a
-    num_b = 1.0 + r_b * r_b - t_b * t_b
-    eta_a_sq = 1.0 + r_a * r_a + (num_a / num_b) * (t_b * t_b)
-    eta_b_sq = 1.0 + r_b * r_b + (num_b / num_a) * (t_a * t_a)
-    return eta_a_sq, eta_b_sq
-
-
 def normalisation_constants(interface: MirrorInterface) -> NormalisationPair:
     """Squared field normalisation constants of a validated interface.
 
@@ -284,13 +299,14 @@ def normalisation_constants(interface: MirrorInterface) -> NormalisationPair:
     with the sides swapped; for a symmetric coating both reduce to
     ``1 + r^2 + t^2``.
     """
-    eta_a_sq, eta_b_sq = normalisation_from_rates(
-        interface.side_a.r,
-        interface.side_a.t,
-        interface.side_b.r,
-        interface.side_b.t,
+    r_a, t_a = interface.side_a.r, interface.side_a.t
+    r_b, t_b = interface.side_b.r, interface.side_b.t
+    num_a = 1.0 + r_a * r_a - t_a * t_a
+    num_b = 1.0 + r_b * r_b - t_b * t_b
+    return NormalisationPair(
+        1.0 + r_a * r_a + (num_a / num_b) * (t_b * t_b),
+        1.0 + r_b * r_b + (num_b / num_a) * (t_a * t_a),
     )
-    return NormalisationPair(eta_a_sq, eta_b_sq)
 
 
 def side_rate_terms(interface: MirrorInterface, side: str) -> SideRateTerms:

@@ -21,11 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .interface import (
     Medium,
     MirrorInterface,
+    check_cells,
+    check_finite,
     normalisation_constants,
+    reduce_phase,
     refractive_index,
     side_rate_terms,
 )
@@ -62,10 +65,7 @@ class WaveDirection:
             raise DomainError(f"theta must be in [0, pi], got {self.theta!r}")
         if not (self.omega >= 0.0 and math.isfinite(self.omega)):
             raise DomainError(f"omega must be >= 0, got {self.omega!r}")
-        reduced = self.phi % (2.0 * math.pi)
-        if reduced >= 2.0 * math.pi:
-            reduced = 0.0
-        object.__setattr__(self, "phi", reduced)
+        object.__setattr__(self, "phi", reduce_phase(self.phi))
 
     def unit_wavevector(self) -> np.ndarray:
         sin_theta = math.sin(self.theta)
@@ -87,6 +87,9 @@ class PolarisationBasis:
 
     e1: np.ndarray
     e2: np.ndarray
+
+    def __post_init__(self) -> None:
+        check_finite(self)
 
 
 def polarisation_basis(direction: WaveDirection) -> PolarisationBasis:
@@ -123,11 +126,10 @@ def free_mode_amplitude(
     pos = np.asarray(position, dtype=float)
     k_hat = direction.unit_wavevector()
     k_dot_r = direction.wavenumber(constants) * float(k_hat @ pos)
-    scalar = (
-        (1j / (4.0 * math.pi))
-        * math.sqrt(constants.hbar * direction.omega / (math.pi * constants.eps0))
-        * cmath.exp(1j * k_dot_r)
-    )
+    size = math.sqrt(constants.hbar * direction.omega / (math.pi * constants.eps0))
+    if not all(map(math.isfinite, (k_dot_r, size, size / constants.c0))):
+        raise RangeError("the mode's phase k.r or its amplitude is outside the float range")
+    scalar = (1j / (4.0 * math.pi)) * size * cmath.exp(1j * k_dot_r)
     e_pol = polarisation_vector(direction, polarisation)
     electric = scalar * e_pol
     magnetic = -(scalar / constants.c0) * np.cross(k_hat, e_pol)
@@ -149,14 +151,16 @@ def medium_mode_amplitude(
     ``sqrt(n**3 mu / mu0)``.
     """
     n = refractive_index(medium)
-    pos = np.asarray(position, dtype=float)
-    electric, magnetic = free_mode_amplitude(
-        direction, polarisation, n * pos, constants
-    )
-    return (
-        math.sqrt(n**3 / medium.eps_rel) * electric,
-        math.sqrt(n**3 * medium.mu_rel) * magnetic,
-    )
+    # sqrt(n**3 / eps) = sqrt(n * mu), with no n**3 to leave the float range;
+    # a result outside that range is an error below, not a warning.
+    scale = math.sqrt(n * medium.mu_rel)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos = n * np.asarray(position, dtype=float)
+        electric, magnetic = free_mode_amplitude(direction, polarisation, pos, constants)
+        electric, magnetic = scale * electric, n * scale * magnetic
+    check_cells(np.isfinite(electric) & np.isfinite(magnetic), RangeError,
+                "medium mode amplitudes are outside the float range")
+    return electric, magnetic
 
 
 def mirror_field_amplitude(

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureBudgetExceeded
-from .interface import MirrorInterface, SideRateTerms, side_rate_terms
+from .interface import MirrorInterface, SideRateTerms, check_count, check_finite, side_rate_terms
 from .rates import DipoleOrientation, check_u, relative_decay_rate
 
 #: Fixed Gauss-Legendre order of the azimuthal rule.  The integrand is a
@@ -79,14 +79,10 @@ class QuadratureSpec:
     rel_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.panels_per_oscillation < 1:
-            raise DomainError("panels_per_oscillation must be >= 1")
-        if self.points_per_panel < 2:
-            raise DomainError("points_per_panel must be >= 2")
+        for name, least in (("panels_per_oscillation", 1), ("points_per_panel", 2), ("min_panels", 1)):
+            check_count(name, getattr(self, name), least)
         if self.points_per_panel > MAX_POINTS_PER_PANEL:
             raise DomainError(f"points_per_panel must be <= {MAX_POINTS_PER_PANEL}")
-        if self.min_panels < 1:
-            raise DomainError("min_panels must be >= 1")
         if not (0.0 < self.rel_tolerance < math.inf):
             raise DomainError("rel_tolerance must be finite and > 0")
 
@@ -105,6 +101,9 @@ class OracleReport:
     oracle_2d: float
     oracle_1d: float
     max_rel_error: float
+
+    def __post_init__(self) -> None:
+        check_finite(self, "u", "alignment", "closed_form", "oracle_2d", "oracle_1d", "max_rel_error")
 
 
 def panel_count(u: float, spec: QuadratureSpec) -> int:

@@ -163,6 +163,7 @@ class DecayRateCurve:
         object.__setattr__(self, "ratio", ratio)
         if u.ndim != 1 or ratio.shape != u.shape:
             raise DomainError("u and ratio must be 1-d arrays of one length")
+        _check_rate_args(self.alignment, u)
         if not np.all(np.diff(u) > 0.0):
             raise DomainError("samples must be strictly increasing in u")
         check_cells((-_RATIO_SLACK <= ratio) & (ratio <= 1.0 + 1.5 * BRACKET_BOUND + _RATIO_SLACK),
@@ -200,7 +201,7 @@ def _reference_rate(
             * atom.dipole_magnitude**2
             / (3.0 * math.pi * constants.hbar * eps * constants.c0**3)
         )
-    except OverflowError:  # a float ``**`` raises where a product would give inf
+    except (OverflowError, ZeroDivisionError):  # a float ``**`` or ``/`` leaving the float range
         rate = math.inf
     if not math.isfinite(rate):
         raise RangeError(f"{name} is outside the float range for these parameters")
@@ -224,11 +225,12 @@ def oscillatory_bracket(u, alignment: float):
 def _bracket(u, alignment: float):
     """:func:`oscillatory_bracket` on arguments already checked."""
     u = np.asarray(u, dtype=float)
-    u_sq = u * u
     series = u < SMALL_U
-    # Below SMALL_U the trigonometric form can divide by zero or overflow;
-    # np.where discards those cells, so their warnings are silenced.
+    # Below SMALL_U the trigonometric form can divide by zero or overflow,
+    # and above it u * u can; np.where discards those cells, so their
+    # warnings are silenced.
     with np.errstate(all="ignore"):
+        u_sq = u * u
         sin_u = np.sin(u)
         cos_u = np.cos(u)
         sinc_part = np.where(series, 1.0 - u_sq / 6.0, sin_u / u)

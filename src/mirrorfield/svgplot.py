@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import base64
+import struct
+import zlib
+
 import numpy as np
 
 _WIDTH = 860
@@ -135,11 +139,26 @@ def _heat_rgb(fraction: np.ndarray) -> np.ndarray:
     return (start + span * mix).astype(int)
 
 
+def _png(rgb: np.ndarray) -> bytes:
+    """8-bit RGB PNG of a (rows, columns, 3) array, filter byte 0 on every row."""
+    rows, columns, _ = rgb.shape
+    scanlines = np.insert(rgb.reshape(rows, -1).astype(np.uint8), 0, 0, axis=1)
+    chunks = ((b"IHDR", struct.pack(">IIBBBBB", columns, rows, 8, 2, 0, 0, 0)),
+              (b"IDAT", zlib.compress(scanlines.tobytes(), 6)), (b"IEND", b""))
+    return b"\x89PNG\r\n\x1a\n" + b"".join(
+        struct.pack(">I", len(data)) + kind + data + struct.pack(">I", zlib.crc32(kind + data))
+        for kind, data in chunks
+    )
+
+
 def heat_panels(x_values, y_values, panels, title: str = "",
                 x_label: str = "", y_label: str = "") -> str:
     """Render one heat panel per (label, matrix) pair, side by side.
 
-    ``matrix[i][j]`` is the value at ``(x_values[i], y_values[j])``.
+    ``matrix[i][j]`` is the value at ``(x_values[i], y_values[j])``;
+    ``x_values`` run left to right and ``y_values`` bottom to top, as the
+    caption under each panel says.  Each panel is one embedded PNG image
+    with one pixel per cell, stretched over the panel without smoothing.
     """
     n_panels = len(panels)
     panel_w = 300
@@ -153,40 +172,32 @@ def heat_panels(x_values, y_values, panels, title: str = "",
     lo, hi = _finite_range(*matrices)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" xmlns:xlink="http://www.w3.org/1999/xlink" '
+        f'width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="15">{title}</text>',
     ]
-    cell_w = panel_w / nx
-    cell_h = panel_h / ny
-    rect = (
-        f'<rect x="%.2f" y="%.2f" width="{cell_w + 0.5:.2f}" '
-        f'height="{cell_h + 0.5:.2f}" fill="#%02x%02x%02x"/>'
-    )
     top = 45
-    # Cells in (i, j) order, i along x_values; row j counts up from the bottom.
-    cell_y = np.tile(top + panel_h - np.arange(1, ny + 1) * cell_h, nx)
     for index, ((label, _), matrix) in enumerate(zip(panels, matrices)):
         left = _MARGIN_L + index * (panel_w + gap)
         fraction = np.zeros(nx * ny) if hi == lo else (matrix.ravel() - lo) / (hi - lo)
-        cells = np.empty((nx * ny, 5), dtype=object)
-        cells[:, 0] = np.repeat(left + np.arange(nx) * cell_w, ny)
-        cells[:, 1] = cell_y
-        cells[:, 2:] = _heat_rgb(fraction)
-        parts.append("\n".join([rect] * (nx * ny)) % tuple(cells.ravel().tolist()))
-        parts.append(
-            f'<rect x="{left}" y="{top}" width="{panel_w}" height="{panel_h}" '
-            f'fill="none" stroke="#444"/>'
-        )
+        # Image rows run top to bottom: the last y value first, x along each row.
+        rgb = _heat_rgb(fraction).reshape(nx, ny, 3).transpose(1, 0, 2)[::-1]
+        png = base64.b64encode(_png(rgb)).decode("ascii")
+        box = f'x="{left}" y="{top}" width="{panel_w}" height="{panel_h}"'
+        parts.append(f'<image {box} preserveAspectRatio="none" image-rendering="pixelated" '
+                     f'xlink:href="data:image/png;base64,{png}"/>')
+        parts.append(f'<rect {box} fill="none" stroke="#444"/>')
         parts.append(
             f'<text x="{left + panel_w / 2:.1f}" y="{top + panel_h + 20}" '
             f'text-anchor="middle">{label}</text>'
         )
         parts.append(
             f'<text x="{left + panel_w / 2:.1f}" y="{top + panel_h + 40}" '
-            f'text-anchor="middle">{x_label}: {_fmt(min(x_values))} to {_fmt(max(x_values))}, '
-            f'{y_label}: {_fmt(min(y_values))} to {_fmt(max(y_values))}</text>'
+            f'text-anchor="middle">{x_label}: {_fmt(min(x_values))} to {_fmt(max(x_values))} '
+            f'(horizontal), {y_label}: {_fmt(min(y_values))} to {_fmt(max(y_values))} '
+            f'(vertical)</text>'
         )
     parts.append(
         f'<text x="{_MARGIN_L}" y="{height - 14}">scale: {_fmt(lo)} (blue) to {_fmt(hi)} (red)</text>'

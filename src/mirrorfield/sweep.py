@@ -17,6 +17,8 @@ from .errors import ConfigError, MirrorFieldError, QuadratureBudgetExceeded
 from .interface import (
     MirrorInterface,
     SideCoefficients,
+    check_count,
+    check_finite,
     mirror_parameter,
     normalisation_constants,
     validate_interface,
@@ -120,17 +122,15 @@ class SweepConfig:
                 f"unknown preset {self.preset!r}; "
                 f"available: {', '.join(sorted(PRESETS))}"
             )
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        for name, least in (("seed", 0), ("grid_count", 2), ("u_count", 2), ("cases", 1)):
+            check_count(name, getattr(self, name), least, ConfigError)
         # Widest tables: 2 + len(phi3_values) map columns; u plus the
         # 8 curves of the largest preset; the 9 oracle-check columns.
-        for name, least, values in (
-            ("grid_count", 2, self.grid_count**2 * (2 + len(self.phi3_values))),
-            ("u_count", 2, self.u_count * 9),
-            ("cases", 1, self.cases * 9),
+        for name, values in (
+            ("grid_count", self.grid_count**2 * (2 + len(self.phi3_values))),
+            ("u_count", self.u_count * 9),
+            ("cases", self.cases * 9),
         ):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}")
             if values > MAX_TABLE_VALUES:
                 raise ConfigError(f"{name}={getattr(self, name)} gives a table of "
                                   f"{values} values; the limit is {MAX_TABLE_VALUES}")
@@ -545,9 +545,14 @@ class OracleCase:
     dipole: DipoleOrientation
     u: float
 
+    def __post_init__(self) -> None:
+        check_finite(self, "index", "u")
+
 
 def seeded_oracle_cases(seed: int, count: int) -> list[OracleCase]:
     """Deterministic case list shared by the CLI sweep and the test suite."""
+    check_count("seed", seed, 0)
+    check_count("count", count, 0)
     rng = np.random.default_rng(seed)
     cases = []
     for index in range(count):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -83,14 +84,17 @@ class TestMain:
     def test_heat_map_svg(self, tmp_path):
         out = tmp_path / "map.csv"
         assert main(["xi-map", "--grid-count", "4", "--out", str(out), "--svg"]) == 0
-        svg = (tmp_path / "map.svg").read_text()
-        assert svg.startswith("<svg") and "rect" in svg
+        root = ET.parse(tmp_path / "map.svg").getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        # One embedded image per phi3 value.
+        assert len(root.findall("{http://www.w3.org/2000/svg}image")) == 2
 
     def test_heat_map_axes_span_the_grid(self, tmp_path):
         out = tmp_path / "map.csv"
         args = ["eta-map", "--grid-count", "3", "--r-a-max", "0.5", "--out", str(out), "--svg"]
         assert main(args) == 0
-        assert "r_b: 0 to 0.8944, r_a: 0 to 0.5</text>" in (tmp_path / "map.svg").read_text()
+        caption = "r_a: 0 to 0.5 (horizontal), r_b: 0 to 0.8944 (vertical)</text>"
+        assert caption in (tmp_path / "map.svg").read_text()
 
     def test_svg_requires_out(self, capsys):
         assert main(["eta-map", "--svg"]) == 1

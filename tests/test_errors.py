@@ -1,0 +1,314 @@
+"""The typed-error contract: every public function and constructor meets any
+float argument, inf, nan and -0.0 included, with a finite result or a
+:class:`MirrorFieldError`."""
+
+import dataclasses
+import inspect
+import math
+import os
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import mirrorfield
+from mirrorfield import (
+    CODATA2018,
+    NATURAL_UNITS,
+    AtomParams,
+    DecayRateCurve,
+    DipoleOrientation,
+    DomainError,
+    Medium,
+    MirrorFieldError,
+    MirrorInterface,
+    MirrorSideSummary,
+    NormalisationPair,
+    OracleCase,
+    OracleReport,
+    PhysicalConstants,
+    PolarisationBasis,
+    QuadratureSpec,
+    ResultTable,
+    SideCoefficients,
+    SideRateTerms,
+    SweepConfig,
+    WaveDirection,
+    coupling_amplitude,
+    decay_rate_1d_oracle,
+    decay_rate_2d_oracle,
+    format_csv,
+    free_mode_amplitude,
+    gamma_air,
+    gamma_med,
+    lossless_interface,
+    medium_mode_amplitude,
+    mirror_field_amplitude,
+    mirror_parameter,
+    normalisation_constants,
+    oracle_compare,
+    oscillatory_bracket,
+    panel_count,
+    parse_csv,
+    polarisation_basis,
+    polarisation_vector,
+    refractive_index,
+    relative_decay_rate,
+    replay_provenance,
+    sample_decay_curve,
+    seeded_oracle_cases,
+    side_rate_terms,
+    unnormalised_decay_rate,
+    validate_interface,
+    write_csv,
+)
+from mirrorfield.sweep import COMMANDS, SUBCOMMAND_KEYS
+
+COATING = (0.5, 0.6, None, 0.4, 0.7, None, 0.3, 0.2, 0.4, 0.1)
+IFACE = validate_interface(*COATING)
+DIPOLE = DipoleOrientation.from_components(0.3, 0.5j, 0.8)
+DIRECTION = (0.7, 1.1, 2.0)
+POSITION = (0.3, -0.2, 0.5)
+MEDIUM = (2.25, 1.0)
+ATOM = (2.0, 0.5)
+SPEC = dict(panels_per_oscillation=4, points_per_panel=16, min_panels=8, rel_tolerance=1e-9)
+
+#: A working setting for every key, small enough to run in milliseconds.
+SWEEP = {
+    "eta-map": dict(grid_count=3),
+    "xi-map": dict(grid_count=3),
+    "decay-curve": dict(r_a=0.5, t_a=0.6, r_b=0.4, t_b=0.7, u_count=5),
+    "oracle-check": dict(cases=1),
+}
+
+
+def slots(call, *defaults):
+    """One call per argument position: ``x`` there, ``defaults`` elsewhere."""
+    return [
+        lambda x, i=i: call(*defaults[:i], x, *defaults[i + 1:])
+        for i in range(len(defaults))
+    ]
+
+
+def oracle_u(call):
+    """``call`` for every ``x`` but finite ones above 10, which it skips."""
+    return lambda x: None if math.isfinite(x) and x > 10.0 else call(x)
+
+
+def coating_slots(use):
+    return slots(lambda *values: use(validate_interface(*values)), *COATING)
+
+
+def sweep_slots():
+    calls = []
+    for subcommand, keys in SUBCOMMAND_KEYS.items():
+        for key in keys:
+            if key in ("preset", "side"):
+                continue
+
+            def run(x, subcommand=subcommand, key=key):
+                value = (x,) if key == "phi3_values" else x
+                config = SweepConfig(subcommand, **{**SWEEP[subcommand], key: value})
+                return COMMANDS[subcommand](config)
+
+            calls.append(run)
+    return calls
+
+
+#: Public name -> calls of one float each.
+CALLS = {
+    "AtomParams": slots(AtomParams, *ATOM),
+    "DecayRateCurve": slots(
+        lambda alignment, u0, u1, ratio: DecayRateCurve("a", alignment, [u0, u1], [ratio, 1.0]),
+        0.5, 1.0, 2.0, 1.0,
+    ),
+    "DipoleOrientation": (
+        slots(DipoleOrientation, 0.6, 0.8, 0.0)
+        + slots(DipoleOrientation.from_components, 0.3, 0.5j, 0.8)
+        + [DipoleOrientation.aligned]
+    ),
+    "Medium": slots(Medium, *MEDIUM),
+    "MirrorInterface": slots(
+        lambda *phases: MirrorInterface(IFACE.side_a, IFACE.side_b, *phases), 0.3, 0.2, 0.4, 0.1
+    ),
+    "MirrorSideSummary": slots(MirrorSideSummary, 2.0, 0.5),
+    "NormalisationPair": slots(NormalisationPair, 2.0, 1.5),
+    "OracleCase": slots(lambda index, u: OracleCase(index, IFACE, "a", DIPOLE, u), 0, 1.0),
+    "OracleReport": slots(
+        lambda u, alignment, *values: OracleReport(u, alignment, "a", *values),
+        1.0, 0.5, 1.1, 1.1, 1.1, 0.0,
+    ),
+    "PhysicalConstants": slots(PhysicalConstants, 1.0, 1.0, 1.0, 1.0, 1.0),
+    "PolarisationBasis": slots(
+        lambda *e: PolarisationBasis(np.array(e[:3]), np.array(e[3:])),
+        0.0, 1.0, 0.0, 1.0, 0.0, 0.0,
+    ),
+    # Each spec is used, so a field the oracle cannot use shows too.
+    "QuadratureSpec": slots(
+        lambda *values: decay_rate_1d_oracle(IFACE, "a", 0.5, 1.0, QuadratureSpec(*values)),
+        *SPEC.values(),
+    ),
+    "ResultTable": slots(lambda a, b: ResultTable(["a", "b"], [[a, b]], "p"), 1.0, 2.0),
+    "SideCoefficients": (
+        slots(SideCoefficients, 0.6, 0.8, 0.0)
+        + slots(SideCoefficients.with_implied_loss, 0.6, 0.7)
+    ),
+    "SideRateTerms": slots(SideRateTerms, 0.5, 0.1, 0.5, 0.2, 2.0, 2.0),
+    # A config is checked when its command runs.
+    "SweepConfig": sweep_slots(),
+    "WaveDirection": slots(WaveDirection, *DIRECTION),
+    "coupling_amplitude": slots(
+        lambda polarisation, u: coupling_amplitude(IFACE, "a", WaveDirection(*DIRECTION),
+                                                   polarisation, DIPOLE, u, "b"),
+        1, 2.0,
+    ),
+    "decay_rate_1d_oracle": [
+        lambda x: decay_rate_1d_oracle(IFACE, "b", x, 1.0),
+        oracle_u(lambda x: decay_rate_1d_oracle(IFACE, "b", 0.5, x)),
+    ],
+    "decay_rate_2d_oracle": [
+        oracle_u(lambda x: decay_rate_2d_oracle(IFACE, "a", DIPOLE, x)),
+        lambda x: decay_rate_2d_oracle(
+            IFACE, "a", DipoleOrientation.from_components(x, 0.5j, 0.8), 1.0
+        ),
+    ],
+    "format_csv": [lambda x: format_csv(ResultTable(["a"], [[x]], "p"))],
+    "free_mode_amplitude": (
+        slots(lambda pol, *position: free_mode_amplitude(
+            WaveDirection(*DIRECTION), pol, position, NATURAL_UNITS), 1, *POSITION)
+        + slots(lambda *direction: free_mode_amplitude(
+            WaveDirection(*direction), 2, POSITION, CODATA2018), *DIRECTION)
+    ),
+    "gamma_air": (
+        slots(lambda *atom: gamma_air(AtomParams(*atom), NATURAL_UNITS), *ATOM)
+        + slots(lambda *atom: gamma_air(AtomParams(*atom), CODATA2018), 1e15, 1e-29)
+    ),
+    "gamma_med": (
+        slots(lambda *atom: gamma_med(AtomParams(*atom), NATURAL_UNITS, Medium(*MEDIUM)), *ATOM)
+        + slots(lambda *medium: gamma_med(AtomParams(*ATOM), NATURAL_UNITS, Medium(*medium)),
+                *MEDIUM)
+    ),
+    "lossless_interface": slots(lossless_interface, 0.5, 0.1, 0.2, 0.3, 0.4),
+    "medium_mode_amplitude": (
+        slots(lambda *position: medium_mode_amplitude(
+            WaveDirection(*DIRECTION), 1, position, NATURAL_UNITS, Medium(*MEDIUM)), *POSITION)
+        + slots(lambda *medium: medium_mode_amplitude(
+            WaveDirection(*DIRECTION), 2, POSITION, NATURAL_UNITS, Medium(*medium)), *MEDIUM)
+    ),
+    "mirror_field_amplitude": (
+        slots(lambda *position: mirror_field_amplitude(
+            IFACE, "a", WaveDirection(*DIRECTION), 1, position, NATURAL_UNITS, Medium(*MEDIUM)),
+            *POSITION)
+        + slots(lambda *position: mirror_field_amplitude(
+            IFACE, "b", WaveDirection(*DIRECTION), 2, position, NATURAL_UNITS, Medium(*MEDIUM)),
+            -0.3, 0.2, 0.5)
+        + slots(lambda *medium: mirror_field_amplitude(
+            IFACE, "b", WaveDirection(*DIRECTION), 1, (-0.3, 0.2, 0.5), NATURAL_UNITS,
+            Medium(*medium)), *MEDIUM)
+    ),
+    "mirror_parameter": coating_slots(lambda iface: mirror_parameter(iface, "b")),
+    "normalisation_constants": coating_slots(normalisation_constants),
+    "oracle_compare": [oracle_u(lambda x: oracle_compare(IFACE, "b", DIPOLE, x))],
+    "oscillatory_bracket": slots(oscillatory_bracket, 2.0, 0.5),
+    "panel_count": [lambda x: panel_count(x, QuadratureSpec())],
+    "parse_csv": [lambda x: parse_csv(f"# provenance: p\na,b\n1.0,{x!r}\n")],
+    "polarisation_basis": slots(
+        lambda *direction: polarisation_basis(WaveDirection(*direction)), *DIRECTION
+    ),
+    "polarisation_vector": slots(
+        lambda polarisation, *direction: polarisation_vector(
+            WaveDirection(*direction), polarisation),
+        2, *DIRECTION,
+    ),
+    "refractive_index": slots(lambda *medium: refractive_index(Medium(*medium)), *MEDIUM),
+    "relative_decay_rate": (
+        slots(lambda alignment, u: relative_decay_rate(IFACE, "a", alignment, u), 0.5, 2.0)
+        + coating_slots(lambda iface: relative_decay_rate(iface, "b", 0.5, 2.0))
+    ),
+    "replay_provenance": [
+        lambda x: replay_provenance(f"eta-map grid_count=3 l_sq={x!r}"),
+        lambda x: replay_provenance(f"xi-map grid_count=3 phi3_values=0,{x!r}"),
+        lambda x: replay_provenance(f"decay-curve preset=fig4 u_count=5 u_max={x!r}"),
+        lambda x: replay_provenance(f"oracle-check cases=1 rel_tolerance={x!r}"),
+    ],
+    "sample_decay_curve": slots(
+        lambda alignment, *u: sample_decay_curve(IFACE, "a", alignment, u), 0.5, 1.0, 2.0
+    ),
+    "seeded_oracle_cases": slots(seeded_oracle_cases, 1, 2),
+    "side_rate_terms": coating_slots(lambda iface: side_rate_terms(iface, "a")),
+    "unnormalised_decay_rate": slots(
+        lambda alignment, u: unnormalised_decay_rate(IFACE, "b", alignment, u), 0.5, 2.0
+    ),
+    "validate_interface": slots(validate_interface, *COATING),
+    "write_csv": [lambda x: write_csv(ResultTable(["a"], [[x]], "p"), os.devnull)],
+}
+
+
+def finite(value) -> bool:
+    """Whether every number in ``value``, a result or record, is finite."""
+    if value is None or isinstance(value, (str, int)):
+        return True
+    if isinstance(value, (float, complex, np.ndarray, np.generic)):
+        return bool(np.isfinite(value).all())
+    if isinstance(value, (list, tuple)):
+        return all(map(finite, value))
+    if dataclasses.is_dataclass(value):
+        return all(finite(getattr(value, item.name)) for item in dataclasses.fields(value))
+    raise AssertionError(f"no finiteness rule for {type(value).__name__}")
+
+
+def test_every_public_callable_is_covered():
+    public = {
+        name for name in mirrorfield.__all__
+        if callable(getattr(mirrorfield, name))
+        and not (inspect.isclass(getattr(mirrorfield, name))
+                 and issubclass(getattr(mirrorfield, name), MirrorFieldError))
+    }
+    assert public == set(CALLS)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.floats())
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(-0.0)
+@example(0.0)
+@example(1e308)
+@example(-1e308)
+def test_finite_value_or_typed_error(x):
+    for name, calls in CALLS.items():
+        for slot, call in enumerate(calls):
+            try:
+                result = call(x)
+            except MirrorFieldError:
+                continue
+            except Exception as error:
+                pytest.fail(f"{name}, call {slot}, x={x!r}: {error!r}")
+            assert finite(result), f"{name}, call {slot}, x={x!r}: {result!r}"
+
+
+class TestCounts:
+    @pytest.mark.parametrize("field", ["panels_per_oscillation", "points_per_panel", "min_panels"])
+    @pytest.mark.parametrize("value", [16.0, 1.5, math.nan, True])
+    def test_quadrature_counts_must_be_integers(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            QuadratureSpec(**{field: value})
+
+    @pytest.mark.parametrize("seed,count", [(-1, 2), (1, -1), (1.0, 2), (1, 2.0), (True, 2)])
+    def test_seeded_cases_need_non_negative_integers(self, seed, count):
+        with pytest.raises(DomainError):
+            seeded_oracle_cases(seed, count)
+
+    def test_numpy_integers_are_counts(self):
+        spec = QuadratureSpec(points_per_panel=np.int64(8))
+        assert panel_count(1.0, spec) == 8
+        assert len(seeded_oracle_cases(np.int64(1), np.int64(2))) == 2
+
+
+def test_mode_amplitude_outside_the_float_range():
+    # hbar * omega overflows although each argument alone is valid.
+    constants = PhysicalConstants(1e300, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(MirrorFieldError):
+        free_mode_amplitude(WaveDirection(0.7, 1.1, 1e308), 1, POSITION, constants)

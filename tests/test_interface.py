@@ -17,7 +17,6 @@ from mirrorfield import (
     lossless_interface,
     mirror_parameter,
     normalisation_constants,
-    normalisation_from_rates,
     refractive_index,
     side_rate_terms,
     validate_interface,
@@ -144,7 +143,8 @@ class TestNormalisation:
     def test_transparent_limit_approached_from_below(self):
         # r = 0: eta^2 = 1 + t^2, decreasing towards the black-sheet value
         values = [
-            normalisation_from_rates(0.0, t, 0.0, t)[0] for t in (0.5, 0.25, 0.1, 0.0)
+            normalisation_constants(validate_interface(0.0, t, None, 0.0, t, None)).eta_a_sq
+            for t in (0.5, 0.25, 0.1, 0.0)
         ]
         assert values == sorted(values, reverse=True)
         assert values[-1] == 1.0

@@ -1,13 +1,21 @@
 """The array-built SVG plots against the per-cell and per-point formulas."""
 
+import base64
 import math
 import re
+import struct
+import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 import pytest
 
-from mirrorfield import svgplot
+from mirrorfield import parse_csv, svgplot
+from mirrorfield.cli import main
 from mirrorfield.svgplot import heat_panels, line_plot
+
+SVG = "http://www.w3.org/2000/svg"
+XLINK = "http://www.w3.org/1999/xlink"
 
 
 def reference_range(values) -> tuple[float, float]:
@@ -35,26 +43,49 @@ def reference_colour(fraction: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def reference_cells(x_values, y_values, panels):
-    """One ``<rect>`` line per cell, formatted one cell at a time, and the range."""
+def decode_png(data: bytes) -> list[list[str]]:
+    """Pixel colours of an 8-bit RGB PNG whose rows all have filter byte 0,
+    one list per pixel row from the top."""
+    assert data[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, at = {}, 8
+    while at < len(data):
+        (length,) = struct.unpack(">I", data[at : at + 4])
+        body = data[at + 4 : at + 8 + length]
+        assert struct.unpack(">I", data[at + 8 + length : at + 12 + length])[0] == zlib.crc32(body)
+        chunks[body[:4]] = chunks.get(body[:4], b"") + body[4:]
+        at += 12 + length
+    width, height, depth, colour_type, *_ = struct.unpack(">IIBBBBB", chunks[b"IHDR"])
+    assert (depth, colour_type) == (8, 2)
+    raw = zlib.decompress(chunks[b"IDAT"])
+    stride = 1 + 3 * width
+    assert len(raw) == height * stride
+    rows = [raw[row * stride : (row + 1) * stride] for row in range(height)]
+    assert all(line[0] == 0 for line in rows)
+    return [["#%02x%02x%02x" % tuple(line[1 + 3 * c : 4 + 3 * c]) for c in range(width)]
+            for line in rows]
+
+
+def panel_images(svg: str) -> list[ET.Element]:
+    return ET.fromstring(svg).findall(f"{{{SVG}}}image")
+
+
+def image_pixels(image: ET.Element) -> list[list[str]]:
+    uri = image.get(f"{{{XLINK}}}href")
+    assert uri.startswith("data:image/png;base64,")
+    return decode_png(base64.b64decode(uri[len("data:image/png;base64,"):], validate=True))
+
+
+def reference_pixels(x_values, y_values, panels):
+    """Each panel's pixel colours, one cell at a time: x_values left to right,
+    y_values bottom to top; and the colour range."""
     lo, hi = reference_range([v for _, matrix in panels for row in matrix for v in row])
-    nx, ny = len(x_values), len(y_values)
-    cell_w = 300 / nx
-    cell_h = 300 / ny
-    lines = []
-    for index, (_, matrix) in enumerate(panels):
-        left = svgplot._MARGIN_L + index * (300 + 60)
-        for i in range(nx):
-            for j in range(ny):
-                value = matrix[i][j]
-                frac = 0.0 if hi == lo else (value - lo) / (hi - lo)
-                px = left + i * cell_w
-                py = 45 + 300 - (j + 1) * cell_h
-                lines.append(
-                    f'<rect x="{px:.2f}" y="{py:.2f}" width="{cell_w + 0.5:.2f}" '
-                    f'height="{cell_h + 0.5:.2f}" fill="{reference_colour(frac)}"/>'
-                )
-    return lines, lo, hi
+
+    def colour(value):
+        return reference_colour(0.0 if hi == lo else (value - lo) / (hi - lo))
+
+    images = [[[colour(matrix[i][j]) for i in range(len(x_values))]
+               for j in reversed(range(len(y_values)))] for _, matrix in panels]
+    return images, lo, hi
 
 
 def reference_points(x, series) -> list[str]:
@@ -100,12 +131,18 @@ class TestHeatPanels:
     def test_cells_equal_per_cell_formula(self, case):
         x_values, y_values, panels = HEAT_CASES[case]
         svg = heat_panels(x_values, y_values, panels, "t", "x", "y")
-        lines = svg.splitlines()
-        expected, lo, hi = reference_cells(x_values, y_values, panels)
-        # Title block, the cells, three lines per panel, the scale and </svg>.
-        assert len(lines) == 3 + len(expected) + 3 * len(panels) + 2
-        assert [line for line in lines if 'fill="#' in line] == expected
-        assert lines[-2].endswith(
+        expected, lo, hi = reference_pixels(x_values, y_values, panels)
+        images = panel_images(svg)
+        assert len(images) == len(panels)
+        for index, image in enumerate(images):
+            assert image_pixels(image) == expected[index]
+            assert (image.get("x"), image.get("y")) == (str(svgplot._MARGIN_L + index * 360), "45")
+            assert (image.get("width"), image.get("height")) == ("300", "300")
+            assert image.get("preserveAspectRatio") == "none"
+            assert image.get("image-rendering") == "pixelated"
+        # The background and one frame per panel; no cell is a rect.
+        assert len(ET.fromstring(svg).findall(f"{{{SVG}}}rect")) == 1 + len(panels)
+        assert svg.splitlines()[-2].endswith(
             f"scale: {svgplot._fmt(lo)} (blue) to {svgplot._fmt(hi)} (red)</text>"
         )
 
@@ -120,6 +157,32 @@ class TestHeatPanels:
         )
         got = ["#%02x%02x%02x" % tuple(rgb) for rgb in svgplot._heat_rgb(fractions).tolist()]
         assert got == [reference_colour(f) for f in fractions.tolist()]
+
+
+class TestMapOrientation:
+    def test_pixels_sit_where_the_caption_puts_them(self, tmp_path):
+        # Unequal r_a and r_b ranges; eta_b_sq peaks at r_a = 0, r_b = 0.8.
+        out = tmp_path / "e.csv"
+        assert main(["eta-map", "--grid-count", "3", "--r-a-max", "0.3", "--r-b-max", "0.8",
+                     "--l-sq", "0.1", "--out", str(out), "--svg"]) == 0
+        table = parse_csv(out.read_text())
+        svg = (tmp_path / "e.svg").read_text()
+        captions = re.findall(r"(\w+): (\S+) to (\S+) \(horizontal\), (\w+): (\S+) to (\S+) \(vertical\)",
+                              svg)
+        assert captions == [("r_a", "0", "0.3", "r_b", "0", "0.8")] * 2
+        across, up = table.column("r_a"), table.column("r_b")
+        values = table.column("eta_b_sq")
+        pixels = image_pixels(panel_images(svg)[1])
+        peak = int(np.argmax(values))
+        assert (across[peak], up[peak]) == (0.0, 0.8)
+        # Left column, top row; the peak is the hottest value of both panels.
+        assert pixels[0][0] == reference_colour(1.0)
+        lo, hi = reference_range(table.rows[:, 2:].ravel().tolist())
+        assert hi == values[peak]
+        for a, b, value in zip(across, up, values):
+            column = int(np.searchsorted(np.unique(across), a))
+            row = len(pixels) - 1 - int(np.searchsorted(np.unique(up), b))
+            assert pixels[row][column] == reference_colour((value - lo) / (hi - lo))
 
 
 class TestLinePlot:
