@@ -5,134 +5,61 @@ interface between air and a denser dielectric.  The coating reflects,
 transmits and absorbs with independent amplitudes on each side, and the
 emitter's decay rate relative to its homogeneous-space value follows in
 closed form from those amplitudes.
+
+Importing the package loads nothing else: each submodule, and numpy with
+it, is imported the first time one of its names is used (PEP 562).
 """
 
-from .errors import (
-    ConfigError,
-    DegenerateTransparency,
-    DomainError,
-    EnergyViolation,
-    MirrorFieldError,
-    QuadratureBudgetExceeded,
-    RangeError,
-)
-from .interface import (
-    AIR,
-    Medium,
-    MirrorInterface,
-    MirrorSideSummary,
-    NormalisationPair,
-    SideCoefficients,
-    SideRateTerms,
-    lossless_interface,
-    mirror_parameter,
-    normalisation_constants,
-    refractive_index,
-    side_rate_terms,
-    validate_interface,
-)
-from .modes import (
-    PolarisationBasis,
-    WaveDirection,
-    coupling_amplitude,
-    free_mode_amplitude,
-    medium_mode_amplitude,
-    mirror_field_amplitude,
-    polarisation_basis,
-    polarisation_vector,
-)
-from .oracle import (
-    DEFAULT_QUADRATURE,
-    OracleReport,
-    QuadratureSpec,
-    decay_rate_1d_oracle,
-    decay_rate_2d_oracle,
-    oracle_compare,
-    panel_count,
-)
-from .rates import (
-    CODATA2018,
-    NATURAL_UNITS,
-    AtomParams,
-    DecayRateCurve,
-    DipoleOrientation,
-    PhysicalConstants,
-    gamma_air,
-    gamma_med,
-    oscillatory_bracket,
-    relative_decay_rate,
-    sample_decay_curve,
-    unnormalised_decay_rate,
-)
-from .sweep import (
-    ORACLE_U_VALUES,
-    OracleCase,
-    ResultTable,
-    SweepConfig,
-    format_csv,
-    parse_csv,
-    replay_provenance,
-    seeded_oracle_cases,
-    write_csv,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AIR",
-    "AtomParams",
-    "CODATA2018",
-    "ConfigError",
-    "DEFAULT_QUADRATURE",
-    "DecayRateCurve",
-    "DegenerateTransparency",
-    "DipoleOrientation",
-    "DomainError",
-    "EnergyViolation",
-    "Medium",
-    "MirrorFieldError",
-    "MirrorInterface",
-    "MirrorSideSummary",
-    "NATURAL_UNITS",
-    "NormalisationPair",
-    "ORACLE_U_VALUES",
-    "OracleCase",
-    "OracleReport",
-    "PhysicalConstants",
-    "PolarisationBasis",
-    "QuadratureBudgetExceeded",
-    "QuadratureSpec",
-    "RangeError",
-    "ResultTable",
-    "SideCoefficients",
-    "SideRateTerms",
-    "SweepConfig",
-    "WaveDirection",
-    "coupling_amplitude",
-    "decay_rate_1d_oracle",
-    "decay_rate_2d_oracle",
-    "format_csv",
-    "free_mode_amplitude",
-    "gamma_air",
-    "gamma_med",
-    "lossless_interface",
-    "medium_mode_amplitude",
-    "mirror_field_amplitude",
-    "mirror_parameter",
-    "normalisation_constants",
-    "oracle_compare",
-    "oscillatory_bracket",
-    "panel_count",
-    "parse_csv",
-    "polarisation_basis",
-    "polarisation_vector",
-    "refractive_index",
-    "relative_decay_rate",
-    "replay_provenance",
-    "sample_decay_curve",
-    "seeded_oracle_cases",
-    "side_rate_terms",
-    "unnormalised_decay_rate",
-    "validate_interface",
-    "write_csv",
-]
+#: Submodule -> the public names it defines.
+_PUBLIC = {
+    "errors": (
+        "ConfigError", "DegenerateTransparency", "DomainError", "EnergyViolation",
+        "MirrorFieldError", "QuadratureBudgetExceeded", "RangeError",
+    ),
+    "interface": (
+        "AIR", "Medium", "MirrorInterface", "MirrorSideSummary", "NormalisationPair",
+        "QuadratureSpec", "SideCoefficients", "SideRateTerms", "lossless_interface",
+        "mirror_parameter", "normalisation_constants", "refractive_index",
+        "side_rate_terms", "validate_interface",
+    ),
+    "modes": (
+        "PolarisationBasis", "WaveDirection", "coupling_amplitude", "free_mode_amplitude",
+        "medium_mode_amplitude", "mirror_field_amplitude", "polarisation_basis",
+        "polarisation_vector",
+    ),
+    "oracle": (
+        "DEFAULT_QUADRATURE", "OracleReport", "decay_rate_1d_oracle",
+        "decay_rate_2d_oracle", "oracle_compare", "panel_count",
+    ),
+    "rates": (
+        "CODATA2018", "NATURAL_UNITS", "AtomParams", "DecayRateCurve", "DipoleOrientation",
+        "PhysicalConstants", "gamma_air", "gamma_med", "oscillatory_bracket",
+        "relative_decay_rate", "sample_decay_curve", "unnormalised_decay_rate",
+    ),
+    "sweep": (
+        "ORACLE_U_VALUES", "OracleCase", "ResultTable", "SweepConfig", "format_csv",
+        "parse_csv", "replay_provenance", "seeded_oracle_cases", "write_csv",
+    ),
+}
+
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:  # a submodule not imported yet
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

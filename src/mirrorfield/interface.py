@@ -41,6 +41,11 @@ DEGENERACY_TOL = 1e-9
 
 _SIDES = ("a", "b")
 
+#: Largest Gauss-Legendre order per panel a :class:`QuadratureSpec` may ask
+#: for; the oracles' rule costs a dense eigenproblem of twice this order at
+#: the fine level.
+MAX_POINTS_PER_PANEL = 512
+
 
 def reduce_phase(phase: float) -> float:
     """Map a finite phase onto [0, 2*pi)."""
@@ -224,6 +229,28 @@ class SideRateTerms:
 
     def __post_init__(self) -> None:
         check_finite(self)
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Panel layout and acceptance tolerance of the oracle quadrature.
+
+    Kept beside the other validated records rather than in the oracle
+    module, so that a sweep checks its settings without loading the oracles.
+    """
+
+    panels_per_oscillation: int = 4
+    points_per_panel: int = 16
+    min_panels: int = 8
+    rel_tolerance: float = 1e-9
+
+    def __post_init__(self) -> None:
+        for name, least in (("panels_per_oscillation", 1), ("points_per_panel", 2), ("min_panels", 1)):
+            check_count(name, getattr(self, name), least)
+        if self.points_per_panel > MAX_POINTS_PER_PANEL:
+            raise DomainError(f"points_per_panel must be <= {MAX_POINTS_PER_PANEL}")
+        if not (0.0 < self.rel_tolerance < math.inf):
+            raise DomainError("rel_tolerance must be finite and > 0")
 
 
 def validate_interface(

@@ -39,17 +39,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureBudgetExceeded
-from .interface import MirrorInterface, SideRateTerms, check_count, check_finite, side_rate_terms
+from .interface import (
+    MAX_POINTS_PER_PANEL,
+    MirrorInterface,
+    QuadratureSpec,
+    SideRateTerms,
+    _check_side,
+    check_finite,
+    side_rate_terms,
+)
 from .rates import DipoleOrientation, check_u, relative_decay_rate
 
 #: Fixed Gauss-Legendre order of the azimuthal rule.  The integrand is a
 #: trigonometric polynomial of degree two in the azimuth, for which this
 #: order is converged far below the tolerances used anywhere here.
 PHI_ORDER = 32
-
-#: Largest Gauss-Legendre order per panel a spec may ask for; the rule
-#: costs a dense eigenproblem of twice this order at the fine level.
-MAX_POINTS_PER_PANEL = 512
 
 #: Largest fine-level node count either oracle builds: panels times
 #: ``2 * points_per_panel``, times ``PHI_ORDER`` for the 2D oracle.
@@ -69,24 +73,6 @@ _PAIRWISE_BLOCK = 128
 MAX_WORKERS = 4
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Panel layout and acceptance tolerance of the oracle quadrature."""
-
-    panels_per_oscillation: int = 4
-    points_per_panel: int = 16
-    min_panels: int = 8
-    rel_tolerance: float = 1e-9
-
-    def __post_init__(self) -> None:
-        for name, least in (("panels_per_oscillation", 1), ("points_per_panel", 2), ("min_panels", 1)):
-            check_count(name, getattr(self, name), least)
-        if self.points_per_panel > MAX_POINTS_PER_PANEL:
-            raise DomainError(f"points_per_panel must be <= {MAX_POINTS_PER_PANEL}")
-        if not (0.0 < self.rel_tolerance < math.inf):
-            raise DomainError("rel_tolerance must be finite and > 0")
-
-
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
@@ -103,6 +89,7 @@ class OracleReport:
     max_rel_error: float
 
     def __post_init__(self) -> None:
+        _check_side(self.side)
         check_finite(self, "u", "alignment", "closed_form", "oracle_2d", "oracle_1d", "max_rel_error")
 
 

@@ -20,6 +20,7 @@ from .errors import DomainError, RangeError
 from .interface import (
     Medium,
     MirrorInterface,
+    _check_side,
     as_value,
     check_cells,
     mirror_parameter,
@@ -158,6 +159,7 @@ class DecayRateCurve:
     ratio: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_side(self.side)
         u, ratio = np.asarray(self.u, dtype=float), np.asarray(self.ratio, dtype=float)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "ratio", ratio)

@@ -170,6 +170,8 @@ def heat_panels(x_values, y_values, panels, title: str = "",
     nx, ny = len(x_values), len(y_values)
     matrices = [np.asarray(matrix, dtype=float).reshape(nx, ny) for _, matrix in panels]
     lo, hi = _finite_range(*matrices)
+    # Halved, so that hi - lo cannot overflow; halving is exact for normal floats.
+    half_lo, half_span = 0.5 * lo, 0.5 * hi - 0.5 * lo
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" xmlns:xlink="http://www.w3.org/1999/xlink" '
@@ -181,7 +183,7 @@ def heat_panels(x_values, y_values, panels, title: str = "",
     top = 45
     for index, ((label, _), matrix) in enumerate(zip(panels, matrices)):
         left = _MARGIN_L + index * (panel_w + gap)
-        fraction = np.zeros(nx * ny) if hi == lo else (matrix.ravel() - lo) / (hi - lo)
+        fraction = np.zeros(nx * ny) if hi == lo else (0.5 * matrix.ravel() - half_lo) / half_span
         # Image rows run top to bottom: the last y value first, x along each row.
         rgb = _heat_rgb(fraction).reshape(nx, ny, 3).transpose(1, 0, 2)[::-1]
         png = base64.b64encode(_png(rgb)).decode("ascii")

@@ -10,21 +10,27 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, MirrorFieldError, QuadratureBudgetExceeded
 from .interface import (
     MirrorInterface,
+    QuadratureSpec,
     SideCoefficients,
+    _check_side,
     check_count,
     check_finite,
     mirror_parameter,
     normalisation_constants,
     validate_interface,
 )
-from .oracle import QuadratureSpec, oracle_compare
-from .rates import DipoleOrientation, sample_decay_curve
+
+# rates and oracle are imported inside the commands that run them, so a map
+# command never loads them; this import serves annotations only.
+if TYPE_CHECKING:
+    from .rates import DipoleOrientation
 
 #: Distances exercised by the oracle sweep, cycled per case.
 ORACLE_U_VALUES = (0.1, 1.0, 5.0, 20.0, 100.0)
@@ -38,6 +44,10 @@ FAILED_VALUE = -1.0
 #: Most values (rows times columns) one table may hold: far above the paper's
 #: figures (401 x 401 maps, 20001-point curves), below exhausting memory.
 MAX_TABLE_VALUES = 5_000_000
+
+#: Rows ``format_csv`` formats at once when few values repeat, so that only
+#: one block's value texts are alive at a time.
+CSV_BLOCK_ROWS = 1024
 
 _INTERFACE_FIELDS = (
     "r_a", "t_a", "l_a", "r_b", "t_b", "l_b",
@@ -287,19 +297,30 @@ class ResultTable:
 def format_csv(table: ResultTable) -> str:
     """Serialise with a provenance header, repr floats and LF endings.
 
-    Each value is written as ``repr(float(value))``.  ``repr`` runs once per
-    distinct bit pattern (not per distinct value: ``-0.0 == 0.0`` but their
-    texts differ), and one row template formats the whole body.
+    Each value is written as ``repr(float(value))``.  When at most half the
+    cells hold distinct bit patterns (not distinct values: ``-0.0 == 0.0``
+    but their texts differ), ``repr`` runs once per pattern and one row
+    template formats the whole body; otherwise the template formats
+    :data:`CSV_BLOCK_ROWS` rows at a time, one ``repr`` per cell.
     """
-    bits, inverse = np.unique(table.rows.view(np.int64), return_inverse=True)
-    # float.__repr__ reads each numpy scalar as the Python float it is, with
-    # no list of Python floats alive at once; repr() would give "np.float64(...)".
-    texts = np.array(list(map(float.__repr__, bits.view(np.float64))), dtype=object)
-    # The inverse has the input's shape on some numpy versions, flat on others.
-    cells = tuple(texts[inverse.ravel()])
-    # Only the texts and the cells stay alive while the body is built.
-    del bits, inverse, texts
-    body = (",".join(["%s"] * len(table.columns)) + "\n") * len(table.rows) % cells
+    rows = table.rows
+    row = ",".join(["%s"] * len(table.columns)) + "\n"
+    bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
+    if 2 * len(bits) <= rows.size:
+        # float.__repr__ reads each numpy scalar as the Python float it is, with
+        # no list of Python floats alive at once; repr() would give "np.float64(...)".
+        texts = np.array(list(map(float.__repr__, bits.view(np.float64))), dtype=object)
+        # The inverse has the input's shape on some numpy versions, flat on others.
+        cells = tuple(texts[inverse.ravel()])
+        # Only the texts and the cells stay alive while the body is built.
+        del bits, inverse, texts
+        body = row * len(rows) % cells
+    else:
+        del bits, inverse
+        # One block's list of Python floats is small, and tolist is the fastest way to it.
+        blocks = (rows[start:start + CSV_BLOCK_ROWS] for start in range(0, len(rows), CSV_BLOCK_ROWS))
+        body = "".join([row * len(block) % tuple(map(float.__repr__, block.ravel().tolist()))
+                        for block in blocks])
     trailer = f"# {table.trailer}\n" if table.trailer else ""
     return f"# provenance: {table.provenance}\n{','.join(table.columns)}\n{body}{trailer}"
 
@@ -490,6 +511,8 @@ PRESETS = {
 
 def cmd_decay_curve(config: SweepConfig) -> ResultTable:
     """Decay-rate ratio against ``u`` for a preset family or custom coating."""
+    from .rates import sample_decay_curve
+
     config.validate()
     u_values = np.linspace(config.u_min, config.u_max, config.u_count)
     if config.preset is not None:
@@ -529,6 +552,8 @@ def _random_interface(rng: np.random.Generator) -> MirrorInterface:
 
 
 def _random_dipole(rng: np.random.Generator) -> DipoleOrientation:
+    from .rates import DipoleOrientation
+
     while True:
         parts = rng.normal(size=3) + 1j * rng.normal(size=3)
         if np.linalg.norm(parts) > 1e-6:
@@ -546,6 +571,7 @@ class OracleCase:
     u: float
 
     def __post_init__(self) -> None:
+        _check_side(self.side)
         check_finite(self, "index", "u")
 
 
@@ -570,6 +596,8 @@ def cmd_oracle_check(config: SweepConfig) -> ResultTable:
     Quadrature failures are reported per row with the sentinel value
     :data:`FAILED_VALUE` and ``ok = 0`` rather than aborting the sweep.
     """
+    from .oracle import oracle_compare
+
     config.validate()
     spec = config.quadrature()
     rows = []

@@ -209,7 +209,93 @@ class TestMain:
         assert format_csv(replay_provenance(table.provenance)) == format_csv(table)
 
 
+#: Every public name of the package: ``__all__`` must list exactly these.
+PUBLIC_NAMES = [
+    "AIR", "AtomParams", "CODATA2018", "ConfigError", "DEFAULT_QUADRATURE",
+    "DecayRateCurve", "DegenerateTransparency", "DipoleOrientation", "DomainError",
+    "EnergyViolation", "Medium", "MirrorFieldError", "MirrorInterface",
+    "MirrorSideSummary", "NATURAL_UNITS", "NormalisationPair", "ORACLE_U_VALUES",
+    "OracleCase", "OracleReport", "PhysicalConstants", "PolarisationBasis",
+    "QuadratureBudgetExceeded", "QuadratureSpec", "RangeError", "ResultTable",
+    "SideCoefficients", "SideRateTerms", "SweepConfig", "WaveDirection",
+    "coupling_amplitude", "decay_rate_1d_oracle", "decay_rate_2d_oracle", "format_csv",
+    "free_mode_amplitude", "gamma_air", "gamma_med", "lossless_interface",
+    "medium_mode_amplitude", "mirror_field_amplitude", "mirror_parameter",
+    "normalisation_constants", "oracle_compare", "oscillatory_bracket", "panel_count",
+    "parse_csv", "polarisation_basis", "polarisation_vector", "refractive_index",
+    "relative_decay_rate", "replay_provenance", "sample_decay_curve",
+    "seeded_oracle_cases", "side_rate_terms", "unnormalised_decay_rate",
+    "validate_interface", "write_csv",
+]
+
+
+def run_child(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` with this checkout's package importable."""
+    src = str(Path(mirrorfield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+
+
+def modules_loaded_by_command(*argv: str) -> set[str]:
+    """Names of every module ``python -m mirrorfield.cli *argv`` imports."""
+    result = run_child("-X", "importtime", "-m", "mirrorfield.cli", *argv)
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in result.stderr.splitlines() if line.startswith("import time:")
+    }
+
+
 class TestImports:
+    def test_importing_the_package_loads_nothing_else(self):
+        # A public name or a submodule loads its own module when first used.
+        code = (
+            "import sys, mirrorfield\n"
+            "def loaded():\n"
+            "    print(sorted(name for name in sys.modules\n"
+            "                 if name == 'numpy' or name.startswith('mirrorfield.')))\n"
+            "loaded()\n"
+            "mirrorfield.DomainError\n"
+            "loaded()\n"
+            "mirrorfield.rates.SMALL_U\n"
+            "loaded()\n"
+        )
+        assert run_child("-c", code).stdout.splitlines() == [
+            "[]",
+            "['mirrorfield.errors']",
+            "['mirrorfield.errors', 'mirrorfield.interface', 'mirrorfield.rates', 'numpy']",
+        ]
+
+    def test_a_map_command_loads_neither_rates_nor_the_oracles(self, tmp_path):
+        loaded = modules_loaded_by_command(
+            "eta-map", "--grid-count", "3", "--out", str(tmp_path / "eta.csv"))
+        assert "mirrorfield.sweep" in loaded
+        assert not loaded & {"mirrorfield.rates", "mirrorfield.oracle", "mirrorfield.modes"}
+
+    def test_a_decay_curve_loads_neither_the_oracles_nor_modes(self, tmp_path):
+        loaded = modules_loaded_by_command(
+            "decay-curve", "--preset", "fig6", "--u-count", "5", "--out", str(tmp_path / "c.csv"))
+        assert "mirrorfield.rates" in loaded
+        assert not loaded & {"mirrorfield.oracle", "mirrorfield.modes"}
+
+    def test_every_public_name_resolves_and_is_listed(self):
+        assert sorted(mirrorfield.__all__) == PUBLIC_NAMES
+        listed = dir(mirrorfield)
+        for name in mirrorfield.__all__:
+            assert getattr(mirrorfield, name) is not None
+            assert name in listed
+
+    def test_star_import_binds_every_public_name(self):
+        namespace: dict = {}
+        exec("from mirrorfield import *", namespace)
+        assert set(mirrorfield.__all__) <= set(namespace)
+        assert namespace["oracle_compare"] is mirrorfield.oracle.oracle_compare
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mirrorfield.no_such_name
+
     def test_only_the_oracles_load_their_modules(self):
         # Starting the command line does not load the Gauss-Legendre rule
         # module; the first oracle call does.  Nothing loads a thread pool,
@@ -227,9 +313,4 @@ class TestImports:
             "mirrorfield.decay_rate_2d_oracle(iface, 'a', mirrorfield.DipoleOrientation.aligned(0.3), 300.0)\n"
             "print(sorted(set(names) & set(sys.modules)))\n"
         )
-        src = str(Path(mirrorfield.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
-        )
-        assert result.stdout.splitlines() == ["[]", "['numpy.polynomial']"]
+        assert run_child("-c", code).stdout.splitlines() == ["[]", "['numpy.polynomial']"]

@@ -307,6 +307,22 @@ class TestCounts:
         assert len(seeded_oracle_cases(np.int64(1), np.int64(2))) == 2
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda side: DecayRateCurve(side, 0.5, [1.0, 2.0], [1.0, 1.0]),
+        lambda side: OracleReport(1.0, 0.5, side, 1.0, 1.0, 1.0, 0.0),
+        lambda side: OracleCase(0, IFACE, side, DIPOLE, 1.0),
+    ],
+    ids=["DecayRateCurve", "OracleReport", "OracleCase"],
+)
+def test_record_side_must_be_a_or_b(build):
+    for side in ("a", "b"):
+        assert build(side).side == side
+    with pytest.raises(DomainError, match="side must be 'a' or 'b'"):
+        build("z")
+
+
 def test_mode_amplitude_outside_the_float_range():
     # hbar * omega overflows although each argument alone is valid.
     constants = PhysicalConstants(1e300, 1.0, 1.0, 1.0, 1.0)

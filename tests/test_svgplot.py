@@ -4,6 +4,7 @@ import base64
 import math
 import re
 import struct
+import warnings
 import xml.etree.ElementTree as ET
 import zlib
 
@@ -150,6 +151,13 @@ class TestHeatPanels:
         x_values, y_values, panels = HEAT_CASES["seeded"]
         as_arrays = [(label, np.array(matrix)) for label, matrix in panels]
         assert heat_panels(x_values, y_values, as_arrays) == heat_panels(x_values, y_values, panels)
+
+    def test_a_range_wider_than_the_float_range_spans_cold_to_hot(self):
+        # hi - lo is inf here; the colour scale must not overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            svg = heat_panels([0, 1], [0], [("a", [[-1e308], [1e308]])])
+        assert image_pixels(panel_images(svg)[0]) == [[reference_colour(0.0), reference_colour(1.0)]]
 
     def test_every_fraction_gets_the_reference_colour(self):
         fractions = np.concatenate(

@@ -151,6 +151,24 @@ class TestCsvBytes:
     def test_equals_per_value_repr(self, table):
         assert format_csv(table) == per_value_csv(table)
 
+    @pytest.mark.parametrize(
+        "config,deduplicated",
+        [
+            (make_config(grid_count=33), True),
+            (make_config(subcommand="decay-curve", preset="fig4", u_count=2500), False),
+        ],
+        ids=["map", "curve"],
+    )
+    def test_both_sides_of_the_distinct_value_cut(self, config, deduplicated):
+        # The map repeats most values; the curve, over several row blocks, none.
+        from mirrorfield.sweep import COMMANDS, CSV_BLOCK_ROWS
+
+        table = COMMANDS[config.subcommand](config)
+        distinct = len(np.unique(table.rows.view(np.int64)))
+        assert (2 * distinct <= table.rows.size) is deduplicated
+        assert len(table.rows) > CSV_BLOCK_ROWS
+        assert format_csv(table) == per_value_csv(table)
+
     def test_map_tables(self):
         for table in (cmd_eta_map(make_config(grid_count=9)),
                       cmd_xi_map(make_config(subcommand="xi-map", grid_count=7))):
@@ -191,6 +209,7 @@ class TestConfigValidation:
             {"cases": 0, "subcommand": "oracle-check"},
             {"seed": -1, "subcommand": "oracle-check"},
             {"points_per_panel": 1, "subcommand": "oracle-check"},
+            {"points_per_panel": 1},
             {"phi3_values": (), "subcommand": "xi-map"},
             {"u_max": math.inf, "subcommand": "decay-curve"},
             {"grid_count": 100_000},
@@ -378,7 +397,7 @@ class TestOracleCheck:
     ):
         # None stands for a case whose quadrature runs over budget.
         from mirrorfield import OracleReport, QuadratureBudgetExceeded
-        import mirrorfield.sweep as sweep
+        import mirrorfield.oracle as oracle
 
         remaining = iter(errors)
 
@@ -388,7 +407,8 @@ class TestOracleCheck:
                 raise QuadratureBudgetExceeded("starved")
             return OracleReport(u, dipole.alignment, side, 1.0, 1.0, 1.0, error)
 
-        monkeypatch.setattr(sweep, "oracle_compare", fake_compare)
+        # cmd_oracle_check reads oracle_compare from its home module per call.
+        monkeypatch.setattr(oracle, "oracle_compare", fake_compare)
         table = cmd_oracle_check(make_config(subcommand="oracle-check", cases=len(errors)))
         assert table.column("ok").tolist() == ok
         assert table.trailer == summary
