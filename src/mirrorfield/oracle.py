@@ -16,8 +16,12 @@ helper threads it starts and joins itself, up to ``MAX_WORKERS`` in all
 and one per usable CPU (numpy releases the interpreter lock inside its
 loops); the leaf sums are added up the same tree, so every result has the
 bits of one ``np.sum`` over the whole grid whatever the leaf size or
-worker count.  Each worker needs a fixed amount of memory, at most about
-2.1 MB for the 2D oracle, whatever ``u`` is; beyond that an oracle holds
+worker count.  Each oracle call allocates one workspace per worker slot
+before its first level, sized for the largest leaf of either refinement
+level, and hands it to the thread that fills its leaves; both levels reuse
+it, and every grid-sized intermediate is written into it.  A workspace is
+48 bytes per node of a leaf for the 2D oracle and 24 for the 1D oracle, at
+most about 1.6 and 0.8 MB, whatever ``u`` is; beyond that an oracle holds
 only its panel centres and half-widths, 16 bytes per panel.  Both oracles
 count their fine-level nodes before building any and raise
 :class:`QuadratureBudgetExceeded` above ``MAX_ORACLE_NODES``, which bounds
@@ -164,22 +168,9 @@ def _pairwise(start: int, count: int, leaf_size: int, leaf: Callable[[int, int],
     return left + _pairwise(start + half, count - half, leaf_size, leaf)
 
 
-def _blocked_sum(
-    shape: tuple[int, int], leaf_size: int, fill: Callable[[slice, np.ndarray], None]
-) -> float:
-    """``np.sum`` of an array whose rows ``fill(rows, out)`` computes, never built whole.
-
-    The sum is split at the subtrees of numpy's own pairwise summation tree
-    that hold at most ``leaf_size`` values (see :func:`_pairwise`).  The
-    calling thread and the helper threads it starts for this call each take
-    the next leaf, have ``fill`` write the rows that cover it into ``out``, a
-    buffer each worker allocates once per call, and sum the leaf's values
-    alone; a row split between two leaves is filled for both.  The leaf sums
-    are then added up the same tree, so the result has the bits of one
-    ``np.sum`` over the whole array, whatever the leaf size or worker count.
-    The first exception from any leaf stops the workers from taking more
-    leaves and reaches the caller once every helper has been joined.
-    """
+def _leaves(shape: tuple[int, int], leaf_size: int) -> list[tuple[int, int, slice]]:
+    """The leaves of :func:`_pairwise` over an array of ``shape``, in order:
+    each leaf's first value, its value count and the rows that cover it."""
     n_rows, width = shape
     leaves: list[tuple[int, int, slice]] = []
 
@@ -188,41 +179,95 @@ def _blocked_sum(
         return 0.0
 
     _pairwise(0, n_rows * width, leaf_size, add_leaf)
-    max_rows = max(rows.stop - rows.start for _, _, rows in leaves)
+    return leaves
+
+
+def _workspaces(
+    shapes: list[tuple[int, int]], leaf_size: int, dtypes: tuple[type, ...]
+) -> list[list[np.ndarray]]:
+    """One workspace per worker slot of :func:`_blocked_sum` over arrays of each of ``shapes``.
+
+    A workspace is one flat buffer of each of ``dtypes``, long enough for
+    the rows that cover the largest leaf of any of the shapes, so that one
+    set serves both refinement levels of an oracle call.  There are as
+    many as workers may take leaves of the shape with the most leaves.
+    """
+    levels = [_leaves(shape, leaf_size) for shape in shapes]
+    size = max(
+        (rows.stop - rows.start) * width
+        for (_, width), leaves in zip(shapes, levels)
+        for _, _, rows in leaves
+    )
+    slots = min(_worker_count(), max(map(len, levels)))
+    return [[np.empty(size, dtype) for dtype in dtypes] for _ in range(slots)]
+
+
+def _grid(buffer: np.ndarray, shape: tuple[int, int], dtype: type | None = None) -> np.ndarray:
+    """The start of a flat workspace buffer as a C-contiguous array of
+    ``shape``, read as ``dtype`` (by default the buffer's own)."""
+    flat = buffer if dtype is None else buffer.view(dtype)
+    return flat[: shape[0] * shape[1]].reshape(shape)
+
+
+def _blocked_sum(
+    shape: tuple[int, int],
+    leaf_size: int,
+    fill: Callable[[slice, list[np.ndarray]], np.ndarray],
+    workspaces: list[list[np.ndarray]],
+) -> float:
+    """``np.sum`` of an array whose rows ``fill(rows, workspace)`` computes, never built whole.
+
+    The sum is split at the subtrees of numpy's own pairwise summation tree
+    that hold at most ``leaf_size`` values (see :func:`_pairwise`).  The
+    calling thread and one helper thread for each further workspace (no
+    more than there are leaves) each take the next leaf, have ``fill``
+    compute the rows that cover it in the worker's own workspace and return
+    them as one C-contiguous array, and sum the leaf's values alone; a row
+    split between two leaves is filled for both.  The leaf sums are then
+    added up the same tree, so the result has the bits of one ``np.sum``
+    over the whole array, whatever the leaf size or worker count.  The
+    first exception from any leaf stops the workers from taking more
+    leaves and reaches the caller once every helper has been joined.
+    """
+    width = shape[1]
+    leaves = _leaves(shape, leaf_size)
     next_leaf = iter(leaves)
     lock = threading.Lock()
     sums: dict[int, float] = {}
     errors: list[BaseException] = []
 
-    def work() -> None:
+    def work(workspace: list[np.ndarray]) -> None:
         try:
-            buffer = np.empty((max_rows, width))
             while True:
                 with lock:
                     leaf = None if errors else next(next_leaf, None)
                 if leaf is None:
                     return
                 start, count, rows = leaf
-                out = buffer[: rows.stop - rows.start]
-                fill(rows, out)
+                filled = fill(rows, workspace)
                 offset = start - rows.start * width
-                sums[start] = float(np.sum(out.reshape(-1)[offset : offset + count]))
+                sums[start] = float(np.sum(filled.reshape(-1)[offset : offset + count]))
         except BaseException as error:  # the caller re-raises it after the joins
             with lock:
                 errors.append(error)
 
     helpers = [
-        threading.Thread(target=work, name="mirrorfield-oracle")
-        for _ in range(min(_worker_count(), len(leaves)) - 1)
+        threading.Thread(target=work, args=(workspace,), name="mirrorfield-oracle")
+        for workspace in workspaces[1 : len(leaves)]
     ]
     for helper in helpers:
         helper.start()
-    work()
+    work(workspaces[0])
     for helper in helpers:
         helper.join()
     if errors:
         raise errors[0]
-    return _pairwise(0, n_rows * width, leaf_size, lambda start, count: sums[start])
+    return _pairwise(0, shape[0] * width, leaf_size, lambda start, count: sums[start])
+
+
+#: One 2D workspace: flat buffers of one value per node of a worker's
+#: largest leaf, two complex and two real, 48 bytes per node.
+_ANGULAR_BUFFERS = (np.complex128, np.complex128, np.float64, np.float64)
 
 
 def _angular_integrand(
@@ -230,18 +275,19 @@ def _angular_integrand(
     dipole: DipoleOrientation,
     u: float,
     phi_nodes: np.ndarray,
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Callable[[np.ndarray, list[np.ndarray]], np.ndarray]:
     """Squared couplings summed over polarisations and photon species.
 
-    Returns a function of a block of cos theta nodes that evaluates the
-    integrand on the (block, phi) product grid; the factors that depend on
-    the azimuth alone are computed once here.  Mirrors the scalar coupling
-    amplitudes of :mod:`mirrorfield.modes`.
+    Returns a function of a block of cos theta nodes and a workspace of
+    ``_ANGULAR_BUFFERS`` that evaluates the integrand on the (block, phi)
+    product grid; the factors that depend on the azimuth alone are
+    computed once here.  Mirrors the scalar coupling amplitudes of
+    :mod:`mirrorfield.modes`.
 
-    Every intermediate of the size of the grid is written into buffers that
-    each calling thread keeps for the life of this function, so the returned
-    array is valid until that thread's next call.  Each operation keeps the
-    operands and their order of the plain expression
+    Every intermediate of the size of the grid is written into the
+    workspace, and the integrand is returned in its third buffer; the
+    other three are free again when the function returns.  Each operation
+    keeps the operands and their order of the plain expression
     ``(p2 * travel + q2 * back) / eta`` and so on, which keeps the bits.
     """
     cos_phi = np.cos(phi_nodes)[None, :]
@@ -263,66 +309,80 @@ def _angular_integrand(
     inverse_eta = 1.0 / math.sqrt(terms.eta_sq)
     p1_sq = np.abs(p1) ** 2
     transmitted_weight = terms.t_opposite**2 / terms.eta_opposite_sq
-    scratch = threading.local()
 
-    def buffers(rows: int) -> list[np.ndarray]:
-        held = getattr(scratch, "held", None)
-        if held is None or len(held[0]) < rows:
-            shape = (rows, phi_nodes.size)
-            held = scratch.held = [np.empty(shape, complex) for _ in range(2)] + [
-                np.empty(shape) for _ in range(3)
-            ]
-        return [array[:rows] for array in held]
-
-    def block(cos_nodes: np.ndarray) -> np.ndarray:
-        first, second, far_side, g2_sq, same_side = buffers(len(cos_nodes))
+    def block(cos_nodes: np.ndarray, workspace: list[np.ndarray]) -> np.ndarray:
+        shape = (len(cos_nodes), phi_nodes.size)
+        first, second, same_side, far_side = (_grid(buffer, shape) for buffer in workspace)
         c = cos_nodes[:, None]
         s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+        travel = np.exp(1j * 0.5 * u * c)
+        back = np.conj(travel)
+        # same_side = |g1|**2 with g1 = (p1 * travel + reflected_p1 * back) / eta,
+        # first, so that both complex buffers are free for p2 and q2.
+        g1 = np.multiply(p1, travel, out=first)
+        np.add(g1, np.multiply(reflected_p1, back, out=second), out=g1)
+        np.multiply(g1, inverse_eta, out=g1)
+        np.square(np.abs(g1, out=same_side), out=same_side)
+
         transverse_c = np.multiply(transverse, c, out=second)
         p2 = np.subtract(d1c * s, transverse_c, out=first)
         q2 = np.subtract(-d1c * s, transverse_c, out=second)
         # reflect * q2 in place; ``q2 *= reflect`` would change the bits.
         np.multiply(reflect, q2, out=q2)
-        # far_side = transmitted_weight * (p1_sq + |p2|**2), first, so that
-        # g2 may take p2's buffer.
+        # far_side = transmitted_weight * (p1_sq + |p2|**2)
         np.square(np.abs(p2, out=far_side), out=far_side)
         np.multiply(transmitted_weight, np.add(p1_sq, far_side, out=far_side), out=far_side)
 
-        travel = np.exp(1j * 0.5 * u * c)
-        back = np.conj(travel)
-        # g2 = (p2 * travel + q2 * back) / eta, in p2's buffer
+        # g2 = (p2 * travel + q2 * back) / eta, in p2's buffer, and |g2|**2
+        # in the real view of q2's, which g2 has consumed.
         g2 = np.multiply(p2, travel, out=first)
         np.add(g2, np.multiply(q2, back, out=q2), out=g2)
         np.multiply(g2, inverse_eta, out=g2)
-        np.square(np.abs(g2, out=g2_sq), out=g2_sq)
-        # g1 = (p1 * travel + reflected_p1 * back) / eta, in q2's buffer
-        g1 = np.multiply(p1, travel, out=second)
-        np.add(g1, np.multiply(reflected_p1, back, out=first), out=g1)
-        np.multiply(g1, inverse_eta, out=g1)
+        g2_sq = np.abs(g2, out=_grid(workspace[1], shape, np.float64))
+        np.square(g2_sq, out=g2_sq)
         # |g1|**2 + |g2|**2 + far_side
-        np.square(np.abs(g1, out=same_side), out=same_side)
         np.add(same_side, g2_sq, out=same_side)
         return np.add(same_side, far_side, out=same_side)
 
     return block
 
 
+#: One 1D workspace: the nodes and two kernel grids, 24 bytes per node.
+_DISTANCE_BUFFERS = (np.float64, np.float64, np.float64)
+
+
 def _distance_integrand(
-    terms: SideRateTerms, alignment: float, u: float, v: np.ndarray
+    terms: SideRateTerms,
+    alignment: float,
+    u: float,
+    v: np.ndarray,
+    isotropic: np.ndarray,
+    oscillatory: np.ndarray,
 ) -> np.ndarray:
-    """Kernel in the normal direction cosine after the azimuthal integral."""
+    """Kernel in the normal direction cosine after the azimuthal integral.
+
+    Evaluated in place: returns ``isotropic`` holding the kernel at the
+    nodes ``v``, which it overwrites, with ``oscillatory`` as scratch; all
+    three have one shape.  Each operation keeps the operands and their
+    order of the plain expression ``isotropic + oscillatory`` below, which
+    keeps the bits:
+    ``constant * (1 + a + (1 - 3a) v v) + k * (1 - 3a + (1 + a) v v) * cos(u v - phase)``.
+    """
     constant = (1.0 + terms.r**2) / terms.eta_sq + (
         terms.t_opposite**2 / terms.eta_opposite_sq
     )
-    isotropic = constant * (1.0 + alignment + (1.0 - 3.0 * alignment) * v * v)
-    oscillatory = (
-        2.0
-        * terms.r
-        / terms.eta_sq
-        * (1.0 - 3.0 * alignment + (1.0 + alignment) * v * v)
-        * np.cos(u * v - terms.reflection_phase)
-    )
-    return isotropic + oscillatory
+    np.multiply(1.0 - 3.0 * alignment, v, out=isotropic)
+    np.multiply(isotropic, v, out=isotropic)
+    np.add(1.0 + alignment, isotropic, out=isotropic)
+    np.multiply(constant, isotropic, out=isotropic)
+    np.multiply(1.0 + alignment, v, out=oscillatory)
+    np.multiply(oscillatory, v, out=oscillatory)
+    np.add(1.0 - 3.0 * alignment, oscillatory, out=oscillatory)
+    np.multiply(2.0 * terms.r / terms.eta_sq, oscillatory, out=oscillatory)
+    phase = np.multiply(u, v, out=v)
+    np.subtract(phase, terms.reflection_phase, out=phase)
+    np.multiply(oscillatory, np.cos(phase, out=phase), out=oscillatory)
+    return np.add(isotropic, oscillatory, out=isotropic)
 
 
 def _check_budget(label: str, fine_nodes: int) -> None:
@@ -366,19 +426,26 @@ def decay_rate_2d_oracle(
     phi_x, phi_w = _phi_nodes()
     integrand = _angular_integrand(terms, dipole, u, phi_x)
     centres, half_width = _panels(n_panels)
+    leaf_size = ROWS_PER_BLOCK * PHI_ORDER
+    levels = (spec.points_per_panel, 2 * spec.points_per_panel)
+    workspaces = _workspaces(
+        [(n_panels * points, PHI_ORDER) for points in levels], leaf_size, _ANGULAR_BUFFERS
+    )
 
     def evaluate(points: int) -> float:
-        def fill(rows: slice, out: np.ndarray) -> None:
-            # The nodes of the panels that cover these rows, then the
-            # weights, then times the integrand in place.
+        def fill(rows: slice, workspace: list[np.ndarray]) -> np.ndarray:
+            # The nodes of the panels that cover these rows, the integrand,
+            # then the weights in a buffer it has freed, times it in place.
             panels = slice(rows.start // points, -(-rows.stop // points))
             cos_x, cos_w = _composite_nodes(centres[panels], half_width[panels], points)
             own = slice(rows.start - panels.start * points, rows.stop - panels.start * points)
-            np.multiply(cos_w.ravel()[own, None], phi_w[None, :], out=out)
-            np.multiply(out, integrand(cos_x.ravel()[own]), out=out)
+            value = integrand(cos_x.ravel()[own], workspace)
+            weights = _grid(workspace[0], value.shape, np.float64)
+            np.multiply(cos_w.ravel()[own, None], phi_w[None, :], out=weights)
+            return np.multiply(weights, value, out=weights)
 
         return 3.0 / (8.0 * math.pi) * _blocked_sum(
-            (n_panels * points, PHI_ORDER), ROWS_PER_BLOCK * PHI_ORDER, fill
+            (n_panels * points, PHI_ORDER), leaf_size, fill, workspaces
         )
 
     return _refined("2d oracle", spec, evaluate)
@@ -400,13 +467,28 @@ def decay_rate_1d_oracle(
     _check_budget("1d oracle", n_panels * 2 * spec.points_per_panel)
 
     centres, half_width = _panels(n_panels)
+    leaf_size = ROWS_PER_BLOCK * PHI_ORDER
+    levels = (spec.points_per_panel, 2 * spec.points_per_panel)
+    workspaces = _workspaces(
+        [(n_panels, points) for points in levels], leaf_size, _DISTANCE_BUFFERS
+    )
 
     def evaluate(points: int) -> float:
-        def fill(panels: slice, out: np.ndarray) -> None:
-            nodes, weights = _composite_nodes(centres[panels], half_width[panels], points)
-            np.multiply(weights, _distance_integrand(terms, alignment, u, nodes), out=out)
+        base_x, base_w = _gauss_legendre(points)
 
-        return 0.375 * _blocked_sum((n_panels, points), ROWS_PER_BLOCK * PHI_ORDER, fill)
+        def fill(panels: slice, workspace: list[np.ndarray]) -> np.ndarray:
+            # _composite_nodes in place: the nodes, the kernel, then the
+            # weights in the nodes' buffer, which the kernel has consumed.
+            nodes, kernel, scratch = (
+                _grid(buffer, (panels.stop - panels.start, points)) for buffer in workspace
+            )
+            width = half_width[panels, None]
+            np.add(centres[panels, None], np.multiply(width, base_x, out=nodes), out=nodes)
+            _distance_integrand(terms, alignment, u, nodes, kernel, scratch)
+            weights = np.multiply(width, base_w, out=nodes)
+            return np.multiply(weights, kernel, out=kernel)
+
+        return 0.375 * _blocked_sum((n_panels, points), leaf_size, fill, workspaces)
 
     return _refined("1d oracle", spec, evaluate)
 

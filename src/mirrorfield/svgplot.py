@@ -42,7 +42,11 @@ def _finite_range(*arrays: np.ndarray) -> tuple[float, float]:
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    """``count`` evenly spaced values from ``lo`` to ``hi``, computed on
+    halved values so that no step overflows; with the default count this
+    keeps the bits of ``lo + (hi - lo) * i / (count - 1)`` for normal floats."""
+    half_lo, half_span = 0.5 * lo, 0.5 * hi - 0.5 * lo
+    return [2.0 * (half_lo + half_span * (i / (count - 1))) for i in range(count)]
 
 
 def _fmt(value: float) -> str:
@@ -59,11 +63,12 @@ def line_plot(x, series, title: str = "", x_label: str = "", y_label: str = "") 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
+    # Halved, as in heat_panels, so that no difference can overflow.
     def sx(v: float) -> float:
-        return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_L + (0.5 * v - 0.5 * x_lo) / (0.5 * x_hi - 0.5 * x_lo) * plot_w
 
     def sy(v: float) -> float:
-        return _MARGIN_T + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
+        return _MARGIN_T + plot_h - (0.5 * v - 0.5 * y_lo) / (0.5 * y_hi - 0.5 * y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '

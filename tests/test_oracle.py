@@ -1,8 +1,12 @@
+import json
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,20 @@ DEFAULT_ROWS_PER_BLOCK = oracle.ROWS_PER_BLOCK
 
 BLACK_SHEET = validate_interface(0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
 PERFECT_MIRROR = validate_interface(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, phi1=math.pi, phi3=math.pi)
+
+
+def oracle_hexes(distances) -> dict[str, str]:
+    """``.hex()`` of both oracles at each distance in turn, default and 9-point specs."""
+    case = seeded_oracle_cases(seed=13, count=1)[0]
+    specs = {"default": DEFAULT_QUADRATURE, "9x2": QuadratureSpec(points_per_panel=9, panels_per_oscillation=2)}
+    values = {}
+    for u in distances:
+        for name, spec in specs.items():
+            values[f"2d {u!r} {name}"] = decay_rate_2d_oracle(case.interface, case.side, case.dipole, u, spec).hex()
+            values[f"1d {u!r} {name}"] = decay_rate_1d_oracle(
+                case.interface, case.side, case.dipole.alignment, u, spec
+            ).hex()
+    return values
 
 
 class TestQuadratureSpec:
@@ -222,13 +240,13 @@ class TestRowBlocks:
         def failing_integrand(*args):
             block = real_integrand(*args)
 
-            def second_block_raises(cos_nodes):
+            def second_block_raises(cos_nodes, workspace):
                 with lock:
                     calls.append(len(cos_nodes))
                     count = len(calls)
                 if count == 2:
                     raise BlockFailed("second block")
-                return block(cos_nodes)
+                return block(cos_nodes, workspace)
 
             return second_block_raises
 
@@ -242,6 +260,54 @@ class TestRowBlocks:
         assert len(calls) >= 2
         monkeypatch.setattr(oracle, "_angular_integrand", real_integrand)
         assert decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0) == pytest.approx(1.0, abs=1e-9)
+
+    def test_result_is_independent_of_call_history(self, monkeypatch):
+        # Each call sizes and fills its own workspaces, so no call sees what
+        # an earlier one left in memory, also one whose leaf raised halfway.
+        # The reference is a fresh interpreter making the calls in reverse.
+        class LeafFailed(Exception):
+            pass
+
+        def third_leaf_raises(leaf):
+            lock = threading.Lock()
+            calls = []
+
+            def counted(*args):
+                with lock:
+                    calls.append(None)
+                    count = len(calls)
+                if count == 3:
+                    raise LeafFailed
+                return leaf(*args)
+
+            return counted
+
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
+        forward = (2e3, 0.3, 100.0)
+        first = oracle_hexes(forward)
+        case = seeded_oracle_cases(seed=13, count=1)[0]
+        real_2d, real_1d = oracle._angular_integrand, oracle._distance_integrand
+        monkeypatch.setattr(oracle, "_angular_integrand", lambda *args: third_leaf_raises(real_2d(*args)))
+        monkeypatch.setattr(oracle, "_distance_integrand", third_leaf_raises(real_1d))
+        with pytest.raises(LeafFailed):
+            decay_rate_2d_oracle(case.interface, case.side, case.dipole, 2e3)
+        with pytest.raises(LeafFailed):
+            decay_rate_1d_oracle(case.interface, case.side, case.dipole.alignment, 2e3)
+        monkeypatch.setattr(oracle, "_angular_integrand", real_2d)
+        monkeypatch.setattr(oracle, "_distance_integrand", real_1d)
+        after_error = oracle_hexes(forward)
+
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import json, sys; sys.path.insert(0, sys.argv[1]); import test_oracle; "
+        code += f"print(json.dumps(test_oracle.oracle_hexes({forward[::-1]!r})))"
+        child = subprocess.run(
+            [sys.executable, "-c", code, str(Path(__file__).parent)],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        fresh = json.loads(child.stdout)
+        assert len(first) == 12
+        assert first == after_error == fresh
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_calls_leave_no_threads_behind(self, monkeypatch, workers):
@@ -321,9 +387,9 @@ class TestRowBlocks:
         assert peak < 30e6
 
     # Two workers, so that the bounds do not depend on the machine's CPU
-    # count; each further worker adds its own fixed scratch.  The grids grow
+    # count; each further worker adds its own workspace.  The grids grow
     # fourfold and eightfold between the two distances, the peaks do not.
-    @pytest.mark.parametrize("u, bound", [(2e3, 10e6), (8e3, 14e6)])
+    @pytest.mark.parametrize("u, bound", [(2e3, 5e6), (8e3, 5e6)])
     def test_2d_peak_memory_is_flat_in_u(self, monkeypatch, u, bound):
         monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
         case = seeded_oracle_cases(seed=12, count=1)[0]
@@ -335,7 +401,7 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < bound
 
-    @pytest.mark.parametrize("u, bound", [(5e4, 8e6), (4e5, 20e6)])
+    @pytest.mark.parametrize("u, bound", [(5e4, 4e6), (4e5, 20e6)])
     def test_1d_peak_memory_is_flat_in_u(self, monkeypatch, u, bound):
         monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
         case = seeded_oracle_cases(seed=12, count=1)[0]
@@ -380,13 +446,17 @@ class TestPairwiseTree:
             # Mixed signs over 24 decades, so that the order of the additions shows.
             grid = rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-12.0, 12.0, (rows, width))
 
-            def fill(block: slice, out: np.ndarray) -> None:
+            def fill(block: slice, workspace: list) -> np.ndarray:
+                out = oracle._grid(workspace[0], grid[block].shape)
                 out[...] = grid[block]
+                return out
 
             expected = float(np.sum(grid)).hex()
             for workers in (1, 3):
                 monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
-                assert oracle._blocked_sum(grid.shape, leaf_size, fill).hex() == expected, (rows, workers)
+                workspaces = oracle._workspaces([grid.shape], leaf_size, (np.float64,))
+                found = oracle._blocked_sum(grid.shape, leaf_size, fill, workspaces)
+                assert found.hex() == expected, (rows, workers)
 
     def test_workers_take_each_leaf_once(self, monkeypatch):
         # More workers than cores, switching threads as often as possible:
@@ -396,18 +466,22 @@ class TestPairwiseTree:
         lock = threading.Lock()
         filled = []
 
-        def fill(block: slice, out: np.ndarray) -> None:
+        def fill(block: slice, workspace: list) -> np.ndarray:
             with lock:
                 filled.append(block.start)
+            out = oracle._grid(workspace[0], grid[block].shape)
             out[...] = grid[block]
+            return out
 
         leaves = []
         oracle._pairwise(0, grid.size, 7, lambda start, count: leaves.append(start) or 0.0)
         monkeypatch.setattr(oracle, "_worker_count", lambda: 8)
+        workspaces = oracle._workspaces([grid.shape], 7, (np.float64,))
+        assert len(workspaces) == 8
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            found = oracle._blocked_sum(grid.shape, 7, fill)
+            found = oracle._blocked_sum(grid.shape, 7, fill, workspaces)
         finally:
             sys.setswitchinterval(interval)
         assert len(filled) == len(leaves)
@@ -415,7 +489,7 @@ class TestPairwiseTree:
 
 
 class TestAngularKernel:
-    """The 2D block kernel writes into reused buffers; its bits must not move."""
+    """The 2D block kernel writes into a reused workspace; its bits must not move."""
 
     @staticmethod
     def plain_block(terms, dipole, u, phi_nodes, cos_nodes):
@@ -451,11 +525,14 @@ class TestAngularKernel:
         for case in cases:
             terms = side_rate_terms(case.interface, case.side)
             block = oracle._angular_integrand(terms, case.dipole, u, phi_nodes)
-            # A full leaf, then ragged ones: the buffers grow and are reused smaller.
+            workspace = [np.empty(1025 * oracle.PHI_ORDER, dtype) for dtype in oracle._ANGULAR_BUFFERS]
+            # A full leaf, then ragged ones, all in one workspace: each block
+            # starts from what the one before left in it.
             for rows in (1024, 7, 1025, 513, 1):
                 cos_nodes = np.sort(rng.uniform(-1.0, 1.0, rows))
                 cos_nodes[: min(rows, 3)] = (-1.0, 0.0, 1.0)[: min(rows, 3)]
-                found = block(cos_nodes)
+                found = block(cos_nodes, workspace)
                 expected = self.plain_block(terms, case.dipole, u, phi_nodes, cos_nodes)
                 assert found.shape == expected.shape
+                assert np.shares_memory(found, workspace[2])
                 assert found.tobytes() == expected.tobytes(), (case.index, rows)

@@ -212,6 +212,30 @@ class TestLinePlot:
         assert points == reference_points(x, series)
         assert points[0] == ""
 
+    @pytest.mark.parametrize("x", [[0.0, 1.0], [-1e308, 1e308]])
+    def test_a_range_wider_than_the_float_range_stays_finite(self, x):
+        # hi - lo is inf here; no coordinate or tick label may overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            svg = line_plot(x, [("a", [-1e308, 1e308])])
+        root = ET.fromstring(svg)
+        coordinates = [
+            float(value)
+            for element in root.iter()
+            for name, value in element.attrib.items()
+            if name in ("x", "y", "x1", "y1", "x2", "y2")
+        ]
+        (points,) = [element.get("points") for element in root.iter(f"{{{SVG}}}polyline")]
+        coordinates += [float(value) for pair in points.split() for value in pair.split(",")]
+        assert coordinates and all(math.isfinite(value) for value in coordinates)
+        assert points == "70.00,465.00 690.00,40.00"
+        labels = [element.text for element in root.iter(f"{{{SVG}}}text")
+                  if element.get("text-anchor") == "end"]
+        assert labels == ["-1e+308", "-5e+307", "0", "5e+307", "1e+308"]
+        x_labels = [element.text for element in root.iter(f"{{{SVG}}}text")
+                    if element.get("text-anchor") == "middle" and element.get("y") == "485"]
+        assert len(x_labels) == 5 and all(math.isfinite(float(label)) for label in x_labels)
+
     def test_range_keeps_the_sign_of_the_first_zero(self):
         for values in ([0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [math.nan, -0.0, 0.0]):
             lo, hi = svgplot._finite_range(np.array(values))
