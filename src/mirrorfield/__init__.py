@@ -26,11 +26,6 @@ _PUBLIC = {
         "mirror_parameter", "normalisation_constants", "refractive_index",
         "side_rate_terms", "validate_interface",
     ),
-    "modes": (
-        "PolarisationBasis", "WaveDirection", "coupling_amplitude", "free_mode_amplitude",
-        "medium_mode_amplitude", "mirror_field_amplitude", "polarisation_basis",
-        "polarisation_vector",
-    ),
     "oracle": (
         "DEFAULT_QUADRATURE", "OracleReport", "decay_rate_1d_oracle",
         "decay_rate_2d_oracle", "oracle_compare", "panel_count",

@@ -1,11 +1,12 @@
 """Independent quadrature checks of the closed-form decay-rate ratio.
 
 Two oracles are provided.  The 2D oracle integrates the squared
-dipole-mode couplings over the full solid angle; the 1D oracle integrates
-the distance kernel that remains after the azimuthal integral is done
-analytically.  Both use composite Gauss-Legendre panels along the normal
-direction cosine, with the panel count scaled to the number of phase
-oscillations, so accuracy is uniform in ``u``.
+dipole-mode couplings of :mod:`mirrorfield.modes` over the full solid
+angle; the 1D oracle integrates the distance kernel that remains after
+the azimuthal integral is done analytically.  Both use composite
+Gauss-Legendre panels along the normal direction cosine, with the panel
+count scaled to the number of phase oscillations, so accuracy is uniform
+in ``u``.
 
 Both oracles sum their weighted values leaf by leaf along numpy's own
 pairwise summation tree, never building the whole grid: a leaf holds at
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureBudgetExceeded
+from .errors import QuadratureBudgetExceeded
 from .interface import (
     MAX_POINTS_PER_PANEL,
     MirrorInterface,
@@ -52,7 +53,8 @@ from .interface import (
     check_finite,
     side_rate_terms,
 )
-from .rates import DipoleOrientation, check_u, relative_decay_rate
+from .modes import _ANGULAR_BUFFERS, _angular_integrand, _grid
+from .rates import DipoleOrientation, _check_rate_args, check_u, relative_decay_rate
 
 #: Fixed Gauss-Legendre order of the azimuthal rule.  The integrand is a
 #: trigonometric polynomial of degree two in the azimuth, for which this
@@ -202,13 +204,6 @@ def _workspaces(
     return [[np.empty(size, dtype) for dtype in dtypes] for _ in range(slots)]
 
 
-def _grid(buffer: np.ndarray, shape: tuple[int, int], dtype: type | None = None) -> np.ndarray:
-    """The start of a flat workspace buffer as a C-contiguous array of
-    ``shape``, read as ``dtype`` (by default the buffer's own)."""
-    flat = buffer if dtype is None else buffer.view(dtype)
-    return flat[: shape[0] * shape[1]].reshape(shape)
-
-
 def _blocked_sum(
     shape: tuple[int, int],
     leaf_size: int,
@@ -263,88 +258,6 @@ def _blocked_sum(
     if errors:
         raise errors[0]
     return _pairwise(0, shape[0] * width, leaf_size, lambda start, count: sums[start])
-
-
-#: One 2D workspace: flat buffers of one value per node of a worker's
-#: largest leaf, two complex and two real, 48 bytes per node.
-_ANGULAR_BUFFERS = (np.complex128, np.complex128, np.float64, np.float64)
-
-
-def _angular_integrand(
-    terms: SideRateTerms,
-    dipole: DipoleOrientation,
-    u: float,
-    phi_nodes: np.ndarray,
-) -> Callable[[np.ndarray, list[np.ndarray]], np.ndarray]:
-    """Squared couplings summed over polarisations and photon species.
-
-    Returns a function of a block of cos theta nodes and a workspace of
-    ``_ANGULAR_BUFFERS`` that evaluates the integrand on the (block, phi)
-    product grid; the factors that depend on the azimuth alone are
-    computed once here.  Mirrors the scalar coupling amplitudes of
-    :mod:`mirrorfield.modes`.
-
-    Every intermediate of the size of the grid is written into the
-    workspace, and the integrand is returned in its third buffer; the
-    other three are free again when the function returns.  Each operation
-    keeps the operands and their order of the plain expression
-    ``(p2 * travel + q2 * back) / eta`` and so on, which keeps the bits.
-    """
-    cos_phi = np.cos(phi_nodes)[None, :]
-    sin_phi = np.sin(phi_nodes)[None, :]
-
-    d1c = complex(dipole.d1).conjugate()
-    d2c = complex(dipole.d2).conjugate()
-    d3c = complex(dipole.d3).conjugate()
-
-    # d* . e for both transverse vectors, and the image-dipole variants:
-    # the first is p1 itself, the second is q2 below.
-    p1 = d2c * sin_phi - d3c * cos_phi
-    transverse = d2c * cos_phi + d3c * sin_phi
-
-    reflect = terms.r * np.exp(1j * terms.reflection_phase)
-    reflected_p1 = reflect * p1
-    # Dividing by the real eta is multiplying by its inverse, bit for bit
-    # in every value that reaches the squared magnitudes.
-    inverse_eta = 1.0 / math.sqrt(terms.eta_sq)
-    p1_sq = np.abs(p1) ** 2
-    transmitted_weight = terms.t_opposite**2 / terms.eta_opposite_sq
-
-    def block(cos_nodes: np.ndarray, workspace: list[np.ndarray]) -> np.ndarray:
-        shape = (len(cos_nodes), phi_nodes.size)
-        first, second, same_side, far_side = (_grid(buffer, shape) for buffer in workspace)
-        c = cos_nodes[:, None]
-        s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-        travel = np.exp(1j * 0.5 * u * c)
-        back = np.conj(travel)
-        # same_side = |g1|**2 with g1 = (p1 * travel + reflected_p1 * back) / eta,
-        # first, so that both complex buffers are free for p2 and q2.
-        g1 = np.multiply(p1, travel, out=first)
-        np.add(g1, np.multiply(reflected_p1, back, out=second), out=g1)
-        np.multiply(g1, inverse_eta, out=g1)
-        np.square(np.abs(g1, out=same_side), out=same_side)
-
-        transverse_c = np.multiply(transverse, c, out=second)
-        p2 = np.subtract(d1c * s, transverse_c, out=first)
-        q2 = np.subtract(-d1c * s, transverse_c, out=second)
-        # reflect * q2 in place; ``q2 *= reflect`` would change the bits.
-        np.multiply(reflect, q2, out=q2)
-        # far_side = transmitted_weight * (p1_sq + |p2|**2)
-        np.square(np.abs(p2, out=far_side), out=far_side)
-        np.multiply(transmitted_weight, np.add(p1_sq, far_side, out=far_side), out=far_side)
-
-        # g2 = (p2 * travel + q2 * back) / eta, in p2's buffer, and |g2|**2
-        # in the real view of q2's, which g2 has consumed.
-        g2 = np.multiply(p2, travel, out=first)
-        np.add(g2, np.multiply(q2, back, out=q2), out=g2)
-        np.multiply(g2, inverse_eta, out=g2)
-        g2_sq = np.abs(g2, out=_grid(workspace[1], shape, np.float64))
-        np.square(g2_sq, out=g2_sq)
-        # |g1|**2 + |g2|**2 + far_side
-        np.add(same_side, g2_sq, out=same_side)
-        return np.add(same_side, far_side, out=same_side)
-
-    return block
 
 
 #: One 1D workspace: the nodes and two kernel grids, 24 bytes per node.
@@ -459,9 +372,7 @@ def decay_rate_1d_oracle(
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Rate ratio from the single-axis distance-kernel quadrature."""
-    check_u(u)
-    if not (0.0 <= alignment <= 1.0):
-        raise DomainError(f"alignment must be in [0, 1], got {alignment!r}")
+    _check_rate_args(alignment, u)
     terms = side_rate_terms(interface, side)
     n_panels = panel_count(u, spec)
     _check_budget("1d oracle", n_panels * 2 * spec.points_per_panel)

@@ -123,7 +123,8 @@ class DipoleOrientation:
 
     @property
     def alignment(self) -> float:
-        return abs(self.d1) ** 2
+        # The unit-norm check allows |d1| a rounding above 1.
+        return min(1.0, abs(self.d1) ** 2)
 
     @classmethod
     def from_components(

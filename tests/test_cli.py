@@ -215,17 +215,14 @@ PUBLIC_NAMES = [
     "DecayRateCurve", "DegenerateTransparency", "DipoleOrientation", "DomainError",
     "EnergyViolation", "Medium", "MirrorFieldError", "MirrorInterface",
     "MirrorSideSummary", "NATURAL_UNITS", "NormalisationPair", "ORACLE_U_VALUES",
-    "OracleCase", "OracleReport", "PhysicalConstants", "PolarisationBasis",
-    "QuadratureBudgetExceeded", "QuadratureSpec", "RangeError", "ResultTable",
-    "SideCoefficients", "SideRateTerms", "SweepConfig", "WaveDirection",
-    "coupling_amplitude", "decay_rate_1d_oracle", "decay_rate_2d_oracle", "format_csv",
-    "free_mode_amplitude", "gamma_air", "gamma_med", "lossless_interface",
-    "medium_mode_amplitude", "mirror_field_amplitude", "mirror_parameter",
+    "OracleCase", "OracleReport", "PhysicalConstants", "QuadratureBudgetExceeded",
+    "QuadratureSpec", "RangeError", "ResultTable", "SideCoefficients", "SideRateTerms",
+    "SweepConfig", "decay_rate_1d_oracle", "decay_rate_2d_oracle", "format_csv",
+    "gamma_air", "gamma_med", "lossless_interface", "mirror_parameter",
     "normalisation_constants", "oracle_compare", "oscillatory_bracket", "panel_count",
-    "parse_csv", "polarisation_basis", "polarisation_vector", "refractive_index",
-    "relative_decay_rate", "replay_provenance", "sample_decay_curve",
-    "seeded_oracle_cases", "side_rate_terms", "unnormalised_decay_rate",
-    "validate_interface", "write_csv",
+    "parse_csv", "refractive_index", "relative_decay_rate", "replay_provenance",
+    "sample_decay_curve", "seeded_oracle_cases", "side_rate_terms",
+    "unnormalised_decay_rate", "validate_interface", "write_csv",
 ]
 
 

@@ -28,31 +28,23 @@ from mirrorfield import (
     OracleCase,
     OracleReport,
     PhysicalConstants,
-    PolarisationBasis,
     QuadratureSpec,
     ResultTable,
     SideCoefficients,
     SideRateTerms,
     SweepConfig,
-    WaveDirection,
-    coupling_amplitude,
     decay_rate_1d_oracle,
     decay_rate_2d_oracle,
     format_csv,
-    free_mode_amplitude,
     gamma_air,
     gamma_med,
     lossless_interface,
-    medium_mode_amplitude,
-    mirror_field_amplitude,
     mirror_parameter,
     normalisation_constants,
     oracle_compare,
     oscillatory_bracket,
     panel_count,
     parse_csv,
-    polarisation_basis,
-    polarisation_vector,
     refractive_index,
     relative_decay_rate,
     replay_provenance,
@@ -68,8 +60,6 @@ from mirrorfield.sweep import COMMANDS, SUBCOMMAND_KEYS
 COATING = (0.5, 0.6, None, 0.4, 0.7, None, 0.3, 0.2, 0.4, 0.1)
 IFACE = validate_interface(*COATING)
 DIPOLE = DipoleOrientation.from_components(0.3, 0.5j, 0.8)
-DIRECTION = (0.7, 1.1, 2.0)
-POSITION = (0.3, -0.2, 0.5)
 MEDIUM = (2.25, 1.0)
 ATOM = (2.0, 0.5)
 SPEC = dict(panels_per_oscillation=4, points_per_panel=16, min_panels=8, rel_tolerance=1e-9)
@@ -140,10 +130,6 @@ CALLS = {
         1.0, 0.5, 1.1, 1.1, 1.1, 0.0,
     ),
     "PhysicalConstants": slots(PhysicalConstants, 1.0, 1.0, 1.0, 1.0, 1.0),
-    "PolarisationBasis": slots(
-        lambda *e: PolarisationBasis(np.array(e[:3]), np.array(e[3:])),
-        0.0, 1.0, 0.0, 1.0, 0.0, 0.0,
-    ),
     # Each spec is used, so a field the oracle cannot use shows too.
     "QuadratureSpec": slots(
         lambda *values: decay_rate_1d_oracle(IFACE, "a", 0.5, 1.0, QuadratureSpec(*values)),
@@ -157,12 +143,6 @@ CALLS = {
     "SideRateTerms": slots(SideRateTerms, 0.5, 0.1, 0.5, 0.2, 2.0, 2.0),
     # A config is checked when its command runs.
     "SweepConfig": sweep_slots(),
-    "WaveDirection": slots(WaveDirection, *DIRECTION),
-    "coupling_amplitude": slots(
-        lambda polarisation, u: coupling_amplitude(IFACE, "a", WaveDirection(*DIRECTION),
-                                                   polarisation, DIPOLE, u, "b"),
-        1, 2.0,
-    ),
     "decay_rate_1d_oracle": [
         lambda x: decay_rate_1d_oracle(IFACE, "b", x, 1.0),
         oracle_u(lambda x: decay_rate_1d_oracle(IFACE, "b", 0.5, x)),
@@ -174,12 +154,6 @@ CALLS = {
         ),
     ],
     "format_csv": [lambda x: format_csv(ResultTable(["a"], [[x]], "p"))],
-    "free_mode_amplitude": (
-        slots(lambda pol, *position: free_mode_amplitude(
-            WaveDirection(*DIRECTION), pol, position, NATURAL_UNITS), 1, *POSITION)
-        + slots(lambda *direction: free_mode_amplitude(
-            WaveDirection(*direction), 2, POSITION, CODATA2018), *DIRECTION)
-    ),
     "gamma_air": (
         slots(lambda *atom: gamma_air(AtomParams(*atom), NATURAL_UNITS), *ATOM)
         + slots(lambda *atom: gamma_air(AtomParams(*atom), CODATA2018), 1e15, 1e-29)
@@ -190,37 +164,12 @@ CALLS = {
                 *MEDIUM)
     ),
     "lossless_interface": slots(lossless_interface, 0.5, 0.1, 0.2, 0.3, 0.4),
-    "medium_mode_amplitude": (
-        slots(lambda *position: medium_mode_amplitude(
-            WaveDirection(*DIRECTION), 1, position, NATURAL_UNITS, Medium(*MEDIUM)), *POSITION)
-        + slots(lambda *medium: medium_mode_amplitude(
-            WaveDirection(*DIRECTION), 2, POSITION, NATURAL_UNITS, Medium(*medium)), *MEDIUM)
-    ),
-    "mirror_field_amplitude": (
-        slots(lambda *position: mirror_field_amplitude(
-            IFACE, "a", WaveDirection(*DIRECTION), 1, position, NATURAL_UNITS, Medium(*MEDIUM)),
-            *POSITION)
-        + slots(lambda *position: mirror_field_amplitude(
-            IFACE, "b", WaveDirection(*DIRECTION), 2, position, NATURAL_UNITS, Medium(*MEDIUM)),
-            -0.3, 0.2, 0.5)
-        + slots(lambda *medium: mirror_field_amplitude(
-            IFACE, "b", WaveDirection(*DIRECTION), 1, (-0.3, 0.2, 0.5), NATURAL_UNITS,
-            Medium(*medium)), *MEDIUM)
-    ),
     "mirror_parameter": coating_slots(lambda iface: mirror_parameter(iface, "b")),
     "normalisation_constants": coating_slots(normalisation_constants),
     "oracle_compare": [oracle_u(lambda x: oracle_compare(IFACE, "b", DIPOLE, x))],
     "oscillatory_bracket": slots(oscillatory_bracket, 2.0, 0.5),
     "panel_count": [lambda x: panel_count(x, QuadratureSpec())],
     "parse_csv": [lambda x: parse_csv(f"# provenance: p\na,b\n1.0,{x!r}\n")],
-    "polarisation_basis": slots(
-        lambda *direction: polarisation_basis(WaveDirection(*direction)), *DIRECTION
-    ),
-    "polarisation_vector": slots(
-        lambda polarisation, *direction: polarisation_vector(
-            WaveDirection(*direction), polarisation),
-        2, *DIRECTION,
-    ),
     "refractive_index": slots(lambda *medium: refractive_index(Medium(*medium)), *MEDIUM),
     "relative_decay_rate": (
         slots(lambda alignment, u: relative_decay_rate(IFACE, "a", alignment, u), 0.5, 2.0)
@@ -322,9 +271,3 @@ def test_record_side_must_be_a_or_b(build):
     with pytest.raises(DomainError, match="side must be 'a' or 'b'"):
         build("z")
 
-
-def test_mode_amplitude_outside_the_float_range():
-    # hbar * omega overflows although each argument alone is valid.
-    constants = PhysicalConstants(1e300, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(MirrorFieldError):
-        free_mode_amplitude(WaveDirection(0.7, 1.1, 1e308), 1, POSITION, constants)

@@ -1,205 +1,185 @@
+"""The dipole-mode coupling kernel of the 2D oracle, against its physics."""
+
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mirrorfield import (
-    AIR,
     DipoleOrientation,
-    DomainError,
-    Medium,
-    NATURAL_UNITS,
-    WaveDirection,
-    coupling_amplitude,
-    free_mode_amplitude,
-    lossless_interface,
-    medium_mode_amplitude,
-    mirror_field_amplitude,
-    polarisation_basis,
-    polarisation_vector,
+    seeded_oracle_cases,
     validate_interface,
 )
-
-ORIGIN = np.zeros(3)
+from mirrorfield import modes, oracle
+from mirrorfield.interface import side_rate_terms
 
 BLACK_SHEET = validate_interface(0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
 PERFECT_MIRROR = validate_interface(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, phi1=math.pi, phi3=math.pi)
 
 
-def directions(count=200, omega=1.0):
-    rng = np.random.default_rng(7)
-    for theta, phi in zip(rng.uniform(0, math.pi, count), rng.uniform(0, 2 * math.pi, count)):
-        yield WaveDirection(float(theta), float(phi), omega)
+def kernel(terms, dipole, u, cos_nodes, phi_nodes):
+    """The integrand on the (cos theta, phi) product grid, in a fresh workspace."""
+    cos_nodes = np.asarray(cos_nodes, dtype=float)
+    phi_nodes = np.asarray(phi_nodes, dtype=float)
+    workspace = [np.empty(cos_nodes.size * phi_nodes.size, dtype) for dtype in modes._ANGULAR_BUFFERS]
+    return modes._angular_integrand(terms, dipole, u, phi_nodes)(cos_nodes, workspace).copy()
+
+
+def random_nodes(rng, rows=41, columns=23):
+    """Random cos theta nodes, with both poles and the equator among them, and azimuths."""
+    cos_nodes = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, rows - 3)])
+    return cos_nodes, rng.uniform(0.0, 2.0 * math.pi, columns)
+
+
+def random_dipoles(rng, count=8):
+    """Complex orientations, with the normal and a tangential one first."""
+    yield DipoleOrientation(1.0, 0.0, 0.0)
+    yield DipoleOrientation(0.0, 0.6, 0.8j)
+    for _ in range(count - 2):
+        yield DipoleOrientation.from_components(*(rng.normal(size=3) + 1j * rng.normal(size=3)))
+
+
+def free_space_pattern(dipole, cos_nodes, phi_nodes):
+    """``1 - |k_hat . d|**2``: the emission pattern with no coating."""
+    c = cos_nodes[:, None]
+    s = np.sqrt(1.0 - c * c)
+    k_dot_d = c * dipole.d1 + s * (np.cos(phi_nodes) * dipole.d2 + np.sin(phi_nodes) * dipole.d3)
+    return 1.0 - np.abs(k_dot_d) ** 2
 
 
 class TestPolarisationBasis:
+    """``p1`` and ``p2`` are ``d* . e1`` and ``d* . e2``; on a black sheet the
+    kernel is ``|p1|**2 + |p2|**2``, the dipole's share across ``k_hat``."""
+
     def test_sideways_direction(self):
-        # theta = pi/2, phi = 0 propagates along +y
-        direction = WaveDirection(0.5 * math.pi, 0.0, 1.0)
-        assert direction.unit_wavevector() == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
-        basis = polarisation_basis(direction)
-        assert basis.e1 == pytest.approx([0.0, 0.0, -1.0], abs=1e-15)
-        assert basis.e2 == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+        terms = side_rate_terms(BLACK_SHEET, "a")
+        # theta = pi/2 with phi = 0 propagates along +y, with phi = pi/2 along +z
+        for phi, along, across in ((0.0, (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+                                   (0.5 * math.pi, (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))):
+            for dipole, expected in ((along, 0.0), (across, 1.0), ((1.0, 0.0, 0.0), 1.0)):
+                value = kernel(terms, DipoleOrientation(*dipole), 0.0, [0.0], [phi])
+                assert value[0, 0] == pytest.approx(expected, abs=1e-15), (phi, dipole)
 
     def test_normal_incidence_is_transverse_to_x(self):
-        direction = WaveDirection(0.0, 0.3, 1.0)
-        assert direction.unit_wavevector() == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
-        for polarisation in (1, 2):
-            assert polarisation_vector(direction, polarisation)[0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_orthonormal_transverse_triad(self):
-        for direction in directions():
-            k_hat = direction.unit_wavevector()
-            basis = polarisation_basis(direction)
-            assert np.linalg.norm(basis.e1) == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.norm(basis.e2) == pytest.approx(1.0, abs=1e-12)
-            assert abs(np.dot(basis.e1, basis.e2)) < 1e-12
-            assert abs(np.dot(k_hat, basis.e1)) < 1e-12
-            assert abs(np.dot(k_hat, basis.e2)) < 1e-12
-
-    def test_bad_arguments(self):
-        with pytest.raises(DomainError):
-            WaveDirection(-0.1, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            WaveDirection(0.5, 0.0, -1.0)
-        with pytest.raises(DomainError):
-            polarisation_vector(WaveDirection(0.5, 0.0, 1.0), 3)
-
-
-class TestFreeModes:
-    def test_scalar_magnitude(self):
-        direction = WaveDirection(0.7, 1.2, 1.0)
-        electric, magnetic = free_mode_amplitude(direction, 1, ORIGIN, NATURAL_UNITS)
-        expected = (1.0 / (4.0 * math.pi)) * math.sqrt(1.0 / math.pi)
-        assert np.linalg.norm(electric) == pytest.approx(expected, rel=1e-14)
-        assert np.linalg.norm(magnetic) == pytest.approx(expected, rel=1e-14)
-
-    def test_zero_frequency_mode_vanishes(self):
-        electric, magnetic = free_mode_amplitude(WaveDirection(0.7, 1.2, 0.0), 1, ORIGIN, NATURAL_UNITS)
-        assert np.all(electric == 0.0)
-        assert np.all(magnetic == 0.0)
-
-    def test_plane_wave_periodicity(self):
-        direction = WaveDirection(1.1, 0.4, 1.0)
-        shift = 2.0 * math.pi * direction.unit_wavevector()
-        here, _ = free_mode_amplitude(direction, 2, np.array([0.3, -0.2, 0.9]), NATURAL_UNITS)
-        there, _ = free_mode_amplitude(direction, 2, np.array([0.3, -0.2, 0.9]) + shift, NATURAL_UNITS)
-        assert there == pytest.approx(here, rel=1e-12)
-
-    def test_field_triad(self):
-        for direction in directions(count=20):
-            for polarisation in (1, 2):
-                electric, magnetic = free_mode_amplitude(
-                    direction, polarisation, np.array([0.1, 0.5, -0.3]), NATURAL_UNITS
-                )
-                k_hat = direction.unit_wavevector()
-                # c0 |B| = |E|, both transverse
-                assert np.linalg.norm(magnetic) == pytest.approx(np.linalg.norm(electric), rel=1e-12)
-                assert abs(np.dot(k_hat, electric)) < 1e-13
-                assert abs(np.vdot(electric, magnetic)) < 1e-13
-
-
-class TestMediumModes:
-    GLASS = Medium(eps_rel=2.25)
-
-    def test_amplitude_rescaling(self):
-        direction = WaveDirection(0.9, 2.0, 1.0)
-        free_e, free_b = free_mode_amplitude(direction, 1, ORIGIN, NATURAL_UNITS)
-        med_e, med_b = medium_mode_amplitude(direction, 1, ORIGIN, NATURAL_UNITS, self.GLASS)
-        # n = 1.5: E scales by sqrt(n^3/eps) = sqrt(1.5), B by sqrt(n^3 mu)
-        assert med_e == pytest.approx(math.sqrt(1.5) * free_e, rel=1e-14)
-        assert med_b == pytest.approx(math.sqrt(3.375) * free_b, rel=1e-14)
-
-    def test_optical_wavelength(self):
-        direction = WaveDirection(1.1, 0.4, 1.0)
-        position = np.array([0.2, 0.1, 0.7])
-        shift = (2.0 * math.pi / 1.5) * direction.unit_wavevector()
-        here, _ = medium_mode_amplitude(direction, 2, position, NATURAL_UNITS, self.GLASS)
-        there, _ = medium_mode_amplitude(direction, 2, position + shift, NATURAL_UNITS, self.GLASS)
-        assert there == pytest.approx(here, rel=1e-12)
-
-
-class TestMirrorField:
-    def test_black_sheet_keeps_free_modes(self):
-        # r = t = 0 normalises to eta = 1 and leaves the direct wave alone
-        position = np.array([0.4, -0.1, 0.8])
-        for direction in directions(count=10):
-            free_e, _ = free_mode_amplitude(direction, 1, position, NATURAL_UNITS)
-            dressed = mirror_field_amplitude(
-                BLACK_SHEET, "a", direction, 1, position, NATURAL_UNITS, AIR
-            )
-            assert dressed == pytest.approx(free_e, rel=1e-14)
-
-    def test_perfect_mirror_tangential_field_vanishes(self):
-        for direction in directions(count=10):
-            for polarisation in (1, 2):
-                dressed = mirror_field_amplitude(
-                    PERFECT_MIRROR, "a", direction, polarisation, ORIGIN, NATURAL_UNITS, AIR
-                )
-                assert abs(dressed[1]) < 1e-14
-                assert abs(dressed[2]) < 1e-14
-
-    def test_opaque_backside_blocks_species_b(self):
-        iface = validate_interface(0.5, 0.5, None, 0.3, 0.0, None)
-        position = np.array([1.3, 0.0, 0.0])
-        dressed = mirror_field_amplitude(
-            iface, "b", position=position, direction=WaveDirection(0.8, 0.3, 1.0),
-            polarisation=1, constants=NATURAL_UNITS, medium=AIR,
-        )
-        assert np.all(dressed == 0.0)
-
-    def test_transmitted_wave_scaling(self):
-        iface = validate_interface(0.5, 0.5, None, 0.2, 0.6, None, phi4=0.9)
-        direction = WaveDirection(0.8, 0.3, 1.0)
-        position = np.array([1.3, -0.4, 0.2])
-        free_e, _ = free_mode_amplitude(direction, 1, position, NATURAL_UNITS)
-        dressed = mirror_field_amplitude(iface, "b", direction, 1, position, NATURAL_UNITS, AIR)
-        eta_b = math.sqrt(1.0 + 0.04 + (1.04 - 0.36) / (1.25 - 0.25) * 0.25)
-        expected = (0.6 / eta_b) * np.exp(1j * 0.9) * free_e
-        assert dressed == pytest.approx(expected, rel=1e-13)
+        terms = side_rate_terms(BLACK_SHEET, "a")
+        phi_nodes = np.linspace(0.0, 2.0 * math.pi, 9)
+        normal = kernel(terms, DipoleOrientation(1.0, 0.0, 0.0), 3.0, [-1.0, 1.0], phi_nodes)
+        assert np.all(normal == 0.0)
+        tangential = kernel(terms, DipoleOrientation(0.0, 0.6, 0.8j), 3.0, [-1.0, 1.0], phi_nodes)
+        np.testing.assert_allclose(tangential, 1.0, rtol=0.0, atol=1e-15)
 
 
 class TestCoupling:
     def test_black_sheet_couples_like_free_space(self):
-        dipole = DipoleOrientation.from_components(0.3 + 0.1j, -0.2, 0.9j)
-        for direction in directions(count=10):
-            basis = polarisation_basis(direction)
-            g = coupling_amplitude(BLACK_SHEET, "a", direction, 1, dipole, 2.0, "a")
-            overlap = np.vdot(np.array([dipole.d1, dipole.d2, dipole.d3]), basis.e1)
-            assert abs(g) == pytest.approx(abs(overlap), rel=1e-13)
+        # r = t = 0 normalises to eta = 1 and leaves the direct wave alone.
+        rng = np.random.default_rng(7)
+        for side in ("a", "b"):
+            terms = side_rate_terms(BLACK_SHEET, side)
+            for dipole in random_dipoles(rng):
+                for u in (0.0, 0.7, 42.0, 3e3):
+                    cos_nodes, phi_nodes = random_nodes(rng)
+                    found = kernel(terms, dipole, u, cos_nodes, phi_nodes)
+                    expected = free_space_pattern(dipole, cos_nodes, phi_nodes)
+                    np.testing.assert_allclose(found, expected, rtol=0.0, atol=1e-14)
 
     def test_perfect_mirror_contact_cancellation(self):
-        # tangential dipole at the mirror surface cannot radiate
-        dipole = DipoleOrientation(0.0, 0.6, 0.8)
-        for direction in directions(count=10):
-            for polarisation in (1, 2):
-                g = coupling_amplitude(
-                    PERFECT_MIRROR, "a", direction, polarisation, dipole, 0.0, "a"
-                )
-                assert abs(g) < 1e-14
+        # A tangential dipole at the surface of a perfect mirror cannot radiate.
+        rng = np.random.default_rng(11)
+        for side in ("a", "b"):
+            terms = side_rate_terms(PERFECT_MIRROR, side)
+            for dipole in list(random_dipoles(rng))[1:]:
+                tangential = DipoleOrientation.from_components(0.0, dipole.d2, dipole.d3)
+                cos_nodes, phi_nodes = random_nodes(rng)
+                found = kernel(terms, tangential, 0.0, cos_nodes, phi_nodes)
+                assert np.abs(found).max() < 1e-14
 
     def test_far_side_magnitude_independent_of_distance(self):
-        iface = validate_interface(0.5, 0.5, None, 0.2, 0.6, None, phi4=0.9)
-        dipole = DipoleOrientation.aligned(0.3)
-        direction = WaveDirection(0.8, 0.3, 1.0)
-        magnitudes = {
-            round(abs(coupling_amplitude(iface, "b", direction, 2, dipole, u, "a")), 13)
-            for u in (0.0, 1.0, 42.0)
-        }
-        assert len(magnitudes) == 1
+        # With r = 0 on the emitter's side nothing interferes: the direct
+        # wave and the far side's transmitted one both keep the free pattern.
+        rng = np.random.default_rng(5)
+        for coating, side in (
+            ((0.0, 0.6, None, 0.3, 0.5, None), "a"),
+            ((0.0, 0.6, None, 0.3, 0.0, None), "a"),  # opaque far side: no transmitted share
+            ((0.5, 0.5, None, 0.0, 0.7, None), "b"),
+        ):
+            iface = validate_interface(*coating, phi1=0.4, phi2=1.3, phi3=2.2, phi4=0.9)
+            terms = side_rate_terms(iface, side)
+            weight = 1.0 / terms.eta_sq + terms.t_opposite**2 / terms.eta_opposite_sq
+            for dipole in random_dipoles(rng):
+                cos_nodes, phi_nodes = random_nodes(rng)
+                expected = weight * free_space_pattern(dipole, cos_nodes, phi_nodes)
+                for u in (0.0, 1.0, 42.0, 3e3):
+                    found = kernel(terms, dipole, u, cos_nodes, phi_nodes)
+                    np.testing.assert_allclose(found, expected, rtol=0.0, atol=1e-14)
 
     def test_reflection_phase_periodicity(self):
-        base = lossless_interface(0.6, phi3=0.7)
-        wrapped = lossless_interface(0.6, phi3=0.7 + 2.0 * math.pi)
-        dipole = DipoleOrientation.aligned(0.5)
-        direction = WaveDirection(1.2, 0.5, 1.0)
-        assert coupling_amplitude(base, "a", direction, 1, dipole, 3.0, "a") == pytest.approx(
-            coupling_amplitude(wrapped, "a", direction, 1, dipole, 3.0, "a"), rel=1e-14
-        )
-
-    def test_rejects_negative_distance(self):
-        with pytest.raises(DomainError):
-            coupling_amplitude(
-                BLACK_SHEET, "a", WaveDirection(0.5, 0.5, 1.0), 1,
-                DipoleOrientation.aligned(0.0), -1.0, "a",
+        rng = np.random.default_rng(3)
+        for case in seeded_oracle_cases(seed=3, count=6):
+            terms = side_rate_terms(case.interface, case.side)
+            wrapped = dataclasses.replace(terms, reflection_phase=terms.reflection_phase + 2.0 * math.pi)
+            cos_nodes, phi_nodes = random_nodes(rng)
+            np.testing.assert_allclose(
+                kernel(wrapped, case.dipole, 3.0, cos_nodes, phi_nodes),
+                kernel(terms, case.dipole, 3.0, cos_nodes, phi_nodes),
+                rtol=0.0, atol=1e-14,
             )
+
+    def test_never_negative(self):
+        rng = np.random.default_rng(17)
+        cases = seeded_oracle_cases(seed=1, count=16) + seeded_oracle_cases(seed=4, count=16)
+        for case in cases:
+            terms = side_rate_terms(case.interface, case.side)
+            cos_nodes, phi_nodes = random_nodes(rng)
+            for u in (0.0, float(rng.uniform(0.0, 10.0)), float(rng.uniform(10.0, 1e4))):
+                assert kernel(terms, case.dipole, u, cos_nodes, phi_nodes).min() >= 0.0
+
+
+class TestAngularKernel:
+    """The 2D block kernel writes into a reused workspace; its bits must not move."""
+
+    @staticmethod
+    def plain_block(terms, dipole, u, phi_nodes, cos_nodes):
+        # The kernel as one plain numpy expression per quantity.
+        cos_phi = np.cos(phi_nodes)[None, :]
+        sin_phi = np.sin(phi_nodes)[None, :]
+        d1c = complex(dipole.d1).conjugate()
+        d2c = complex(dipole.d2).conjugate()
+        d3c = complex(dipole.d3).conjugate()
+        p1 = d2c * sin_phi - d3c * cos_phi
+        transverse = d2c * cos_phi + d3c * sin_phi
+        reflect = terms.r * np.exp(1j * terms.reflection_phase)
+        reflected_p1 = reflect * p1
+        eta = math.sqrt(terms.eta_sq)
+        p1_sq = np.abs(p1) ** 2
+        transmitted_weight = terms.t_opposite**2 / terms.eta_opposite_sq
+        c = cos_nodes[:, None]
+        s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+        p2 = d1c * s - transverse * c
+        q2 = reflect * (-d1c * s - transverse * c)
+        travel = np.exp(1j * 0.5 * u * c)
+        back = np.conj(travel)
+        g2 = (p2 * travel + q2 * back) / eta
+        far_side = transmitted_weight * (p1_sq + np.abs(p2) ** 2)
+        g1 = (p1 * travel + reflected_p1 * back) / eta
+        return np.abs(g1) ** 2 + np.abs(g2) ** 2 + far_side
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, 20.0, 1e3, 5e4])
+    def test_block_matches_the_plain_expression(self, u):
+        phi_nodes, _ = oracle._phi_nodes()
+        rng = np.random.default_rng(int(u) + 3)
+        cases = seeded_oracle_cases(seed=1, count=4) + seeded_oracle_cases(seed=2, count=3)
+        for case in cases:
+            terms = side_rate_terms(case.interface, case.side)
+            block = modes._angular_integrand(terms, case.dipole, u, phi_nodes)
+            workspace = [np.empty(1025 * oracle.PHI_ORDER, dtype) for dtype in modes._ANGULAR_BUFFERS]
+            # A full leaf, then ragged ones, all in one workspace: each block
+            # starts from what the one before left in it.
+            for rows in (1024, 7, 1025, 513, 1):
+                cos_nodes = np.sort(rng.uniform(-1.0, 1.0, rows))
+                cos_nodes[: min(rows, 3)] = (-1.0, 0.0, 1.0)[: min(rows, 3)]
+                found = block(cos_nodes, workspace)
+                expected = self.plain_block(terms, case.dipole, u, phi_nodes, cos_nodes)
+                assert found.shape == expected.shape
+                assert np.shares_memory(found, workspace[2])
+                assert found.tobytes() == expected.tobytes(), (case.index, rows)
