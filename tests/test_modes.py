@@ -40,6 +40,15 @@ def random_dipoles(rng, count=8):
         yield DipoleOrientation.from_components(*(rng.normal(size=3) + 1j * rng.normal(size=3)))
 
 
+def transverse_triad(cos_theta, phi):
+    """``k_hat``, ``e1`` and ``e2`` of the module docstring at one direction."""
+    sin_theta = math.sqrt(1.0 - cos_theta * cos_theta)
+    k_hat = (cos_theta, math.cos(phi) * sin_theta, math.sin(phi) * sin_theta)
+    e1 = (0.0, math.sin(phi), -math.cos(phi))
+    e2 = (sin_theta, -math.cos(phi) * cos_theta, -math.sin(phi) * cos_theta)
+    return k_hat, e1, e2
+
+
 def free_space_pattern(dipole, cos_nodes, phi_nodes):
     """``1 - |k_hat . d|**2``: the emission pattern with no coating."""
     c = cos_nodes[:, None]
@@ -68,6 +77,93 @@ class TestPolarisationBasis:
         assert np.all(normal == 0.0)
         tangential = kernel(terms, DipoleOrientation(0.0, 0.6, 0.8j), 3.0, [-1.0, 1.0], phi_nodes)
         np.testing.assert_allclose(tangential, 1.0, rtol=0.0, atol=1e-15)
+
+    def test_orthonormal_transverse_triad(self):
+        # On a black sheet a dipole along k_hat does not couple, and one along
+        # e1, e2 or the circular (e1 + i e2) / sqrt 2 couples with weight 1:
+        # e1 and e2 are orthonormal and transverse to k_hat.
+        terms = side_rate_terms(BLACK_SHEET, "a")
+        rng = np.random.default_rng(7)
+        for cos_theta, phi in zip(rng.uniform(-1.0, 1.0, 200), rng.uniform(0.0, 2.0 * math.pi, 200)):
+            k_hat, e1, e2 = transverse_triad(float(cos_theta), float(phi))
+            circular = [(a + 1j * b) / math.sqrt(2.0) for a, b in zip(e1, e2)]
+            for dipole, expected in ((k_hat, 0.0), (e1, 1.0), (e2, 1.0), (circular, 1.0)):
+                value = kernel(terms, DipoleOrientation.from_components(*dipole), 0.0, [cos_theta], [phi])
+                assert value[0, 0] == pytest.approx(expected, abs=1e-12), (cos_theta, phi, expected)
+
+
+class TestMirrorField:
+    """The dressed modes behind the kernel, seen through the couplings."""
+
+    def test_black_sheet_keeps_free_modes(self):
+        # r = t = 0 normalises to eta = 1 and leaves the direct wave alone:
+        # only its phase moves with u, so the kernel does not.
+        rng = np.random.default_rng(13)
+        for side in ("a", "b"):
+            terms = side_rate_terms(BLACK_SHEET, side)
+            assert (terms.r, terms.t_opposite, terms.eta_sq, terms.eta_opposite_sq) == (0.0, 0.0, 1.0, 1.0)
+            cos_nodes, phi_nodes = random_nodes(rng)
+            for dipole in random_dipoles(rng, count=4):
+                at_contact = kernel(terms, dipole, 0.0, cos_nodes, phi_nodes)
+                for u in (0.3, 17.0, 2e4):
+                    np.testing.assert_allclose(
+                        kernel(terms, dipole, u, cos_nodes, phi_nodes), at_contact, rtol=0.0, atol=1e-15
+                    )
+
+    def test_perfect_mirror_tangential_field_vanishes(self):
+        # At a perfect mirror's surface the image cancels the tangential field
+        # of every mode and doubles its normal field: a dipole along e1 (pure
+        # polarisation 1) does not couple, a normal one sees (2 sin th)**2 / eta**2
+        # with eta**2 = 2.
+        rng = np.random.default_rng(19)
+        for side in ("a", "b"):
+            terms = side_rate_terms(PERFECT_MIRROR, side)
+            assert terms.eta_sq == 2.0
+            cos_nodes, phi_nodes = random_nodes(rng)
+            normal = kernel(terms, DipoleOrientation(1.0, 0.0, 0.0), 0.0, cos_nodes, phi_nodes)
+            expected = np.broadcast_to(2.0 * (1.0 - cos_nodes**2)[:, None], normal.shape)
+            np.testing.assert_allclose(normal, expected, rtol=0.0, atol=1e-14)
+            for cos_theta, phi in zip(cos_nodes, phi_nodes):
+                _, e1, _ = transverse_triad(float(cos_theta), float(phi))
+                value = kernel(terms, DipoleOrientation.from_components(*e1), 0.0, [cos_theta], [phi])
+                assert abs(value[0, 0]) < 1e-14
+
+    def test_opaque_backside_blocks_species_b(self):
+        # t_b = 0: the far side's species sends nothing through to an emitter
+        # on side a, whatever its normalisation; with t_b = 0.3 it would.
+        iface = validate_interface(0.5, 0.5, None, 0.3, 0.0, None)
+        terms = side_rate_terms(iface, "a")
+        assert terms.t_opposite == 0.0
+        rng = np.random.default_rng(23)
+        cos_nodes, phi_nodes = random_nodes(rng)
+        for dipole in random_dipoles(rng, count=4):
+            for u in (0.0, 1.3, 40.0):
+                found = kernel(terms, dipole, u, cos_nodes, phi_nodes)
+                renormalised = dataclasses.replace(terms, eta_opposite_sq=7.0)
+                assert found.tobytes() == kernel(renormalised, dipole, u, cos_nodes, phi_nodes).tobytes()
+                leaking = dataclasses.replace(terms, t_opposite=0.3)
+                assert np.all(kernel(leaking, dipole, u, cos_nodes, phi_nodes) >= found)
+
+    def test_transmitted_wave_scaling(self):
+        # Species b reaches an emitter on side a as its transmitted wave,
+        # (t_b / eta_b) e^{i phi4} times the free mode: it adds
+        # (t_b / eta_b)**2 times the free pattern, whatever phi4 is.
+        eta_b_sq = 1.0 + 0.04 + (1.04 - 0.36) / (1.25 - 0.25) * 0.25
+        rng = np.random.default_rng(29)
+        for phi4 in (0.0, 0.9, 4.0):
+            iface = validate_interface(0.5, 0.5, None, 0.2, 0.6, None, phi4=phi4)
+            terms = side_rate_terms(iface, "a")
+            assert terms.t_opposite == 0.6
+            assert terms.eta_opposite_sq == pytest.approx(eta_b_sq, rel=1e-15)
+            blocked = dataclasses.replace(terms, t_opposite=0.0)
+            cos_nodes, phi_nodes = random_nodes(rng)
+            for dipole in random_dipoles(rng, count=4):
+                for u in (0.0, 2.5, 300.0):
+                    transmitted = kernel(terms, dipole, u, cos_nodes, phi_nodes) - kernel(
+                        blocked, dipole, u, cos_nodes, phi_nodes
+                    )
+                    expected = 0.36 / eta_b_sq * free_space_pattern(dipole, cos_nodes, phi_nodes)
+                    np.testing.assert_allclose(transmitted, expected, rtol=0.0, atol=1e-14)
 
 
 class TestCoupling:
