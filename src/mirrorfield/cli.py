@@ -29,7 +29,7 @@ def load_config_file(path: str) -> dict[str, str]:
     """Read a flat ``key = value`` file, ignoring blanks and # comments."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return split_settings(text, path)
 

@@ -8,25 +8,25 @@ Gauss-Legendre panels along the normal direction cosine, with the panel
 count scaled to the number of phase oscillations, so accuracy is uniform
 in ``u``.
 
-Both oracles sum their weighted values leaf by leaf along numpy's own
-pairwise summation tree, never building the whole grid: a leaf holds at
-most ``ROWS_PER_BLOCK * PHI_ORDER`` (32768) values, 512 to 1024 cos-theta
-rows of the 2D grid or a run of 1D panels, and each leaf builds the nodes
-of its own panels.  Each call runs its leaves on the calling thread plus
-helper threads it starts and joins itself, up to ``MAX_WORKERS`` in all
-and one per usable CPU (numpy releases the interpreter lock inside its
-loops); the leaf sums are added up the same tree, so every result has the
-bits of one ``np.sum`` over the whole grid whatever the leaf size or
-worker count.  Each oracle call allocates one workspace per worker slot
-before its first level, sized for the largest leaf of either refinement
-level, and hands it to the thread that fills its leaves; both levels reuse
-it, and every grid-sized intermediate is written into it.  A workspace is
-48 bytes per node of a leaf for the 2D oracle and 24 for the 1D oracle, at
-most about 1.6 and 0.8 MB, whatever ``u`` is; beyond that an oracle holds
-only its panel centres and half-widths, 16 bytes per panel.  Both oracles
-count their fine-level nodes before building any and raise
-:class:`QuadratureBudgetExceeded` above ``MAX_ORACLE_NODES``, which bounds
-their time, not their memory.
+Both oracles sum their weighted values in fixed leaves of whole rows,
+never building the whole grid: a leaf is ``ROWS_PER_BLOCK`` (512)
+cos-theta rows of the 2D grid or the 1D panels that hold as many values,
+at most 16384, and each leaf builds the nodes of its own panels.  Each
+call runs its leaves on the calling thread plus helper threads it starts
+and joins itself, up to ``MAX_WORKERS`` in all and one per usable CPU
+(numpy releases the interpreter lock inside its loops).  Each leaf is
+summed with ``np.sum`` and the leaf sums with ``math.fsum``, which rounds
+their exact total once, so a result does not depend on the worker count
+or on the order in which leaves finish.  Each oracle call allocates one
+workspace per worker slot before its first level, sized for the largest
+leaf of either refinement level, and hands it to the thread that fills
+its leaves; both levels reuse it, and every grid-sized intermediate is
+written into it.  A workspace is 48 bytes per node of a leaf for the 2D
+oracle and 24 for the 1D oracle, at most about 0.8 and 0.4 MB, whatever
+``u`` is; beyond that an oracle holds only its panel centres and
+half-widths, 16 bytes per panel.  Both oracles count their fine-level
+nodes before building any and raise :class:`QuadratureBudgetExceeded`
+above ``MAX_ORACLE_NODES``, which bounds their time, not their memory.
 
 Neither oracle touches the closed-form bracket: agreement between the
 three paths is the correctness check, not a construction.
@@ -65,17 +65,14 @@ PHI_ORDER = 32
 #: ``2 * points_per_panel``, times ``PHI_ORDER`` for the 2D oracle.
 MAX_ORACLE_NODES = 2**24
 
-#: Both oracles sum their weighted values in leaves of numpy's pairwise
-#: summation tree of at most ``ROWS_PER_BLOCK * PHI_ORDER`` values, so a 2D
-#: leaf holds 512 to 1024 cos-theta rows.  This changes memory use and the
-#: work per leaf, not the summation order or the result.
-ROWS_PER_BLOCK = 1024
-
-#: Most values numpy's pairwise sum adds in one unrolled loop, unsplit.
-_PAIRWISE_BLOCK = 128
+#: Both oracles sum their weighted values in fixed leaves of whole rows:
+#: ``ROWS_PER_BLOCK`` cos-theta rows of the 2D grid, or the 1D panels that
+#: hold as many values (see :func:`_leaf_rows`).  It sets the memory use and
+#: the work per leaf; the result may move in its last bits with it.
+ROWS_PER_BLOCK = 512
 
 #: Most threads that evaluate leaves at once; fewer where this process may
-#: use fewer CPUs.  Like the leaf size, it changes no result bit.
+#: use fewer CPUs.  It changes no result bit.
 MAX_WORKERS = 4
 
 
@@ -150,105 +147,69 @@ def _worker_count() -> int:
     return min(MAX_WORKERS, usable)
 
 
-def _pairwise(start: int, count: int, leaf_size: int, leaf: Callable[[int, int], float]) -> float:
-    """Walk numpy's pairwise summation tree over ``count`` values from ``start``.
-
-    ``np.sum`` of a contiguous float64 array sums up to ``_PAIRWISE_BLOCK``
-    values in one unrolled loop; above that it splits at half the count,
-    rounded down to a multiple of 8, and adds the sums of the two halves,
-    each summed the same way.  ``leaf(start, count)`` returns the sum of
-    each subtree of at most ``leaf_size`` values (or one unrolled loop, if
-    larger), left to right, and the leaf sums are added as the tree adds
-    them.  With ``leaf`` taking ``np.sum`` of its values, the result has the
-    bits of ``np.sum`` over all of them.
-    """
-    if count <= max(leaf_size, _PAIRWISE_BLOCK):
-        return leaf(start, count)
-    half = count // 2
-    half -= half % 8
-    left = _pairwise(start, half, leaf_size, leaf)
-    return left + _pairwise(start + half, count - half, leaf_size, leaf)
+def _leaf_rows(width: int) -> int:
+    """Rows per leaf of a grid ``width`` values wide: as many whole rows as
+    hold ``ROWS_PER_BLOCK * PHI_ORDER`` values, so ``ROWS_PER_BLOCK``
+    cos-theta rows of the 2D grid, and at least one."""
+    return max(1, ROWS_PER_BLOCK * PHI_ORDER // width)
 
 
-def _leaves(shape: tuple[int, int], leaf_size: int) -> list[tuple[int, int, slice]]:
-    """The leaves of :func:`_pairwise` over an array of ``shape``, in order:
-    each leaf's first value, its value count and the rows that cover it."""
-    n_rows, width = shape
-    leaves: list[tuple[int, int, slice]] = []
-
-    def add_leaf(start: int, count: int) -> float:
-        leaves.append((start, count, slice(start // width, -(-(start + count) // width))))
-        return 0.0
-
-    _pairwise(0, n_rows * width, leaf_size, add_leaf)
-    return leaves
-
-
-def _workspaces(
-    shapes: list[tuple[int, int]], leaf_size: int, dtypes: tuple[type, ...]
-) -> list[list[np.ndarray]]:
+def _workspaces(shapes: list[tuple[int, int]], dtypes: tuple[type, ...]) -> list[list[np.ndarray]]:
     """One workspace per worker slot of :func:`_blocked_sum` over arrays of each of ``shapes``.
 
     A workspace is one flat buffer of each of ``dtypes``, long enough for
-    the rows that cover the largest leaf of any of the shapes, so that one
-    set serves both refinement levels of an oracle call.  There are as
-    many as workers may take leaves of the shape with the most leaves.
+    the largest leaf of any of the shapes, so that one set serves both
+    refinement levels of an oracle call.  There are as many as workers
+    may take leaves of the shape with the most leaves.
     """
-    levels = [_leaves(shape, leaf_size) for shape in shapes]
-    size = max(
-        (rows.stop - rows.start) * width
-        for (_, width), leaves in zip(shapes, levels)
-        for _, _, rows in leaves
-    )
-    slots = min(_worker_count(), max(map(len, levels)))
+    steps = [(rows, width, _leaf_rows(width)) for rows, width in shapes]
+    size = max(min(step, rows) * width for rows, width, step in steps)
+    slots = min(_worker_count(), max(-(-rows // step) for rows, _, step in steps))
     return [[np.empty(size, dtype) for dtype in dtypes] for _ in range(slots)]
 
 
 def _blocked_sum(
     shape: tuple[int, int],
-    leaf_size: int,
     fill: Callable[[slice, list[np.ndarray]], np.ndarray],
     workspaces: list[list[np.ndarray]],
 ) -> float:
-    """``np.sum`` of an array whose rows ``fill(rows, workspace)`` computes, never built whole.
+    """Sum of an array whose rows ``fill(rows, workspace)`` computes, never built whole.
 
-    The sum is split at the subtrees of numpy's own pairwise summation tree
-    that hold at most ``leaf_size`` values (see :func:`_pairwise`).  The
-    calling thread and one helper thread for each further workspace (no
-    more than there are leaves) each take the next leaf, have ``fill``
-    compute the rows that cover it in the worker's own workspace and return
-    them as one C-contiguous array, and sum the leaf's values alone; a row
-    split between two leaves is filled for both.  The leaf sums are then
-    added up the same tree, so the result has the bits of one ``np.sum``
-    over the whole array, whatever the leaf size or worker count.  The
-    first exception from any leaf stops the workers from taking more
-    leaves and reaches the caller once every helper has been joined.
+    The rows are cut into fixed leaves of :func:`_leaf_rows` rows each.
+    The calling thread and one helper thread for each further workspace
+    (no more than there are leaves) each take the next leaf, have ``fill``
+    compute its rows in the worker's own workspace, and sum them with
+    ``np.sum``.  ``math.fsum`` then adds the leaf sums, rounding their
+    exact total once, so the result does not depend on the order in which
+    the leaves finish or on the worker count.  The first exception from
+    any leaf stops the workers from taking more leaves and reaches the
+    caller once every helper has been joined.
     """
-    width = shape[1]
-    leaves = _leaves(shape, leaf_size)
-    next_leaf = iter(leaves)
+    n_rows = shape[0]
+    step = _leaf_rows(shape[1])
+    starts = range(0, n_rows, step)
+    next_start = iter(starts)
     lock = threading.Lock()
-    sums: dict[int, float] = {}
+    sums: list[float] = []
     errors: list[BaseException] = []
 
     def work(workspace: list[np.ndarray]) -> None:
         try:
             while True:
                 with lock:
-                    leaf = None if errors else next(next_leaf, None)
-                if leaf is None:
+                    start = None if errors else next(next_start, None)
+                if start is None:
                     return
-                start, count, rows = leaf
-                filled = fill(rows, workspace)
-                offset = start - rows.start * width
-                sums[start] = float(np.sum(filled.reshape(-1)[offset : offset + count]))
+                total = float(np.sum(fill(slice(start, min(start + step, n_rows)), workspace)))
+                with lock:
+                    sums.append(total)
         except BaseException as error:  # the caller re-raises it after the joins
             with lock:
                 errors.append(error)
 
     helpers = [
         threading.Thread(target=work, args=(workspace,), name="mirrorfield-oracle")
-        for workspace in workspaces[1 : len(leaves)]
+        for workspace in workspaces[1 : len(starts)]
     ]
     for helper in helpers:
         helper.start()
@@ -257,7 +218,7 @@ def _blocked_sum(
         helper.join()
     if errors:
         raise errors[0]
-    return _pairwise(0, shape[0] * width, leaf_size, lambda start, count: sums[start])
+    return math.fsum(sums)
 
 
 #: One 1D workspace: the nodes and two kernel grids, 24 bytes per node.
@@ -339,11 +300,8 @@ def decay_rate_2d_oracle(
     phi_x, phi_w = _phi_nodes()
     integrand = _angular_integrand(terms, dipole, u, phi_x)
     centres, half_width = _panels(n_panels)
-    leaf_size = ROWS_PER_BLOCK * PHI_ORDER
     levels = (spec.points_per_panel, 2 * spec.points_per_panel)
-    workspaces = _workspaces(
-        [(n_panels * points, PHI_ORDER) for points in levels], leaf_size, _ANGULAR_BUFFERS
-    )
+    workspaces = _workspaces([(n_panels * points, PHI_ORDER) for points in levels], _ANGULAR_BUFFERS)
 
     def evaluate(points: int) -> float:
         def fill(rows: slice, workspace: list[np.ndarray]) -> np.ndarray:
@@ -357,9 +315,7 @@ def decay_rate_2d_oracle(
             np.multiply(cos_w.ravel()[own, None], phi_w[None, :], out=weights)
             return np.multiply(weights, value, out=weights)
 
-        return 3.0 / (8.0 * math.pi) * _blocked_sum(
-            (n_panels * points, PHI_ORDER), leaf_size, fill, workspaces
-        )
+        return 3.0 / (8.0 * math.pi) * _blocked_sum((n_panels * points, PHI_ORDER), fill, workspaces)
 
     return _refined("2d oracle", spec, evaluate)
 
@@ -378,11 +334,8 @@ def decay_rate_1d_oracle(
     _check_budget("1d oracle", n_panels * 2 * spec.points_per_panel)
 
     centres, half_width = _panels(n_panels)
-    leaf_size = ROWS_PER_BLOCK * PHI_ORDER
     levels = (spec.points_per_panel, 2 * spec.points_per_panel)
-    workspaces = _workspaces(
-        [(n_panels, points) for points in levels], leaf_size, _DISTANCE_BUFFERS
-    )
+    workspaces = _workspaces([(n_panels, points) for points in levels], _DISTANCE_BUFFERS)
 
     def evaluate(points: int) -> float:
         base_x, base_w = _gauss_legendre(points)
@@ -399,7 +352,7 @@ def decay_rate_1d_oracle(
             weights = np.multiply(width, base_w, out=nodes)
             return np.multiply(weights, kernel, out=kernel)
 
-        return 0.375 * _blocked_sum((n_panels, points), leaf_size, fill, workspaces)
+        return 0.375 * _blocked_sum((n_panels, points), fill, workspaces)
 
     return _refined("1d oracle", spec, evaluate)
 

@@ -105,10 +105,10 @@ class SweepConfig:
     preset: str | None = None
     seed: int = 42
     cases: int = 64
-    panels_per_oscillation: int = 4
-    points_per_panel: int = 16
-    min_panels: int = 8
-    rel_tolerance: float = 1e-9
+    panels_per_oscillation: int = QuadratureSpec.panels_per_oscillation
+    points_per_panel: int = QuadratureSpec.points_per_panel
+    min_panels: int = QuadratureSpec.min_panels
+    rel_tolerance: float = QuadratureSpec.rel_tolerance
 
     def validate(self) -> None:
         if self.subcommand not in COMMANDS:

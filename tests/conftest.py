@@ -5,7 +5,7 @@ from contextlib import contextmanager
 CRITERIA = {
     1: "closed form matches 2D oracle to 1e-6 rel and 1D oracle to 1e-8 abs on 64 seeded cases in under 60 s",
     2: "normalisation identity holds to 1e-12 on 10^4 random coatings and eta^2 >= 1 with exact symmetric limits",
-    3: "perfect-mirror contact limits are 0 (normal dipole) and 2 (parallel dipole) within 1e-6",
+    3: "perfect-mirror contact limits are 0 (tangential dipole) and 2 (normal dipole) within 1e-6",
     4: "rate ratio returns to 1 at u = 1e3 within 3|xi|/u + 1e-6",
     5: "mirror parameter is bounded by 3/2 and attains it only for a lossless perfect reflector at phase 0 or pi",
     6: "strong-absorption preset reproduces the frozen contact value to 1e-3 and its family peak lies in [1.5, 1.7]",

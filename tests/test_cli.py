@@ -149,6 +149,12 @@ class TestMain:
         assert main(["eta-map", "--config", str(cfg)]) == 1
         assert "unknown option 'bogus'" in capsys.readouterr().err
 
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"grid_count = 3 # caf\xe9\n")
+        assert main(["eta-map", "--config", str(cfg)]) == 1
+        assert f"error: cannot read config file {cfg}: 'utf-8' codec" in capsys.readouterr().err
+
     def test_key_the_subcommand_does_not_read(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("u_count = 5\n")

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import multiprocessing
@@ -156,6 +157,14 @@ class TestAgreementWithClosedForm:
         target(report.max_rel_error)
         assert report.max_rel_error <= 1e-12
 
+    # The band where the oracles sum several leaves per level (the 2D
+    # oracle from u = 1e2, the 1D oracle above about 400); the search
+    # above, steered toward small u, reaches few distances here.
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(edge_coatings(), st.sampled_from(["a", "b"]), complex_dipoles(), log_uniform(1e2, 3e3))
+    def test_multi_leaf_band_agrees_to_1e12(self, iface, side, dipole, u):
+        assert oracle_compare(iface, side, dipole, u).max_rel_error <= 1e-12
+
     @pytest.mark.parametrize("case", seeded_oracle_cases(seed=99, count=10), ids=lambda c: f"case{c.index}")
     def test_random_configurations(self, case):
         report = oracle_compare(case.interface, case.side, case.dipole, case.u)
@@ -219,16 +228,37 @@ class TestBudget:
             decay_rate_1d_oracle(BLACK_SHEET, "a", 1.5, 0.5)
 
 
+def exactly_summed(monkeypatch, compute):
+    """``compute()`` with each oracle sum taken by one ``math.fsum`` over all
+    values of the grid, which rounds their exact total once."""
+    with monkeypatch.context() as patch:
+        # One leaf, so that the workspaces hold the whole grid.
+        patch.setattr(oracle, "ROWS_PER_BLOCK", 10**9)
+        patch.setattr(
+            oracle,
+            "_blocked_sum",
+            lambda shape, fill, workspaces: math.fsum(fill(slice(0, shape[0]), workspaces[0]).ravel()),
+        )
+        return compute()
+
+
+def ulps_apart(found: float, expected: float) -> float:
+    return abs(found - expected) / math.ulp(expected)
+
+
 class TestRowBlocks:
+    # The leaf size moves a result only in its last bits: at each block
+    # size it stays within 4 ulp of the oracle that sums all values exactly.
+
     @pytest.mark.parametrize("u", [300.0, 1e3])
     def test_result_is_independent_of_block_size(self, monkeypatch, u):
         # One block (the whole grid at once), a ragged last block, the default.
         for case in seeded_oracle_cases(seed=11, count=2):
-            values = []
+            compute = functools.partial(decay_rate_2d_oracle, case.interface, case.side, case.dipole, u)
+            expected = exactly_summed(monkeypatch, compute)
             for rows in (10**9, 7, DEFAULT_ROWS_PER_BLOCK):
                 monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", rows)
-                values.append(decay_rate_2d_oracle(case.interface, case.side, case.dipole, u).hex())
-            assert values[0] == values[1] == values[2]
+                assert ulps_apart(compute(), expected) <= 4, rows
 
     @pytest.mark.parametrize("u", [300.0, 3e3])
     def test_1d_result_is_independent_of_block_size(self, monkeypatch, u):
@@ -236,25 +266,25 @@ class TestRowBlocks:
         ragged = QuadratureSpec(points_per_panel=7, panels_per_oscillation=3)
         for case in seeded_oracle_cases(seed=12, count=2):
             for spec in (DEFAULT_QUADRATURE, ragged):
-                values = []
+                compute = functools.partial(
+                    decay_rate_1d_oracle, case.interface, case.side, case.dipole.alignment, u, spec
+                )
+                expected = exactly_summed(monkeypatch, compute)
                 for rows in (10**9, 1, 7, DEFAULT_ROWS_PER_BLOCK):
                     monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", rows)
-                    values.append(
-                        decay_rate_1d_oracle(case.interface, case.side, case.dipole.alignment, u, spec).hex()
-                    )
-                assert len(set(values)) == 1
+                    assert ulps_apart(compute(), expected) <= 4, rows
 
     def test_result_is_independent_of_worker_count(self, monkeypatch):
-        # Worker counts and block sizes in every combination, for both
-        # oracles, the default and a ragged 7-point spec.
+        # At each block size the bits do not depend on the worker count,
+        # for both oracles, the default and a ragged 7-point spec.
         ragged = QuadratureSpec(points_per_panel=7, panels_per_oscillation=3)
         specs = (DEFAULT_QUADRATURE, ragged)
-        values = {}
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
-            for rows in (10**9, 7, DEFAULT_ROWS_PER_BLOCK):
-                monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", rows)
-                values[workers, rows] = [
+        for rows in (10**9, 7, DEFAULT_ROWS_PER_BLOCK):
+            monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", rows)
+            values = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+                values.append([
                     decay_rate_2d_oracle(case.interface, case.side, case.dipole, 100.0, spec).hex()
                     for case in seeded_oracle_cases(seed=11, count=2)
                     for spec in specs
@@ -262,9 +292,8 @@ class TestRowBlocks:
                     decay_rate_1d_oracle(case.interface, case.side, case.dipole.alignment, 3e3, spec).hex()
                     for case in seeded_oracle_cases(seed=12, count=2)
                     for spec in specs
-                ]
-        first = values[1, 10**9]
-        assert all(found == first for found in values.values())
+                ])
+            assert values[0] == values[1] == values[2], rows
 
     def test_oracle_check_bytes_are_independent_of_worker_count(self, monkeypatch, capsys):
         outputs = []
@@ -298,7 +327,7 @@ class TestRowBlocks:
 
         dipole = DipoleOrientation.aligned(0.3)
         monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
-        # u = 0: 8 panels of 16 rows, so 8 blocks of 16 rows.
+        # u = 0: 8 panels of 16 rows, so 8 leaves of 16 rows (16 at the fine level).
         monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", 16)
         monkeypatch.setattr(oracle, "_angular_integrand", failing_integrand)
         with pytest.raises(BlockFailed, match="second block"):
@@ -381,8 +410,9 @@ class TestRowBlocks:
 
         dipole = DipoleOrientation.aligned(0.3)
         monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
-        # 8 leaves of 16 rows for the 2D oracle at u = 0, 16 leaves of 384
-        # values for the 1D oracle at u = 300 (twice that at the fine level).
+        # 8 leaves of 16 rows for the 2D oracle at u = 0, 12 leaves of 32
+        # panels for the 1D oracle at u = 300 (twice as many leaves at the
+        # fine level).
         monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", 16)
         before = threading.active_count()
         decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0)
@@ -468,68 +498,64 @@ class TestRowBlocks:
             nodes[0] = 0.0
 
 
-class TestPairwiseTree:
-    """The oracles sum leaf by leaf along numpy's own pairwise summation tree.
-
-    This is the only check that ``np.sum`` still adds in the order that
-    ``oracle._pairwise`` walks: the streamed sum must have the bits of one
-    ``np.sum`` over the whole grid.
-    """
+class TestLeafSums:
+    """The oracles sum each fixed leaf of rows with ``np.sum`` and add the
+    leaf sums with ``math.fsum``."""
 
     # Rows, and so for width 1 values: below 8, from 8 to 128, 129, odd
     # primes, and (with the last row count) about 1e5 values for every width.
     ROWS = (1, 3, 5, 8, 16, 17, 128, 129, 997, 7919)
 
-    @pytest.mark.parametrize("width", [1, 7, 16, 32])
-    @pytest.mark.parametrize("leaf_rows", [1, 7, "default", 10**9])
-    def test_streamed_sum_equals_np_sum(self, monkeypatch, width, leaf_rows):
-        if leaf_rows == "default":
-            leaf_size = oracle.ROWS_PER_BLOCK * oracle.PHI_ORDER
-        else:
-            leaf_size = leaf_rows * width
-        rng = np.random.default_rng(width * 1000 + (leaf_size % 997))
-        for rows in (*self.ROWS, 100003 // width):
-            # Mixed signs over 24 decades, so that the order of the additions shows.
-            grid = rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-12.0, 12.0, (rows, width))
-
-            def fill(block: slice, workspace: list) -> np.ndarray:
-                out = oracle._grid(workspace[0], grid[block].shape)
-                out[...] = grid[block]
-                return out
-
-            expected = float(np.sum(grid)).hex()
-            for workers in (1, 3):
-                monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
-                workspaces = oracle._workspaces([grid.shape], leaf_size, (np.float64,))
-                found = oracle._blocked_sum(grid.shape, leaf_size, fill, workspaces)
-                assert found.hex() == expected, (rows, workers)
-
-    def test_workers_take_each_leaf_once(self, monkeypatch):
-        # More workers than cores, switching threads as often as possible:
-        # a leaf taken twice or lost shows in the fill count or the bits.
-        rng = np.random.default_rng(8)
-        grid = rng.standard_normal((20011, 7)) * 10.0 ** rng.uniform(-12.0, 12.0, (20011, 7))
+    @staticmethod
+    def filler(grid: np.ndarray, filled: list | None = None):
         lock = threading.Lock()
-        filled = []
 
         def fill(block: slice, workspace: list) -> np.ndarray:
-            with lock:
-                filled.append(block.start)
+            if filled is not None:
+                with lock:
+                    filled.append(block.start)
             out = oracle._grid(workspace[0], grid[block].shape)
             out[...] = grid[block]
             return out
 
-        leaves = []
-        oracle._pairwise(0, grid.size, 7, lambda start, count: leaves.append(start) or 0.0)
+        return fill
+
+    @pytest.mark.parametrize("width", [1, 7, 16, 32])
+    @pytest.mark.parametrize("rows_per_block", [1, 7, "default", 10**9])
+    def test_streamed_sum_is_within_4_ulp_of_fsum(self, monkeypatch, width, rows_per_block):
+        if rows_per_block == "default":
+            rows_per_block = DEFAULT_ROWS_PER_BLOCK
+        monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", rows_per_block)
+        rng = np.random.default_rng([width, rows_per_block])
+        for rows in (*self.ROWS, 100003 // width):
+            # Nonnegative like every oracle grid (a bound in ulp of the sum
+            # needs that): values of one scale, and values over 24 decades.
+            flat = rng.uniform(0.0, 1.0, (rows, width))
+            for grid in (flat, flat * 10.0 ** rng.uniform(-12.0, 12.0, (rows, width))):
+                expected = math.fsum(grid.ravel())
+                for workers in (1, 3):
+                    monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+                    workspaces = oracle._workspaces([grid.shape], (np.float64,))
+                    found = oracle._blocked_sum(grid.shape, self.filler(grid), workspaces)
+                    assert ulps_apart(found, expected) <= 4, (rows, workers)
+
+    def test_workers_take_each_leaf_once(self, monkeypatch):
+        # More workers than cores, switching threads as often as possible:
+        # a leaf taken twice or lost shows in the fill count or the sum.
+        rng = np.random.default_rng(8)
+        grid = rng.uniform(0.0, 1.0, (20011, 7))
+        filled = []
+        monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", 1)
+        leaf_rows = oracle._leaf_rows(7)
         monkeypatch.setattr(oracle, "_worker_count", lambda: 8)
-        workspaces = oracle._workspaces([grid.shape], 7, (np.float64,))
+        workspaces = oracle._workspaces([grid.shape], (np.float64,))
         assert len(workspaces) == 8
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            found = oracle._blocked_sum(grid.shape, 7, fill, workspaces)
+            found = oracle._blocked_sum(grid.shape, self.filler(grid, filled), workspaces)
         finally:
             sys.setswitchinterval(interval)
-        assert len(filled) == len(leaves)
-        assert found.hex() == float(np.sum(grid)).hex()
-
+        assert len(filled) == math.ceil(len(grid) / leaf_rows)
+        assert sorted(filled) == list(range(0, len(grid), leaf_rows))
+        assert ulps_apart(found, math.fsum(grid.ravel())) <= 4

@@ -131,9 +131,9 @@ class TestOscillatoryBracket:
             assert oscillatory_bracket(1e-12, alignment) == pytest.approx(expected, abs=1e-15)
 
     def test_hand_values(self):
-        # u = pi, normal dipole: sinc term vanishes, tail is -1/pi^2
+        # u = pi, tangential dipole: sinc term vanishes, tail is -1/pi^2
         assert oscillatory_bracket(math.pi, 0.0) == pytest.approx(-1.0 / math.pi**2, abs=1e-15)
-        # u = pi/2, parallel dipole: 2 cos(u)/u^2 - 2 sin(u)/u^3 = -16/pi^3
+        # u = pi/2, normal dipole: 2 cos(u)/u^2 - 2 sin(u)/u^3 = -16/pi^3
         assert oscillatory_bracket(0.5 * math.pi, 1.0) == pytest.approx(-16.0 / math.pi**3, abs=1e-15)
 
     def test_series_matches_direct_at_switchover(self):
@@ -159,7 +159,7 @@ class TestRelativeDecayRate:
 
     def test_perfect_mirror_known_curve_point(self):
         # ratio(u) = 1 - (3/2) [sin u / u + cos u / u^2 - sin u / u^3] for a
-        # normal dipole at a phase-pi perfect mirror
+        # tangential dipole at a phase-pi perfect mirror
         u = 2.0
         expected = 1.0 - 1.5 * (
             math.sin(u) / u + math.cos(u) / u**2 - math.sin(u) / u**3

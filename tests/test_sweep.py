@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mirrorfield import (
     ConfigError,
     MirrorInterface,
+    QuadratureSpec,
     ResultTable,
     SideCoefficients,
     SweepConfig,
@@ -221,6 +222,9 @@ class TestConfigValidation:
     def test_bad_values(self, overrides):
         with pytest.raises(ConfigError):
             make_config(**overrides).validate()
+
+    def test_quadrature_defaults_are_the_spec_defaults(self):
+        assert SweepConfig(subcommand="oracle-check").quadrature() == QuadratureSpec()
 
     def test_custom_curve_needs_amplitudes(self):
         config = make_config(subcommand="decay-curve", r_a=0.5, t_a=0.5)
