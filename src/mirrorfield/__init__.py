@@ -21,10 +21,10 @@ _PUBLIC = {
         "MirrorFieldError", "QuadratureBudgetExceeded", "RangeError",
     ),
     "interface": (
-        "AIR", "Medium", "MirrorInterface", "MirrorSideSummary", "NormalisationPair",
-        "QuadratureSpec", "SideCoefficients", "SideRateTerms", "lossless_interface",
-        "mirror_parameter", "normalisation_constants", "refractive_index",
-        "side_rate_terms", "validate_interface",
+        "AIR", "Medium", "MirrorInterface", "QuadratureSpec", "SideCoefficients",
+        "SideRateTerms", "lossless_interface", "mirror_parameter",
+        "normalisation_constants", "refractive_index", "side_rate_terms",
+        "validate_interface",
     ),
     "oracle": (
         "DEFAULT_QUADRATURE", "OracleReport", "decay_rate_1d_oracle",

@@ -68,6 +68,24 @@ def as_value(value):
     return float(array) if array.ndim == 0 else array
 
 
+def as_real(name: str, value, scalar: bool = False) -> np.ndarray:
+    """``value`` as a float array, if it is a real number or (unless
+    ``scalar``) an array of them: numpy kind ``i``, ``u`` or ``f``.
+
+    Raise :class:`DomainError` for a bool, str, complex, object or ragged
+    input, which a conversion to float would accept, turn into a number or
+    fail on with a bare error.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nested sequence
+        array = None
+    if array is None or array.dtype.kind not in "iuf" or (scalar and array.ndim):
+        kind = "a real number" if scalar else "a real number or an array of real numbers"
+        raise DomainError(f"{name} must be {kind}, got {value!r}")
+    return array.astype(float, copy=False)
+
+
 def check_cells(ok, error: type[Exception], message: str, **values) -> None:
     """Raise ``error`` unless the condition ``ok`` holds in every cell.
 
@@ -190,28 +208,6 @@ class MirrorInterface:
 
 
 @dataclass(frozen=True)
-class NormalisationPair:
-    """Squared normalisation constants of the two photon species."""
-
-    eta_a_sq: float
-    eta_b_sq: float
-
-    def __post_init__(self) -> None:
-        check_finite(self)
-
-
-@dataclass(frozen=True)
-class MirrorSideSummary:
-    """Normalisation and mirror parameter relevant for one emitter side."""
-
-    eta_sq: float
-    xi: float
-
-    def __post_init__(self) -> None:
-        check_finite(self)
-
-
-@dataclass(frozen=True)
 class SideRateTerms:
     """Coefficients entering the decay-rate formulas for one emitter side.
 
@@ -319,18 +315,21 @@ def lossless_interface(
     return MirrorInterface(side, side, phi1, phi2, phi3, phi4)
 
 
-def normalisation_constants(interface: MirrorInterface) -> NormalisationPair:
-    """Squared field normalisation constants of a validated interface.
+def normalisation_constants(
+    interface: MirrorInterface,
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Squared field normalisation constants ``(eta_a_sq, eta_b_sq)``.
 
     They satisfy ``(1 + r_a^2)/eta_a^2 + t_b^2/eta_b^2 = 1`` and the same
     with the sides swapped; for a symmetric coating both reduce to
-    ``1 + r^2 + t^2``.
+    ``1 + r^2 + t^2``.  Each is a Python float for a scalar coating and an
+    array for an array coating; a validated coating keeps both finite.
     """
     r_a, t_a = interface.side_a.r, interface.side_a.t
     r_b, t_b = interface.side_b.r, interface.side_b.t
     num_a = 1.0 + r_a * r_a - t_a * t_a
     num_b = 1.0 + r_b * r_b - t_b * t_b
-    return NormalisationPair(
+    return (
         1.0 + r_a * r_a + (num_a / num_b) * (t_b * t_b),
         1.0 + r_b * r_b + (num_b / num_a) * (t_a * t_a),
     )
@@ -339,45 +338,35 @@ def normalisation_constants(interface: MirrorInterface) -> NormalisationPair:
 def side_rate_terms(interface: MirrorInterface, side: str) -> SideRateTerms:
     """Collect the coefficients the rate formulas need for one side."""
     _check_side(side)
-    pair = normalisation_constants(interface)
+    eta_a_sq, eta_b_sq = normalisation_constants(interface)
     if side == "a":
         return SideRateTerms(
             r=interface.side_a.r,
             reflection_phase=interface.phi3,
             t_opposite=interface.side_b.t,
             transmission_phase=interface.phi4,
-            eta_sq=pair.eta_a_sq,
-            eta_opposite_sq=pair.eta_b_sq,
+            eta_sq=eta_a_sq,
+            eta_opposite_sq=eta_b_sq,
         )
     return SideRateTerms(
         r=interface.side_b.r,
         reflection_phase=interface.phi1,
         t_opposite=interface.side_a.t,
         transmission_phase=interface.phi2,
-        eta_sq=pair.eta_b_sq,
-        eta_opposite_sq=pair.eta_a_sq,
+        eta_sq=eta_b_sq,
+        eta_opposite_sq=eta_a_sq,
     )
 
 
-def mirror_parameter(interface: MirrorInterface, side: str) -> MirrorSideSummary:
+def mirror_parameter(interface: MirrorInterface, side: str) -> float | np.ndarray:
     """Mirror parameter ``xi = 3 r cos(phase) / eta**2`` for one side.
 
-    Parameters
-    ----------
-    interface : MirrorInterface
-    side : {"a", "b"}
-        ``"a"`` uses the air-side reflection amplitude and ``phi3``;
-        ``"b"`` the dielectric-side amplitude and ``phi1``.
-
-    Returns
-    -------
-    MirrorSideSummary
-        ``eta_sq`` for the requested side and the bounded parameter
-        ``xi`` with ``|xi| <= 1.5``.
+    ``"a"`` uses the air-side reflection amplitude and ``phi3``, ``"b"``
+    the dielectric-side amplitude and ``phi1``.  ``|xi| <= 1.5``; a Python
+    float for a scalar coating and an array for an array coating.
     """
     terms = side_rate_terms(interface, side)
-    xi = 3.0 * terms.r * math.cos(terms.reflection_phase) / terms.eta_sq
-    return MirrorSideSummary(eta_sq=terms.eta_sq, xi=xi)
+    return 3.0 * terms.r * math.cos(terms.reflection_phase) / terms.eta_sq
 
 
 def refractive_index(medium: Medium) -> float:

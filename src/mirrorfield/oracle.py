@@ -98,8 +98,9 @@ class OracleReport:
 
 def panel_count(u: float, spec: QuadratureSpec) -> int:
     """Number of panels on [-1, 1]: at least ``min_panels``, growing as
-    ``ceil(u / pi) * panels_per_oscillation`` once the phase oscillates."""
-    check_u(u)
+    ``ceil(u / pi) * panels_per_oscillation`` once the phase oscillates.
+    ``u`` must be one real number, as in both oracles."""
+    u = float(check_u(u, scalar=True))
     return max(spec.min_panels, math.ceil(u / math.pi) * spec.panels_per_oscillation)
 
 
@@ -293,9 +294,8 @@ def decay_rate_2d_oracle(
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Rate ratio from the full solid-angle quadrature."""
-    check_u(u)
-    terms = side_rate_terms(interface, side)
     n_panels = panel_count(u, spec)
+    terms = side_rate_terms(interface, side)
     _check_budget("2d oracle", n_panels * 2 * spec.points_per_panel * PHI_ORDER)
     phi_x, phi_w = _phi_nodes()
     integrand = _angular_integrand(terms, dipole, u, phi_x)

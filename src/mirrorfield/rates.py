@@ -21,6 +21,7 @@ from .interface import (
     Medium,
     MirrorInterface,
     _check_side,
+    as_real,
     as_value,
     check_cells,
     mirror_parameter,
@@ -161,7 +162,7 @@ class DecayRateCurve:
 
     def __post_init__(self) -> None:
         _check_side(self.side)
-        u, ratio = np.asarray(self.u, dtype=float), np.asarray(self.ratio, dtype=float)
+        u, ratio = as_real("u", self.u), as_real("ratio", self.ratio)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "ratio", ratio)
         if u.ndim != 1 or ratio.shape != u.shape:
@@ -221,13 +222,11 @@ def oscillatory_bracket(u, alignment: float):
     may be an array, finite and ``>= 0`` in every cell; a scalar gives a
     Python float.
     """
-    _check_rate_args(alignment, u)
-    return _bracket(u, alignment)
+    return _bracket(_check_rate_args(alignment, u), alignment)
 
 
-def _bracket(u, alignment: float):
+def _bracket(u: np.ndarray, alignment: float):
     """:func:`oscillatory_bracket` on arguments already checked."""
-    u = np.asarray(u, dtype=float)
     series = u < SMALL_U
     # Below SMALL_U the trigonometric form can divide by zero or overflow,
     # and above it u * u can; np.where discards those cells, so their
@@ -242,17 +241,22 @@ def _bracket(u, alignment: float):
     return as_value((1.0 - alignment) * sinc_part + (1.0 + alignment) * tail_part)
 
 
-def check_u(u) -> None:
-    """Reject a scaled distance ``u`` that is negative, infinite or NaN in any cell."""
-    u = np.asarray(u, dtype=float)
+def check_u(u, scalar: bool = False) -> np.ndarray:
+    """``u`` as a float array, after rejecting a scaled distance that is not
+    real (with ``scalar``, not one real number) or is negative, infinite or
+    NaN in any cell."""
+    u = as_real("u", u, scalar)
     check_cells((0.0 <= u) & (u < math.inf), DomainError,
                 "u must be finite and >= 0, got {u!r}", u=u)
+    return u
 
 
-def _check_rate_args(alignment: float, u) -> None:
-    if not (0.0 <= alignment <= 1.0):
+def _check_rate_args(alignment: float, u) -> np.ndarray:
+    """Reject a bad real scalar ``alignment`` or a bad ``u``; return ``u`` as
+    :func:`check_u` does."""
+    if not (0.0 <= float(as_real("alignment", alignment, scalar=True)) <= 1.0):
         raise DomainError(f"alignment must be in [0, 1], got {alignment!r}")
-    check_u(u)
+    return check_u(u)
 
 
 def relative_decay_rate(interface: MirrorInterface, side: str, alignment: float, u):
@@ -275,9 +279,8 @@ def relative_decay_rate(interface: MirrorInterface, side: str, alignment: float,
         ``1 + xi * bracket(u, alignment)``; always within [0, 2].  A
         Python float when both ``u`` and the coating are scalar.
     """
-    _check_rate_args(alignment, u)
-    summary = mirror_parameter(interface, side)
-    return 1.0 + summary.xi * _bracket(u, alignment)
+    u = _check_rate_args(alignment, u)
+    return 1.0 + mirror_parameter(interface, side) * _bracket(u, alignment)
 
 
 def unnormalised_decay_rate(interface: MirrorInterface, side: str, alignment: float, u):
@@ -288,7 +291,7 @@ def unnormalised_decay_rate(interface: MirrorInterface, side: str, alignment: fl
     :func:`relative_decay_rate`.  It is the algebraic oracle the tests
     compare the normalised closed form against; nothing else calls it.
     """
-    _check_rate_args(alignment, u)
+    u = _check_rate_args(alignment, u)
     terms = side_rate_terms(interface, side)
     constant = (1.0 + terms.r**2) / terms.eta_sq + (
         terms.t_opposite**2 / terms.eta_opposite_sq
@@ -310,6 +313,6 @@ def sample_decay_curve(
     u_values,
 ) -> DecayRateCurve:
     """Evaluate :func:`relative_decay_rate` on an increasing ``u`` grid."""
-    u = np.asarray(u_values, dtype=float)
+    u = as_real("u", u_values)
     ratio = relative_decay_rate(interface, side, alignment, u)
     return DecayRateCurve(side=side, alignment=alignment, u=u, ratio=ratio)

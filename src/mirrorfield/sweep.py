@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, MirrorFieldError, QuadratureBudgetExceeded
+from .errors import ConfigError, DomainError, MirrorFieldError, QuadratureBudgetExceeded
 from .interface import (
     MirrorInterface,
     QuadratureSpec,
@@ -414,10 +414,9 @@ def cmd_eta_map(config: SweepConfig) -> ResultTable:
     """Normalisation constants on an (r_a, r_b) grid at fixed loss."""
     config.validate()
     coating, r_a, r_b, provenance = _map_grid(config)
-    pair = normalisation_constants(coating)
     return ResultTable(
         columns=["r_a", "r_b", "eta_a_sq", "eta_b_sq"],
-        rows=np.column_stack((r_a, r_b, pair.eta_a_sq, pair.eta_b_sq)),
+        rows=np.column_stack((r_a, r_b, *normalisation_constants(coating))),
         provenance=provenance,
     )
 
@@ -427,7 +426,7 @@ def cmd_xi_map(config: SweepConfig) -> ResultTable:
     config.validate()
     coating, r_a, r_b, provenance = _map_grid(config)
     phases = tuple(float(p) for p in config.phi3_values)
-    xi = [mirror_parameter(replace(coating, phi3=p), "a").xi for p in phases]
+    xi = [mirror_parameter(replace(coating, phi3=p), "a") for p in phases]
     return ResultTable(
         columns=["r_a", "r_b"] + [f"xi_phi3={repr(p)}" for p in phases],
         rows=np.column_stack((r_a, r_b, *xi)),
@@ -576,9 +575,15 @@ class OracleCase:
 
 
 def seeded_oracle_cases(seed: int, count: int) -> list[OracleCase]:
-    """Deterministic case list shared by the CLI sweep and the test suite."""
+    """Deterministic case list shared by the CLI sweep and the test suite.
+
+    ``count`` is bounded like the ``cases`` setting: its 9-column
+    ``oracle-check`` table must stay within :data:`MAX_TABLE_VALUES`.
+    """
     check_count("seed", seed, 0)
     check_count("count", count, 0)
+    if count > MAX_TABLE_VALUES // 9:
+        raise DomainError(f"count must be <= {MAX_TABLE_VALUES // 9}, got {count!r}")
     rng = np.random.default_rng(seed)
     cases = []
     for index in range(count):

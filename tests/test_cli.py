@@ -220,7 +220,7 @@ PUBLIC_NAMES = [
     "AIR", "AtomParams", "CODATA2018", "ConfigError", "DEFAULT_QUADRATURE",
     "DecayRateCurve", "DegenerateTransparency", "DipoleOrientation", "DomainError",
     "EnergyViolation", "Medium", "MirrorFieldError", "MirrorInterface",
-    "MirrorSideSummary", "NATURAL_UNITS", "NormalisationPair", "ORACLE_U_VALUES",
+    "NATURAL_UNITS", "ORACLE_U_VALUES",
     "OracleCase", "OracleReport", "PhysicalConstants", "QuadratureBudgetExceeded",
     "QuadratureSpec", "RangeError", "ResultTable", "SideCoefficients", "SideRateTerms",
     "SweepConfig", "decay_rate_1d_oracle", "decay_rate_2d_oracle", "format_csv",

@@ -1,6 +1,7 @@
 """The typed-error contract: every public function and constructor meets any
 float argument, inf, nan and -0.0 included, with a finite result or a
-:class:`MirrorFieldError`."""
+:class:`MirrorFieldError`; the rate path also refuses arguments of the wrong
+kind, and public counts are bounded."""
 
 import dataclasses
 import inspect
@@ -17,14 +18,13 @@ from mirrorfield import (
     CODATA2018,
     NATURAL_UNITS,
     AtomParams,
+    ConfigError,
     DecayRateCurve,
     DipoleOrientation,
     DomainError,
     Medium,
     MirrorFieldError,
     MirrorInterface,
-    MirrorSideSummary,
-    NormalisationPair,
     OracleCase,
     OracleReport,
     PhysicalConstants,
@@ -55,7 +55,7 @@ from mirrorfield import (
     validate_interface,
     write_csv,
 )
-from mirrorfield.sweep import COMMANDS, SUBCOMMAND_KEYS
+from mirrorfield.sweep import COMMANDS, MAX_TABLE_VALUES, SUBCOMMAND_KEYS
 
 COATING = (0.5, 0.6, None, 0.4, 0.7, None, 0.3, 0.2, 0.4, 0.1)
 IFACE = validate_interface(*COATING)
@@ -122,8 +122,6 @@ CALLS = {
     "MirrorInterface": slots(
         lambda *phases: MirrorInterface(IFACE.side_a, IFACE.side_b, *phases), 0.3, 0.2, 0.4, 0.1
     ),
-    "MirrorSideSummary": slots(MirrorSideSummary, 2.0, 0.5),
-    "NormalisationPair": slots(NormalisationPair, 2.0, 1.5),
     "OracleCase": slots(lambda index, u: OracleCase(index, IFACE, "a", DIPOLE, u), 0, 1.0),
     "OracleReport": slots(
         lambda u, alignment, *values: OracleReport(u, alignment, "a", *values),
@@ -271,3 +269,66 @@ def test_record_side_must_be_a_or_b(build):
     with pytest.raises(DomainError, match="side must be 'a' or 'b'"):
         build("z")
 
+
+#: Arguments of a kind the rate path does not take: not a real number or an
+#: array of real numbers (u), or not one real number (alignment, oracle u).
+BAD_U = ["1", ["1", "2"], True, 1 + 1j, [[1.0], [1.0, 2.0]], np.array(["1", "2"]),
+         np.array([1.0, None])]
+BAD_ALIGNMENT = ["0.3", [0.1, 0.2], np.array([0.1, 0.2]), None, True, 1 + 0j]
+RATE_CALLS = {
+    "relative_decay_rate": lambda alignment, u: relative_decay_rate(IFACE, "a", alignment, u),
+    "unnormalised_decay_rate": lambda alignment, u: unnormalised_decay_rate(IFACE, "a", alignment, u),
+    "oscillatory_bracket": lambda alignment, u: oscillatory_bracket(u, alignment),
+    "sample_decay_curve": lambda alignment, u: sample_decay_curve(IFACE, "a", alignment, u),
+    "DecayRateCurve": lambda alignment, u: DecayRateCurve("a", alignment, u, [1.0, 1.0]),
+}
+
+
+class TestArgumentKinds:
+    @pytest.mark.parametrize("call", RATE_CALLS.values(), ids=RATE_CALLS)
+    @pytest.mark.parametrize("u", BAD_U, ids=repr)
+    def test_u_must_be_real(self, call, u):
+        with pytest.raises(DomainError, match="u must be a real number or an array of real numbers"):
+            call(0.3, u)
+
+    @pytest.mark.parametrize("call", RATE_CALLS.values(), ids=RATE_CALLS)
+    @pytest.mark.parametrize("alignment", BAD_ALIGNMENT, ids=repr)
+    def test_alignment_must_be_one_real_number(self, call, alignment):
+        with pytest.raises(DomainError, match="alignment must be a real number"):
+            call(alignment, [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            lambda u: decay_rate_2d_oracle(IFACE, "a", DIPOLE, u),
+            lambda u: decay_rate_1d_oracle(IFACE, "a", 0.3, u),
+            lambda u: oracle_compare(IFACE, "a", DIPOLE, u),
+            lambda u: panel_count(u, QuadratureSpec()),
+        ],
+        ids=["decay_rate_2d_oracle", "decay_rate_1d_oracle", "oracle_compare", "panel_count"],
+    )
+    @pytest.mark.parametrize("u", [[1.0, 2.0], np.array([1.0]), "1", True], ids=repr)
+    def test_oracle_u_must_be_one_real_number(self, oracle, u):
+        with pytest.raises(DomainError, match="u must be a real number"):
+            oracle(u)
+
+    def test_real_kinds_keep_their_values(self):
+        for u in (2, np.int32(2), np.uint8(2), np.float32(2.0), [1, 2], np.arange(1, 3)):
+            assert np.array_equal(relative_decay_rate(IFACE, "a", 0.3, u),
+                                  relative_decay_rate(IFACE, "a", 0.3, np.asarray(u, dtype=float)))
+        assert relative_decay_rate(IFACE, "a", 1, 2.0) == relative_decay_rate(IFACE, "a", 1.0, 2.0)
+        assert relative_decay_rate(IFACE, "a", np.array(0.3), 2.0) == relative_decay_rate(IFACE, "a", 0.3, 2.0)
+        assert decay_rate_1d_oracle(IFACE, "a", 0.3, np.float64(1.0)) == decay_rate_1d_oracle(IFACE, "a", 0.3, 1)
+
+
+def test_seeded_cases_are_bounded_before_drawing():
+    # The 9-column oracle-check table of this many cases would pass the
+    # table limit; the count is refused before any case is drawn.
+    with pytest.raises(DomainError, match="count must be <="):
+        seeded_oracle_cases(1, 10**12)
+    limit = MAX_TABLE_VALUES // 9
+    with pytest.raises(DomainError, match="count must be <="):
+        seeded_oracle_cases(1, limit + 1)
+    with pytest.raises(ConfigError, match="limit"):
+        SweepConfig("oracle-check", cases=limit + 1).validate()
+    SweepConfig("oracle-check", cases=limit).validate()

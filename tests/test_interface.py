@@ -114,36 +114,36 @@ class TestMirrorInterface:
 class TestNormalisation:
     def test_black_sheet_reference(self):
         # r = t = 0 on both sides leaves plain half-space modes
-        pair = normalisation_constants(validate_interface(0.0, 0.0, 1.0, 0.0, 0.0, 1.0))
-        assert pair.eta_a_sq == 1.0
-        assert pair.eta_b_sq == 1.0
+        eta_a_sq, eta_b_sq = normalisation_constants(validate_interface(0.0, 0.0, 1.0, 0.0, 0.0, 1.0))
+        assert eta_a_sq == 1.0
+        assert eta_b_sq == 1.0
 
     def test_anchor_mirror_with_partial_backside(self):
         # hand value: 2 + (2/1) * 0.25 = 2.5 and 1.25 + 0
-        pair = normalisation_constants(validate_interface(1.0, 0.0, 0.0, 0.5, 0.5, None))
-        assert pair.eta_a_sq == 2.5
-        assert pair.eta_b_sq == 1.25
+        eta_a_sq, eta_b_sq = normalisation_constants(validate_interface(1.0, 0.0, 0.0, 0.5, 0.5, None))
+        assert eta_a_sq == 2.5
+        assert eta_b_sq == 1.25
 
     def test_anchor_asymmetric_lossy(self):
         # hand values: 1.64 + (1.28/0.68)*0.36 and 1.04 + (0.68/1.28)*0.36
-        pair = normalisation_constants(
+        eta_a_sq, eta_b_sq = normalisation_constants(
             validate_interface(0.8, 0.6, 0.0, 0.2, 0.6, None)
         )
-        assert math.isclose(pair.eta_a_sq, 2.3176470588235296, rel_tol=1e-14)
-        assert math.isclose(pair.eta_b_sq, 1.23125, rel_tol=1e-14)
+        assert math.isclose(eta_a_sq, 2.3176470588235296, rel_tol=1e-14)
+        assert math.isclose(eta_b_sq, 1.23125, rel_tol=1e-14)
 
     def test_symmetric_lossless_closed_form(self):
         for r in (0.1, 0.3, 0.5, 0.7, 0.9):
             iface = lossless_interface(r)
-            pair = normalisation_constants(iface)
+            eta_a_sq, eta_b_sq = normalisation_constants(iface)
             expected = 1.0 + iface.side_a.r**2 + iface.side_a.t**2
-            assert pair.eta_a_sq == expected
-            assert pair.eta_b_sq == expected
+            assert eta_a_sq == expected
+            assert eta_b_sq == expected
 
     def test_transparent_limit_approached_from_below(self):
         # r = 0: eta^2 = 1 + t^2, decreasing towards the black-sheet value
         values = [
-            normalisation_constants(validate_interface(0.0, t, None, 0.0, t, None)).eta_a_sq
+            normalisation_constants(validate_interface(0.0, t, None, 0.0, t, None))[0]
             for t in (0.5, 0.25, 0.1, 0.0)
         ]
         assert values == sorted(values, reverse=True)
@@ -152,50 +152,76 @@ class TestNormalisation:
     @given(coatings())
     @settings(max_examples=200, deadline=None)
     def test_unit_decay_identity(self, iface):
-        pair = normalisation_constants(iface)
-        lhs_a = (1.0 + iface.side_a.r**2) / pair.eta_a_sq + iface.side_b.t**2 / pair.eta_b_sq
-        lhs_b = (1.0 + iface.side_b.r**2) / pair.eta_b_sq + iface.side_a.t**2 / pair.eta_a_sq
+        eta_a_sq, eta_b_sq = normalisation_constants(iface)
+        lhs_a = (1.0 + iface.side_a.r**2) / eta_a_sq + iface.side_b.t**2 / eta_b_sq
+        lhs_b = (1.0 + iface.side_b.r**2) / eta_b_sq + iface.side_a.t**2 / eta_a_sq
         assert abs(lhs_a - 1.0) < 1e-12
         assert abs(lhs_b - 1.0) < 1e-12
 
     @given(coatings())
     @settings(max_examples=200, deadline=None)
     def test_at_least_vacuum_weight(self, iface):
-        pair = normalisation_constants(iface)
-        assert pair.eta_a_sq >= 1.0
-        assert pair.eta_b_sq >= 1.0
+        eta_a_sq, eta_b_sq = normalisation_constants(iface)
+        assert eta_a_sq >= 1.0
+        assert eta_b_sq >= 1.0
 
 
 class TestMirrorParameter:
     def test_lossless_half_reflector(self):
-        summary = mirror_parameter(lossless_interface(0.5), "a")
-        assert math.isclose(summary.eta_sq, 2.0, rel_tol=1e-15)
-        assert math.isclose(summary.xi, 0.75, rel_tol=1e-14)
+        iface = lossless_interface(0.5)
+        xi, eta_sq = mirror_parameter(iface, "a"), side_rate_terms(iface, "a").eta_sq
+        assert math.isclose(eta_sq, 2.0, rel_tol=1e-15)
+        assert math.isclose(xi, 0.75, rel_tol=1e-14)
 
     def test_extreme_values(self):
         # perfect front mirror, opaque back: xi = 3 r cos(phi) / 2
         front = validate_interface(1.0, 0.0, 0.0, 0.5, 0.0, None, phi3=0.0)
-        assert mirror_parameter(front, "a").xi == 1.5
+        assert mirror_parameter(front, "a") == 1.5
         flipped = validate_interface(1.0, 0.0, 0.0, 0.5, 0.0, None, phi3=math.pi)
-        assert mirror_parameter(flipped, "a").xi == -1.5
+        assert mirror_parameter(flipped, "a") == -1.5
 
     def test_side_b_uses_back_reflection(self):
         iface = validate_interface(0.9, 0.1, None, 0.3, 0.2, None, phi1=math.pi, phi3=0.0)
-        summary = mirror_parameter(iface, "b")
+        xi = mirror_parameter(iface, "b")
         terms = side_rate_terms(iface, "b")
         assert terms.r == 0.3
-        assert math.isclose(summary.xi, 3.0 * 0.3 * math.cos(math.pi) / summary.eta_sq, rel_tol=1e-14)
+        assert math.isclose(xi, 3.0 * 0.3 * math.cos(math.pi) / terms.eta_sq, rel_tol=1e-14)
 
     @given(coatings(), st.sampled_from(["a", "b"]))
     @settings(max_examples=200, deadline=None)
     def test_bounded_by_three_halves(self, iface, side):
-        assert abs(mirror_parameter(iface, side).xi) <= 1.5 + 1e-12
+        assert abs(mirror_parameter(iface, side)) <= 1.5 + 1e-12
 
     def test_odd_under_phase_reflection(self):
         for phase in (0.3, 1.1, 2.0):
-            plus = mirror_parameter(lossless_interface(0.6, phi3=phase), "a").xi
-            minus = mirror_parameter(lossless_interface(0.6, phi3=math.pi - phase), "a").xi
+            plus = mirror_parameter(lossless_interface(0.6, phi3=phase), "a")
+            minus = mirror_parameter(lossless_interface(0.6, phi3=math.pi - phase), "a")
             assert math.isclose(plus, -minus, rel_tol=1e-12)
+
+
+class TestReturnValues:
+    """``normalisation_constants`` and ``mirror_parameter`` return plain values."""
+
+    def test_scalar_coating_gives_python_floats(self):
+        iface = validate_interface(0.5, 0.6, None, 0.4, 0.7, None, 0.3, 0.2, 0.4, 0.1)
+        pair = normalisation_constants(iface)
+        assert type(pair) is tuple
+        assert [type(value) for value in pair] == [float, float]
+        for side in ("a", "b"):
+            assert type(mirror_parameter(iface, side)) is float
+
+    def test_array_coating_gives_arrays_of_its_shape(self):
+        r_a = np.linspace(0.1, 0.9, 6).reshape(2, 3)
+        grid = validate_interface(r_a, 0.3, None, 0.4, 0.7, None, phi1=0.5, phi3=2.0)
+        values = [*normalisation_constants(grid), mirror_parameter(grid, "a"), mirror_parameter(grid, "b")]
+        for value in values:
+            assert isinstance(value, np.ndarray)
+            assert value.shape == (2, 3)
+        # Each cell holds the bits of its own scalar coating.
+        for index, r in np.ndenumerate(r_a):
+            cell = validate_interface(float(r), 0.3, None, 0.4, 0.7, None, phi1=0.5, phi3=2.0)
+            expected = [*normalisation_constants(cell), mirror_parameter(cell, "a"), mirror_parameter(cell, "b")]
+            assert [value[index] for value in values] == expected
 
 
 class TestDielectricHelpers:

@@ -324,10 +324,10 @@ class TestArrayMaps:
         for eta_row, xi_row in zip(eta.rows.tolist(), xi.rows.tolist(), strict=True):
             r_a, r_b = eta_row[:2]
             assert xi_row[:2] == [r_a, r_b]
-            pair = normalisation_constants(MirrorInterface(side(r_a), side(r_b)))
-            assert eta_row[2:] == [pair.eta_a_sq, pair.eta_b_sq]
+            eta_a_sq, eta_b_sq = normalisation_constants(MirrorInterface(side(r_a), side(r_b)))
+            assert eta_row[2:] == [eta_a_sq, eta_b_sq]
             assert xi_row[2:] == [
-                mirror_parameter(MirrorInterface(side(r_a), side(r_b), phi3=p), "a").xi
+                mirror_parameter(MirrorInterface(side(r_a), side(r_b), phi3=p), "a")
                 for p in phases
             ]
 
