@@ -47,10 +47,11 @@ _SIDES = ("a", "b")
 MAX_POINTS_PER_PANEL = 512
 
 
-def reduce_phase(phase: float) -> float:
-    """Map a finite phase onto [0, 2*pi)."""
+def reduce_phase(phase: float, name: str = "phase") -> float:
+    """Map one finite real phase onto [0, 2*pi) as a Python float."""
+    phase = float(as_real(name, phase, scalar=True))
     if not math.isfinite(phase):
-        raise RangeError(f"phase must be finite, got {phase!r}")
+        raise RangeError(f"{name} must be finite, got {phase!r}")
     reduced = phase % TWO_PI
     # The modulo can round up to the divisor itself for tiny negatives.
     return 0.0 if reduced >= TWO_PI else reduced
@@ -62,9 +63,10 @@ def _check_side(side: str) -> str:
     return side
 
 
-def as_value(value):
-    """``value`` as a Python float when it is a scalar, else a float array."""
-    array = np.asarray(value, dtype=float)
+def as_value(name: str, value):
+    """``value`` checked by :func:`as_real`: a Python float when it is a
+    scalar, else a float array."""
+    array = as_real(name, value)
     return float(array) if array.ndim == 0 else array
 
 
@@ -132,7 +134,7 @@ class SideCoefficients:
 
     def __post_init__(self) -> None:
         for name in ("r", "t", "l"):
-            value = as_value(getattr(self, name))
+            value = as_value(name, getattr(self, name))
             object.__setattr__(self, name, value)
             check_cells((0.0 <= value) & (value <= 1.0), RangeError,
                         f"amplitude {name}={{value!r}} outside [0, 1]", value=value)
@@ -148,7 +150,7 @@ class SideCoefficients:
         Needed for the no-mirror limit where every rate is zero and the
         full energy budget goes into absorption.
         """
-        r, t = as_value(r), as_value(t)
+        r, t = as_value("r", r), as_value("t", t)
         check_cells((0.0 <= r) & (r <= 1.0) & (0.0 <= t) & (t <= 1.0), RangeError,
                     "amplitudes r={r!r}, t={t!r} outside [0, 1]", r=r, t=t)
         remainder = 1.0 - r**2 - t**2
@@ -165,10 +167,11 @@ class Medium:
     mu_rel: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.eps_rel > 0.0:
-            raise RangeError(f"eps_rel must be > 0, got {self.eps_rel!r}")
-        if not self.mu_rel > 0.0:
-            raise RangeError(f"mu_rel must be > 0, got {self.mu_rel!r}")
+        for name in ("eps_rel", "mu_rel"):
+            value = float(as_real(name, getattr(self, name), scalar=True))
+            if not value > 0.0:
+                raise RangeError(f"{name} must be > 0, got {value!r}")
+            object.__setattr__(self, name, value)
         # Positive factors have a finite product only if both are finite;
         # the product also keeps the refractive index finite.
         if not math.isfinite(self.eps_rel * self.mu_rel):
@@ -199,7 +202,7 @@ class MirrorInterface:
 
     def __post_init__(self) -> None:
         for name in ("phi1", "phi2", "phi3", "phi4"):
-            object.__setattr__(self, name, reduce_phase(getattr(self, name)))
+            object.__setattr__(self, name, reduce_phase(getattr(self, name), name))
         for label, side in (("a", self.side_a), ("b", self.side_b)):
             denom = 1.0 + side.r**2 - side.t**2
             check_cells(denom > DEGENERACY_TOL, DegenerateTransparency,
@@ -307,7 +310,7 @@ def lossless_interface(
     [0, 1); ``r = 0`` produces a fully transparent coating, which the
     interface constructor rejects as degenerate.
     """
-    r = as_value(r)
+    r = as_value("r", r)
     check_cells((0.0 <= r) & (r < 1.0), RangeError,
                 "lossless reflection amplitude must be in [0, 1), got {r!r}", r=r)
     t = np.sqrt(1.0 - r * r)

@@ -23,10 +23,11 @@ leaf of either refinement level, and hands it to the thread that fills
 its leaves; both levels reuse it, and every grid-sized intermediate is
 written into it.  A workspace is 48 bytes per node of a leaf for the 2D
 oracle and 24 for the 1D oracle, at most about 0.8 and 0.4 MB, whatever
-``u`` is; beyond that an oracle holds only its panel centres and
-half-widths, 16 bytes per panel.  Both oracles count their fine-level
-nodes before building any and raise :class:`QuadratureBudgetExceeded`
-above ``MAX_ORACLE_NODES``, which bounds their time, not their memory.
+``u`` is.  Each leaf also computes the edges of its own panels, so no
+array of an oracle call grows with ``u``.  Both oracles count their
+fine-level nodes before building any and raise
+:class:`QuadratureBudgetExceeded` above ``MAX_ORACLE_NODES``, which bounds
+their time.
 
 Neither oracle touches the closed-form bracket: agreement between the
 three paths is the correctness check, not a construction.
@@ -118,9 +119,14 @@ def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panels(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centres and half-widths of ``n_panels`` equal panels on [-1, 1]."""
-    edges = np.linspace(-1.0, 1.0, n_panels + 1)
+def _panels(n_panels: int, panels: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Centres and half-widths of the ``panels`` slice of ``n_panels`` equal
+    panels on [-1, 1].  The edges are ``np.linspace(-1, 1, n_panels + 1)``
+    to the bit, by its own formula: ``i * (2 / n_panels) - 1``, with the
+    last edge set to 1."""
+    edges = np.arange(panels.start, panels.stop + 1) * (2.0 / n_panels) - 1.0
+    if panels.stop == n_panels:
+        edges[-1] = 1.0
     return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
 
 
@@ -299,7 +305,6 @@ def decay_rate_2d_oracle(
     _check_budget("2d oracle", n_panels * 2 * spec.points_per_panel * PHI_ORDER)
     phi_x, phi_w = _phi_nodes()
     integrand = _angular_integrand(terms, dipole, u, phi_x)
-    centres, half_width = _panels(n_panels)
     levels = (spec.points_per_panel, 2 * spec.points_per_panel)
     workspaces = _workspaces([(n_panels * points, PHI_ORDER) for points in levels], _ANGULAR_BUFFERS)
 
@@ -308,7 +313,7 @@ def decay_rate_2d_oracle(
             # The nodes of the panels that cover these rows, the integrand,
             # then the weights in a buffer it has freed, times it in place.
             panels = slice(rows.start // points, -(-rows.stop // points))
-            cos_x, cos_w = _composite_nodes(centres[panels], half_width[panels], points)
+            cos_x, cos_w = _composite_nodes(*_panels(n_panels, panels), points)
             own = slice(rows.start - panels.start * points, rows.stop - panels.start * points)
             value = integrand(cos_x.ravel()[own], workspace)
             weights = _grid(workspace[0], value.shape, np.float64)
@@ -333,7 +338,6 @@ def decay_rate_1d_oracle(
     n_panels = panel_count(u, spec)
     _check_budget("1d oracle", n_panels * 2 * spec.points_per_panel)
 
-    centres, half_width = _panels(n_panels)
     levels = (spec.points_per_panel, 2 * spec.points_per_panel)
     workspaces = _workspaces([(n_panels, points) for points in levels], _DISTANCE_BUFFERS)
 
@@ -346,8 +350,8 @@ def decay_rate_1d_oracle(
             nodes, kernel, scratch = (
                 _grid(buffer, (panels.stop - panels.start, points)) for buffer in workspace
             )
-            width = half_width[panels, None]
-            np.add(centres[panels, None], np.multiply(width, base_x, out=nodes), out=nodes)
+            centres, width = (column[:, None] for column in _panels(n_panels, panels))
+            np.add(centres, np.multiply(width, base_x, out=nodes), out=nodes)
             _distance_integrand(terms, alignment, u, nodes, kernel, scratch)
             weights = np.multiply(width, base_w, out=nodes)
             return np.multiply(weights, kernel, out=kernel)

@@ -88,12 +88,14 @@ class AtomParams:
     dipole_magnitude: float
 
     def __post_init__(self) -> None:
-        if not (self.omega0 > 0.0 and math.isfinite(self.omega0)):
-            raise RangeError(f"omega0 must be positive, got {self.omega0!r}")
-        if not (self.dipole_magnitude >= 0.0 and math.isfinite(self.dipole_magnitude)):
-            raise RangeError(
-                f"dipole_magnitude must be >= 0, got {self.dipole_magnitude!r}"
-            )
+        omega0 = float(as_real("omega0", self.omega0, scalar=True))
+        magnitude = float(as_real("dipole_magnitude", self.dipole_magnitude, scalar=True))
+        if not (omega0 > 0.0 and math.isfinite(omega0)):
+            raise RangeError(f"omega0 must be positive, got {omega0!r}")
+        if not (magnitude >= 0.0 and math.isfinite(magnitude)):
+            raise RangeError(f"dipole_magnitude must be >= 0, got {magnitude!r}")
+        object.__setattr__(self, "omega0", omega0)
+        object.__setattr__(self, "dipole_magnitude", magnitude)
 
 
 def _norm(d1: complex, d2: complex, d3: complex) -> float:
@@ -146,6 +148,7 @@ class DipoleOrientation:
     @classmethod
     def aligned(cls, alignment: float) -> "DipoleOrientation":
         """Real orientation with the requested normal-component weight."""
+        alignment = float(as_real("alignment", alignment, scalar=True))
         if not (0.0 <= alignment <= 1.0):
             raise DomainError(f"alignment must be in [0, 1], got {alignment!r}")
         return cls(math.sqrt(alignment), math.sqrt(1.0 - alignment), 0.0)
@@ -238,7 +241,7 @@ def _bracket(u: np.ndarray, alignment: float):
         sinc_part = np.where(series, 1.0 - u_sq / 6.0, sin_u / u)
         tail_part = np.where(series, -1.0 / 3.0 + u_sq / 30.0,
                              cos_u / (u * u) - sin_u / (u * u * u))
-    return as_value((1.0 - alignment) * sinc_part + (1.0 + alignment) * tail_part)
+    return as_value("bracket", (1.0 - alignment) * sinc_part + (1.0 + alignment) * tail_part)
 
 
 def check_u(u, scalar: bool = False) -> np.ndarray:

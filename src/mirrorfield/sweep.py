@@ -434,77 +434,37 @@ def cmd_xi_map(config: SweepConfig) -> ResultTable:
     )
 
 
-def _symmetric_interface(r_sq: float, l_sq: float, phase: float) -> MirrorInterface:
-    t_sq = max(0.0, 1.0 - r_sq - l_sq)
-    side = SideCoefficients(math.sqrt(r_sq), math.sqrt(t_sq), math.sqrt(l_sq))
-    return MirrorInterface(side, side, phi1=phase, phi3=phase)
+def _side(r_sq: float, l_sq: float) -> SideCoefficients:
+    """A side that reflects ``r_sq`` of the energy, loses ``l_sq`` and transmits the rest."""
+    return SideCoefficients(math.sqrt(r_sq), math.sqrt(max(0.0, 1.0 - r_sq - l_sq)), math.sqrt(l_sq))
 
 
-def _preset_fig4() -> list[tuple[str, MirrorInterface, float]]:
-    curves = []
-    for xi in (-1.5, -0.75, 0.75, 1.5):
-        phase = 0.0 if xi > 0 else math.pi
-        r = 2.0 * abs(xi) / 3.0
-        interface = _symmetric_interface(r * r, 0.0, phase)
-        for alignment in (0.0, 1.0):
-            curves.append((f"xi={xi:+.2f}_d1sq={int(alignment)}", interface, alignment))
-    return curves
+def _coating(r_sq: float, l_a_sq: float, l_b_sq: float, phase: float) -> MirrorInterface:
+    """Both sides reflect ``r_sq``, each loses its own share; ``phase`` is both reflection phases."""
+    return MirrorInterface(_side(r_sq, l_a_sq), _side(r_sq, l_b_sq), phi1=phase, phi3=phase)
 
 
-def _preset_fig5a() -> list[tuple[str, MirrorInterface, float]]:
-    return [
-        (f"r={r:.1f}", _symmetric_interface(r * r, 0.0, math.pi), 0.0)
-        for r in (0.2, 0.4, 0.6, 0.8, 1.0)
-    ]
-
-
-def _preset_fig5b() -> list[tuple[str, MirrorInterface, float]]:
-    curves = []
-    for phase, token in ((math.pi, "pi"), (0.0, "0")):
-        for r_sq in (0.025, 0.05, 0.075, 0.1):
-            curves.append(
-                (f"rsq={r_sq}_phi3={token}", _symmetric_interface(r_sq, 0.9, phase), 0.0)
-            )
-    return curves
-
-
-def _preset_fig6() -> list[tuple[str, MirrorInterface, float]]:
-    return [
-        (f"lsq={l_sq:.1f}", _symmetric_interface(0.4, l_sq, math.pi), 0.0)
-        for l_sq in (0.0, 0.2, 0.4, 0.6)
-    ]
-
-
-def _fig7_interface(l_a_sq: float, l_b_sq: float) -> MirrorInterface:
-    r = math.sqrt(0.4)
-    side_a = SideCoefficients(r, math.sqrt(max(0.0, 0.6 - l_a_sq)), math.sqrt(l_a_sq))
-    side_b = SideCoefficients(r, math.sqrt(max(0.0, 0.6 - l_b_sq)), math.sqrt(l_b_sq))
-    return MirrorInterface(side_a, side_b, phi1=math.pi, phi3=math.pi)
-
-
-def _preset_fig7a() -> list[tuple[str, MirrorInterface, float]]:
+#: The paper's curve families (figures 4-7), each a list of curves
+#: ``(column label, r_sq, l_a_sq, l_b_sq, phase, alignment)``: the first
+#: four numbers are the arguments of :func:`_coating`.
+PRESETS = {
+    "fig4": [
+        (f"xi={xi:+.2f}_d1sq={int(alignment)}", r * r, 0.0, 0.0, phase, alignment)
+        for xi, phase in ((-1.5, math.pi), (-0.75, math.pi), (0.75, 0.0), (1.5, 0.0))
+        for r in (2.0 * abs(xi) / 3.0,)
+        for alignment in (0.0, 1.0)
+    ],
+    "fig5a": [(f"r={r:.1f}", r * r, 0.0, 0.0, math.pi, 0.0) for r in (0.2, 0.4, 0.6, 0.8, 1.0)],
+    "fig5b": [
+        (f"rsq={r_sq}_phi3={token}", r_sq, 0.9, 0.9, phase, 0.0)
+        for phase, token in ((math.pi, "pi"), (0.0, "0"))
+        for r_sq in (0.025, 0.05, 0.075, 0.1)
+    ],
+    "fig6": [(f"lsq={l_sq:.1f}", 0.4, l_sq, l_sq, math.pi, 0.0) for l_sq in (0.0, 0.2, 0.4, 0.6)],
     # The far side transmits nothing, so the emitter-side loss sweep
     # leaves the rate untouched.
-    return [
-        (f"la_sq={l_sq:.1f}", _fig7_interface(l_sq, 0.6), 0.0)
-        for l_sq in (0.0, 0.2, 0.4)
-    ]
-
-
-def _preset_fig7b() -> list[tuple[str, MirrorInterface, float]]:
-    return [
-        (f"lb_sq={l_sq:.1f}", _fig7_interface(0.6, l_sq), 0.0)
-        for l_sq in (0.0, 0.2, 0.4)
-    ]
-
-
-PRESETS = {
-    "fig4": _preset_fig4,
-    "fig5a": _preset_fig5a,
-    "fig5b": _preset_fig5b,
-    "fig6": _preset_fig6,
-    "fig7a": _preset_fig7a,
-    "fig7b": _preset_fig7b,
+    "fig7a": [(f"la_sq={l_sq:.1f}", 0.4, l_sq, 0.6, math.pi, 0.0) for l_sq in (0.0, 0.2, 0.4)],
+    "fig7b": [(f"lb_sq={l_sq:.1f}", 0.4, 0.6, l_sq, math.pi, 0.0) for l_sq in (0.0, 0.2, 0.4)],
 }
 
 
@@ -515,7 +475,8 @@ def cmd_decay_curve(config: SweepConfig) -> ResultTable:
     config.validate()
     u_values = np.linspace(config.u_min, config.u_max, config.u_count)
     if config.preset is not None:
-        curves = PRESETS[config.preset]()
+        curves = [(label, _coating(*coating), alignment)
+                  for label, *coating, alignment in PRESETS[config.preset]]
     else:
         reference = "gamma_air" if config.side == "a" else "gamma_med"
         curves = [(f"ratio_vs_{reference}", config.interface(), config.alignment)]
@@ -537,10 +498,7 @@ def _random_side(rng: np.random.Generator) -> SideCoefficients:
         l_sq = float(rng.uniform(0.0, 1.0 - r_sq))
         # Keep 1 + r^2 - t^2 = 2 r^2 + l^2 clear of the degeneracy cut.
         if 2.0 * r_sq + l_sq > 1e-6:
-            t_sq = max(0.0, 1.0 - r_sq - l_sq)
-            return SideCoefficients(
-                math.sqrt(r_sq), math.sqrt(t_sq), math.sqrt(l_sq)
-            )
+            return _side(r_sq, l_sq)
 
 
 def _random_interface(rng: np.random.Generator) -> MirrorInterface:

@@ -283,6 +283,23 @@ RATE_CALLS = {
     "DecayRateCurve": lambda alignment, u: DecayRateCurve("a", alignment, u, [1.0, 1.0]),
 }
 
+#: Constructor arguments that are not real numbers (or, for amplitudes,
+#: arrays of them): a str, bool, complex, ragged list or, for a phase, an array.
+BAD_CONSTRUCTIONS = {
+    "SideCoefficients str": lambda: SideCoefficients("0.6", "0.8", "0"),
+    "SideCoefficients bool": lambda: SideCoefficients(True, False, 0.0),
+    "SideCoefficients complex": lambda: SideCoefficients(0.6 + 0j, 0.8, 0.0),
+    "SideCoefficients ragged": lambda: SideCoefficients([[0.6], [0.6, 0.6]], 0.8, 0.0),
+    "with_implied_loss str": lambda: SideCoefficients.with_implied_loss("0.6", "0.8"),
+    "lossless_interface str": lambda: lossless_interface("0.5"),
+    "aligned bool": lambda: DipoleOrientation.aligned(True),
+    "aligned str": lambda: DipoleOrientation.aligned("0.3"),
+    "Medium str": lambda: Medium("2", 1.0),
+    "AtomParams str": lambda: AtomParams("1", 1.0),
+    "phi1 str": lambda: validate_interface(*COATING[:6], phi1="1"),
+    "phi3 array": lambda: validate_interface(*COATING[:6], phi3=np.array([1.0, 2.0])),
+}
+
 
 class TestArgumentKinds:
     @pytest.mark.parametrize("call", RATE_CALLS.values(), ids=RATE_CALLS)
@@ -319,6 +336,20 @@ class TestArgumentKinds:
         assert relative_decay_rate(IFACE, "a", 1, 2.0) == relative_decay_rate(IFACE, "a", 1.0, 2.0)
         assert relative_decay_rate(IFACE, "a", np.array(0.3), 2.0) == relative_decay_rate(IFACE, "a", 0.3, 2.0)
         assert decay_rate_1d_oracle(IFACE, "a", 0.3, np.float64(1.0)) == decay_rate_1d_oracle(IFACE, "a", 0.3, 1)
+
+    @pytest.mark.parametrize("build", BAD_CONSTRUCTIONS.values(), ids=BAD_CONSTRUCTIONS)
+    def test_constructor_arguments_must_be_real(self, build):
+        with pytest.raises(DomainError, match="must be a real number"):
+            build()
+
+    def test_constructors_take_real_kinds_as_floats(self):
+        assert SideCoefficients(np.int64(1), 0, np.uint8(0)) == SideCoefficients(1.0, 0.0, 0.0)
+        assert Medium(np.int32(2), 1) == Medium(2.0, 1.0)
+        assert type(Medium(np.float32(2.0)).eps_rel) is float
+        assert AtomParams(np.int64(2), np.float32(0.5)) == AtomParams(2.0, 0.5)
+        assert DipoleOrientation.aligned(np.int8(1)) == DipoleOrientation.aligned(1.0)
+        assert MirrorInterface(IFACE.side_a, IFACE.side_b, phi3=np.float64(0.4)).phi3 == 0.4
+        assert type(MirrorInterface(IFACE.side_a, IFACE.side_b, phi1=np.array(1.0)).phi1) is float
 
 
 def test_seeded_cases_are_bounded_before_drawing():

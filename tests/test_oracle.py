@@ -441,7 +441,7 @@ class TestRowBlocks:
             assert found.get(timeout=60) == expected
 
     def test_2d_peak_memory(self):
-        # 2.6M fine-level nodes, summed leaf by leaf: the panel vectors plus a fixed scratch per worker.
+        # 2.6M fine-level nodes, summed leaf by leaf in a fixed scratch per worker.
         case = seeded_oracle_cases(seed=12, count=1)[0]
         tracemalloc.start()
         try:
@@ -452,7 +452,7 @@ class TestRowBlocks:
         assert peak < 30e6
 
     def test_1d_peak_memory(self):
-        # 2.04M fine-level nodes, summed leaf by leaf: the panel vectors plus a fixed scratch per worker.
+        # 2.04M fine-level nodes, summed leaf by leaf in a fixed scratch per worker.
         case = seeded_oracle_cases(seed=12, count=1)[0]
         tracemalloc.start()
         try:
@@ -477,7 +477,7 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < bound
 
-    @pytest.mark.parametrize("u, bound", [(5e4, 4e6), (4e5, 20e6)])
+    @pytest.mark.parametrize("u, bound", [(5e4, 4e6), (4e5, 4e6)])
     def test_1d_peak_memory_is_flat_in_u(self, monkeypatch, u, bound):
         monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
         case = seeded_oracle_cases(seed=12, count=1)[0]
@@ -488,6 +488,46 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    @pytest.mark.parametrize("n_panels", [1, 2, 3, 7, 10, 49, 1000, 509296])
+    def test_leaf_panels_are_linspace_panels(self, n_panels):
+        # Slices from the first panel, to the last, and in between.
+        edges = np.linspace(-1.0, 1.0, n_panels + 1)
+        for start, stop in {(0, n_panels), (0, 1), (n_panels - 1, n_panels),
+                            (n_panels // 3, n_panels // 2 + 1), (n_panels // 2, n_panels)}:
+            own = edges[start:stop + 1]
+            centres, half_width = oracle._panels(n_panels, slice(start, stop))
+            assert centres.tobytes() == (0.5 * (own[1:] + own[:-1])).tobytes()
+            assert half_width.tobytes() == (0.5 * (own[1:] - own[:-1])).tobytes()
+
+    @pytest.mark.parametrize("u", [0.0, 37.0, 300.0])
+    def test_each_leaf_builds_linspace_panels(self, monkeypatch, u):
+        # Each leaf computes the edges of its own panels.  With 20-row leaves
+        # and 9 or 18 points per panel, 2D leaves start and end mid-panel.
+        calls = []
+
+        def recorded(n_panels, panels):
+            calls.append((n_panels, panels, real(n_panels, panels)))
+            return calls[-1][2]
+
+        real = oracle._panels
+        monkeypatch.setattr(oracle, "_panels", recorded)
+        monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", 20)
+        spec = QuadratureSpec(points_per_panel=9, panels_per_oscillation=2)
+        dipole = DipoleOrientation.aligned(0.3)
+        decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, u, spec)
+        decay_rate_1d_oracle(BLACK_SHEET, "a", 0.3, u, spec)
+        n_panels = oracle.panel_count(u, spec)
+        edges = np.linspace(-1.0, 1.0, n_panels + 1)
+        for n, panels, (centres, half_width) in calls:
+            own = edges[panels.start:panels.stop + 1]
+            assert n == n_panels
+            assert centres.tobytes() == (0.5 * (own[1:] + own[:-1])).tobytes()
+            assert half_width.tobytes() == (0.5 * (own[1:] - own[:-1])).tobytes()
+        # One first leaf per level of each oracle, and 2D leaves that share
+        # a panel with the leaf before them.
+        assert [panels.start for _, panels, _ in calls].count(0) == 4
+        assert sum(panels.stop - panels.start for _, panels, _ in calls) > 4 * n_panels
 
     def test_cached_rules_are_read_only(self):
         nodes, weights = oracle._gauss_legendre(16)

@@ -345,7 +345,7 @@ class TestDecayCurve:
 
     def test_preset_families_have_expected_sizes(self):
         for name, expected in (("fig4", 8), ("fig5a", 5), ("fig5b", 8), ("fig6", 4), ("fig7a", 3), ("fig7b", 3)):
-            assert len(PRESETS[name]()) == expected
+            assert len(PRESETS[name]) == expected
 
     def test_interference_extremes_preset(self):
         config = make_config(subcommand="decay-curve", preset="fig4", u_min=0.001, u_count=4)
