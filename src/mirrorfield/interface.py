@@ -103,12 +103,22 @@ def check_cells(ok, error: type[Exception], message: str, **values) -> None:
 
 def check_finite(record, *names: str) -> None:
     """Raise :class:`DomainError` unless each named field of the dataclass
-    ``record`` (every field, if none is named) is finite in every cell."""
+    ``record`` (every field, if none is named) is a real number or an array
+    of them (see :func:`as_real`) that is finite in every cell."""
     for name in names or [item.name for item in fields(record)]:
         value = getattr(record, name)
         if not (isinstance(value, float) and math.isfinite(value)):  # finite floats skip numpy
-            check_cells(np.isfinite(value), DomainError,
+            check_cells(np.isfinite(as_real(name, value)), DomainError,
                         f"{name} must be finite, got {{value!r}}", value=value)
+
+
+def check_broadcast(**amplitudes) -> None:
+    """Raise :class:`DomainError` unless the shapes of ``amplitudes`` broadcast."""
+    try:
+        np.broadcast_shapes(*map(np.shape, amplitudes.values()))
+    except ValueError:
+        shapes = ", ".join(f"{name} {np.shape(value)}" for name, value in amplitudes.items())
+        raise DomainError(f"amplitude shapes do not broadcast: {shapes}") from None
 
 
 def check_count(name: str, value, least: int, error: type[Exception] = DomainError) -> None:
@@ -138,6 +148,7 @@ class SideCoefficients:
             object.__setattr__(self, name, value)
             check_cells((0.0 <= value) & (value <= 1.0), RangeError,
                         f"amplitude {name}={{value!r}} outside [0, 1]", value=value)
+        check_broadcast(r=self.r, t=self.t, l=self.l)
         budget = self.r**2 + self.t**2 + self.l**2
         check_cells(abs(budget - 1.0) <= ENERGY_TOL, EnergyViolation,
                     f"r^2 + t^2 + l^2 = {{budget!r}}, expected 1 within {ENERGY_TOL}",
@@ -151,6 +162,7 @@ class SideCoefficients:
         full energy budget goes into absorption.
         """
         r, t = as_value("r", r), as_value("t", t)
+        check_broadcast(r=r, t=t)
         check_cells((0.0 <= r) & (r <= 1.0) & (0.0 <= t) & (t <= 1.0), RangeError,
                     "amplitudes r={r!r}, t={t!r} outside [0, 1]", r=r, t=t)
         remainder = 1.0 - r**2 - t**2
@@ -248,8 +260,10 @@ class QuadratureSpec:
             check_count(name, getattr(self, name), least)
         if self.points_per_panel > MAX_POINTS_PER_PANEL:
             raise DomainError(f"points_per_panel must be <= {MAX_POINTS_PER_PANEL}")
-        if not (0.0 < self.rel_tolerance < math.inf):
+        tolerance = float(as_real("rel_tolerance", self.rel_tolerance, scalar=True))
+        if not (0.0 < tolerance < math.inf):
             raise DomainError("rel_tolerance must be finite and > 0")
+        object.__setattr__(self, "rel_tolerance", tolerance)
 
 
 def validate_interface(

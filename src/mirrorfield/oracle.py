@@ -8,10 +8,12 @@ Gauss-Legendre panels along the normal direction cosine, with the panel
 count scaled to the number of phase oscillations, so accuracy is uniform
 in ``u``.
 
-Both oracles sum their weighted values in fixed leaves of whole rows,
-never building the whole grid: a leaf is ``ROWS_PER_BLOCK`` (512)
-cos-theta rows of the 2D grid or the 1D panels that hold as many values,
-at most 16384, and each leaf builds the nodes of its own panels.  Each
+Both oracles run through one function, :func:`_refined`, which checks the
+node budget, evaluates both refinement levels and compares them.  They
+sum their weighted values in fixed leaves of whole rows, never building
+the whole grid: a leaf is the whole rows that hold at most
+``LEAF_VALUES`` (16384) values, 512 cos-theta rows of the 2D grid, and
+each leaf builds the nodes of its own panels.  Each
 call runs its leaves on the calling thread plus helper threads it starts
 and joins itself, up to ``MAX_WORKERS`` in all and one per usable CPU
 (numpy releases the interpreter lock inside its loops).  Each leaf is
@@ -66,11 +68,12 @@ PHI_ORDER = 32
 #: ``2 * points_per_panel``, times ``PHI_ORDER`` for the 2D oracle.
 MAX_ORACLE_NODES = 2**24
 
-#: Both oracles sum their weighted values in fixed leaves of whole rows:
-#: ``ROWS_PER_BLOCK`` cos-theta rows of the 2D grid, or the 1D panels that
-#: hold as many values (see :func:`_leaf_rows`).  It sets the memory use and
-#: the work per leaf; the result may move in its last bits with it.
-ROWS_PER_BLOCK = 512
+#: Both oracles sum their weighted values in fixed leaves of whole rows
+#: that hold at most ``LEAF_VALUES`` values (see :func:`_leaf_rows`): 512
+#: cos-theta rows of the 2D grid, or the 1D panels that fit.  It sets the
+#: memory use and the work per leaf; the result may move in its last bits
+#: with it.
+LEAF_VALUES = 16384
 
 #: Most threads that evaluate leaves at once; fewer where this process may
 #: use fewer CPUs.  It changes no result bit.
@@ -156,9 +159,8 @@ def _worker_count() -> int:
 
 def _leaf_rows(width: int) -> int:
     """Rows per leaf of a grid ``width`` values wide: as many whole rows as
-    hold ``ROWS_PER_BLOCK * PHI_ORDER`` values, so ``ROWS_PER_BLOCK``
-    cos-theta rows of the 2D grid, and at least one."""
-    return max(1, ROWS_PER_BLOCK * PHI_ORDER // width)
+    hold ``LEAF_VALUES`` values, and at least one."""
+    return max(1, LEAF_VALUES // width)
 
 
 def _workspaces(shapes: list[tuple[int, int]], dtypes: tuple[type, ...]) -> list[list[np.ndarray]]:
@@ -266,24 +268,33 @@ def _distance_integrand(
     return np.add(isotropic, oscillatory, out=isotropic)
 
 
-def _check_budget(label: str, fine_nodes: int) -> None:
-    """Refuse a quadrature whose doubled level would exceed the node budget."""
+def _refined(
+    label: str,
+    spec: QuadratureSpec,
+    shape: Callable[[int], tuple[int, int]],
+    dtypes: tuple[type, ...],
+    fill: Callable[[int, slice, list[np.ndarray]], np.ndarray],
+    scale: float,
+) -> float:
+    """``scale`` times the sum of the grid of ``shape(points)`` whose rows
+    ``fill(points, rows, workspace)`` computes, at the configured and the
+    doubled point count, in one set of workspaces allocated only once the
+    fine level is within ``MAX_ORACLE_NODES``.  The two levels must agree to
+    ``rel_tolerance`` relative to ``max(1, |fine|)``; the ratio scale is of
+    order one, so the unit floor keeps the check meaningful at zeros.
+    """
+    levels = (spec.points_per_panel, 2 * spec.points_per_panel)
+    shapes = [shape(points) for points in levels]
+    fine_nodes = shapes[1][0] * shapes[1][1]
     if fine_nodes > MAX_ORACLE_NODES:
         raise QuadratureBudgetExceeded(
-            f"{label}: {fine_nodes} fine-level nodes exceed "
-            f"MAX_ORACLE_NODES={MAX_ORACLE_NODES}"
+            f"{label}: {fine_nodes} fine-level nodes exceed MAX_ORACLE_NODES={MAX_ORACLE_NODES}"
         )
-
-
-def _refined(label: str, spec: QuadratureSpec, evaluate) -> float:
-    """Run ``evaluate`` at the configured and doubled point counts.
-
-    The coarse and fine results must agree to ``rel_tolerance`` relative
-    to ``max(1, |fine|)``; the ratio scale is of order one, so the unit
-    floor keeps the check meaningful at suppression zeros.
-    """
-    coarse = evaluate(spec.points_per_panel)
-    fine = evaluate(2 * spec.points_per_panel)
+    workspaces = _workspaces(shapes, dtypes)
+    coarse, fine = (
+        scale * _blocked_sum(grid, functools.partial(fill, points), workspaces)
+        for grid, points in zip(shapes, levels)
+    )
     if abs(fine - coarse) > spec.rel_tolerance * max(1.0, abs(fine)):
         raise QuadratureBudgetExceeded(
             f"{label}: refinement levels disagree "
@@ -302,27 +313,22 @@ def decay_rate_2d_oracle(
     """Rate ratio from the full solid-angle quadrature."""
     n_panels = panel_count(u, spec)
     terms = side_rate_terms(interface, side)
-    _check_budget("2d oracle", n_panels * 2 * spec.points_per_panel * PHI_ORDER)
     phi_x, phi_w = _phi_nodes()
     integrand = _angular_integrand(terms, dipole, u, phi_x)
-    levels = (spec.points_per_panel, 2 * spec.points_per_panel)
-    workspaces = _workspaces([(n_panels * points, PHI_ORDER) for points in levels], _ANGULAR_BUFFERS)
 
-    def evaluate(points: int) -> float:
-        def fill(rows: slice, workspace: list[np.ndarray]) -> np.ndarray:
-            # The nodes of the panels that cover these rows, the integrand,
-            # then the weights in a buffer it has freed, times it in place.
-            panels = slice(rows.start // points, -(-rows.stop // points))
-            cos_x, cos_w = _composite_nodes(*_panels(n_panels, panels), points)
-            own = slice(rows.start - panels.start * points, rows.stop - panels.start * points)
-            value = integrand(cos_x.ravel()[own], workspace)
-            weights = _grid(workspace[0], value.shape, np.float64)
-            np.multiply(cos_w.ravel()[own, None], phi_w[None, :], out=weights)
-            return np.multiply(weights, value, out=weights)
+    def fill(points: int, rows: slice, workspace: list[np.ndarray]) -> np.ndarray:
+        # The nodes of the panels that cover these rows, the integrand,
+        # then the weights in a buffer it has freed, times it in place.
+        panels = slice(rows.start // points, -(-rows.stop // points))
+        cos_x, cos_w = _composite_nodes(*_panels(n_panels, panels), points)
+        own = slice(rows.start - panels.start * points, rows.stop - panels.start * points)
+        value = integrand(cos_x.ravel()[own], workspace)
+        weights = _grid(workspace[0], value.shape, np.float64)
+        np.multiply(cos_w.ravel()[own, None], phi_w[None, :], out=weights)
+        return np.multiply(weights, value, out=weights)
 
-        return 3.0 / (8.0 * math.pi) * _blocked_sum((n_panels * points, PHI_ORDER), fill, workspaces)
-
-    return _refined("2d oracle", spec, evaluate)
+    return _refined("2d oracle", spec, lambda points: (n_panels * points, PHI_ORDER),
+                    _ANGULAR_BUFFERS, fill, 3.0 / (8.0 * math.pi))
 
 
 def decay_rate_1d_oracle(
@@ -336,29 +342,21 @@ def decay_rate_1d_oracle(
     _check_rate_args(alignment, u)
     terms = side_rate_terms(interface, side)
     n_panels = panel_count(u, spec)
-    _check_budget("1d oracle", n_panels * 2 * spec.points_per_panel)
 
-    levels = (spec.points_per_panel, 2 * spec.points_per_panel)
-    workspaces = _workspaces([(n_panels, points) for points in levels], _DISTANCE_BUFFERS)
-
-    def evaluate(points: int) -> float:
+    def fill(points: int, panels: slice, workspace: list[np.ndarray]) -> np.ndarray:
+        # _composite_nodes in place: the nodes, the kernel, then the
+        # weights in the nodes' buffer, which the kernel has consumed.
         base_x, base_w = _gauss_legendre(points)
+        nodes, kernel, scratch = (
+            _grid(buffer, (panels.stop - panels.start, points)) for buffer in workspace
+        )
+        centres, width = (column[:, None] for column in _panels(n_panels, panels))
+        np.add(centres, np.multiply(width, base_x, out=nodes), out=nodes)
+        _distance_integrand(terms, alignment, u, nodes, kernel, scratch)
+        weights = np.multiply(width, base_w, out=nodes)
+        return np.multiply(weights, kernel, out=kernel)
 
-        def fill(panels: slice, workspace: list[np.ndarray]) -> np.ndarray:
-            # _composite_nodes in place: the nodes, the kernel, then the
-            # weights in the nodes' buffer, which the kernel has consumed.
-            nodes, kernel, scratch = (
-                _grid(buffer, (panels.stop - panels.start, points)) for buffer in workspace
-            )
-            centres, width = (column[:, None] for column in _panels(n_panels, panels))
-            np.add(centres, np.multiply(width, base_x, out=nodes), out=nodes)
-            _distance_integrand(terms, alignment, u, nodes, kernel, scratch)
-            weights = np.multiply(width, base_w, out=nodes)
-            return np.multiply(weights, kernel, out=kernel)
-
-        return 0.375 * _blocked_sum((n_panels, points), fill, workspaces)
-
-    return _refined("1d oracle", spec, evaluate)
+    return _refined("1d oracle", spec, lambda points: (n_panels, points), _DISTANCE_BUFFERS, fill, 0.375)
 
 
 def oracle_compare(

@@ -55,9 +55,10 @@ class PhysicalConstants:
 
     def __post_init__(self) -> None:
         for name in ("hbar", "eps0", "mu0", "c0", "e_charge"):
-            value = getattr(self, name)
+            value = float(as_real(name, getattr(self, name), scalar=True))
             if not (value > 0.0 and math.isfinite(value)):
                 raise RangeError(f"{name} must be positive and finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if abs(self.c0 * math.sqrt(self.eps0 * self.mu0) - 1.0) > 1e-12:
             raise RangeError("c0 must equal 1/sqrt(eps0 * mu0)")
 
@@ -98,6 +99,18 @@ class AtomParams:
         object.__setattr__(self, "dipole_magnitude", magnitude)
 
 
+def _check_components(*components) -> None:
+    """Raise :class:`DomainError` unless each of ``d1, d2, d3`` is one real
+    or complex number: numpy kind ``i``, ``u``, ``f`` or ``c``, not a bool or str."""
+    for name, value in zip(("d1", "d2", "d3"), components):
+        try:
+            array = np.asarray(value)
+        except ValueError:  # a ragged nested sequence
+            array = None
+        if array is None or array.dtype.kind not in "iufc" or array.ndim:
+            raise DomainError(f"{name} must be a real or complex number, got {value!r}")
+
+
 def _norm(d1: complex, d2: complex, d3: complex) -> float:
     """Euclidean norm of three complex components, with no overflow midway."""
     return math.hypot(*(part for d in map(complex, (d1, d2, d3)) for part in (d.real, d.imag)))
@@ -117,6 +130,7 @@ class DipoleOrientation:
     d3: complex
 
     def __post_init__(self) -> None:
+        _check_components(self.d1, self.d2, self.d3)
         norm = _norm(self.d1, self.d2, self.d3)
         norm_sq = norm * norm  # inf, not OverflowError, for a huge component
         if not abs(norm_sq - 1.0) <= 1e-12:
@@ -134,6 +148,7 @@ class DipoleOrientation:
         cls, d1: complex, d2: complex, d3: complex
     ) -> "DipoleOrientation":
         """Normalise arbitrary components into a valid orientation."""
+        _check_components(d1, d2, d3)
         try:
             norm = math.sqrt(abs(d1) ** 2 + abs(d2) ** 2 + abs(d3) ** 2)
         except OverflowError:

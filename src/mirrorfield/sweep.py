@@ -279,6 +279,8 @@ class ResultTable:
             rows = np.asarray(self.rows, dtype=float)
         except ValueError as exc:  # a ragged nested list
             raise ConfigError("table rows must match the column count") from exc
+        except TypeError as exc:  # a complex or an object
+            raise ConfigError("table values must be real numbers") from exc
         if rows.shape == (0,):
             rows = rows.reshape(0, width)
         if rows.ndim != 2 or rows.shape[1] != width:

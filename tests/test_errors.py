@@ -283,21 +283,52 @@ RATE_CALLS = {
     "DecayRateCurve": lambda alignment, u: DecayRateCurve("a", alignment, u, [1.0, 1.0]),
 }
 
-#: Constructor arguments that are not real numbers (or, for amplitudes,
-#: arrays of them): a str, bool, complex, ragged list or, for a phase, an array.
+REAL = "must be a real number"
+
+#: Constructor arguments of the wrong kind, each with the error and message
+#: it raises: a str, bool, complex, None, ragged list or, for a scalar, an
+#: array; amplitudes that do not broadcast; table values that are not real.
 BAD_CONSTRUCTIONS = {
-    "SideCoefficients str": lambda: SideCoefficients("0.6", "0.8", "0"),
-    "SideCoefficients bool": lambda: SideCoefficients(True, False, 0.0),
-    "SideCoefficients complex": lambda: SideCoefficients(0.6 + 0j, 0.8, 0.0),
-    "SideCoefficients ragged": lambda: SideCoefficients([[0.6], [0.6, 0.6]], 0.8, 0.0),
-    "with_implied_loss str": lambda: SideCoefficients.with_implied_loss("0.6", "0.8"),
-    "lossless_interface str": lambda: lossless_interface("0.5"),
-    "aligned bool": lambda: DipoleOrientation.aligned(True),
-    "aligned str": lambda: DipoleOrientation.aligned("0.3"),
-    "Medium str": lambda: Medium("2", 1.0),
-    "AtomParams str": lambda: AtomParams("1", 1.0),
-    "phi1 str": lambda: validate_interface(*COATING[:6], phi1="1"),
-    "phi3 array": lambda: validate_interface(*COATING[:6], phi3=np.array([1.0, 2.0])),
+    "SideCoefficients str": (lambda: SideCoefficients("0.6", "0.8", "0"), DomainError, REAL),
+    "SideCoefficients bool": (lambda: SideCoefficients(True, False, 0.0), DomainError, REAL),
+    "SideCoefficients complex": (lambda: SideCoefficients(0.6 + 0j, 0.8, 0.0), DomainError, REAL),
+    "SideCoefficients ragged": (lambda: SideCoefficients([[0.6], [0.6, 0.6]], 0.8, 0.0), DomainError, REAL),
+    "SideCoefficients shapes": (
+        lambda: SideCoefficients([0.6, 0.8], [0.8, 0.6, 0.0], 0.0), DomainError, "do not broadcast"
+    ),
+    "with_implied_loss str": (lambda: SideCoefficients.with_implied_loss("0.6", "0.8"), DomainError, REAL),
+    "with_implied_loss shapes": (
+        lambda: SideCoefficients.with_implied_loss([0.6, 0.8], [0.8, 0.6, 0.0]), DomainError, "do not broadcast"
+    ),
+    "lossless_interface str": (lambda: lossless_interface("0.5"), DomainError, REAL),
+    "aligned bool": (lambda: DipoleOrientation.aligned(True), DomainError, REAL),
+    "aligned str": (lambda: DipoleOrientation.aligned("0.3"), DomainError, REAL),
+    "DipoleOrientation str": (lambda: DipoleOrientation("1", 0, 0), DomainError, "d1 must be a real or complex"),
+    "DipoleOrientation bool": (lambda: DipoleOrientation(True, 0, 0), DomainError, "d1 must be a real or complex"),
+    "from_components str": (
+        lambda: DipoleOrientation.from_components("1", 0, 0), DomainError, "d1 must be a real or complex"
+    ),
+    "Medium str": (lambda: Medium("2", 1.0), DomainError, REAL),
+    "AtomParams str": (lambda: AtomParams("1", 1.0), DomainError, REAL),
+    "PhysicalConstants str": (lambda: PhysicalConstants("1", 1, 1, 1, 1), DomainError, f"hbar {REAL}"),
+    "PhysicalConstants bool": (lambda: PhysicalConstants(True, 1, 1, 1, 1), DomainError, f"hbar {REAL}"),
+    "PhysicalConstants array": (
+        lambda: PhysicalConstants(1, 1, 1, np.array([1.0, 1.0]), 1), DomainError, f"c0 {REAL}"
+    ),
+    "QuadratureSpec str": (lambda: QuadratureSpec(rel_tolerance="1e-9"), DomainError, f"rel_tolerance {REAL}"),
+    "QuadratureSpec bool": (lambda: QuadratureSpec(rel_tolerance=True), DomainError, f"rel_tolerance {REAL}"),
+    "QuadratureSpec array": (
+        lambda: QuadratureSpec(rel_tolerance=np.array([1e-9, 1e-9])), DomainError, f"rel_tolerance {REAL}"
+    ),
+    "phi1 str": (lambda: validate_interface(*COATING[:6], phi1="1"), DomainError, REAL),
+    "phi3 array": (lambda: validate_interface(*COATING[:6], phi3=np.array([1.0, 2.0])), DomainError, REAL),
+    "SideRateTerms str": (lambda: SideRateTerms("0.5", 0.0, 0.5, 0.0, 2.0, 2.0), DomainError, f"r {REAL}"),
+    "OracleCase None": (lambda: OracleCase(0, IFACE, "a", DIPOLE, None), DomainError, f"u {REAL}"),
+    "OracleReport ragged": (
+        lambda: OracleReport([[1.0], [1.0, 2.0]], 0.5, "a", 1.0, 1.0, 1.0, 0.0), DomainError, f"u {REAL}"
+    ),
+    "ResultTable complex": (lambda: ResultTable(["x"], [[1j]], "p"), ConfigError, "must be real numbers"),
+    "ResultTable object": (lambda: ResultTable(["x"], [[object()]], "p"), ConfigError, "must be real numbers"),
 }
 
 
@@ -337,9 +368,9 @@ class TestArgumentKinds:
         assert relative_decay_rate(IFACE, "a", np.array(0.3), 2.0) == relative_decay_rate(IFACE, "a", 0.3, 2.0)
         assert decay_rate_1d_oracle(IFACE, "a", 0.3, np.float64(1.0)) == decay_rate_1d_oracle(IFACE, "a", 0.3, 1)
 
-    @pytest.mark.parametrize("build", BAD_CONSTRUCTIONS.values(), ids=BAD_CONSTRUCTIONS)
-    def test_constructor_arguments_must_be_real(self, build):
-        with pytest.raises(DomainError, match="must be a real number"):
+    @pytest.mark.parametrize("build, error, match", BAD_CONSTRUCTIONS.values(), ids=BAD_CONSTRUCTIONS)
+    def test_constructor_arguments_must_be_real(self, build, error, match):
+        with pytest.raises(error, match=match):
             build()
 
     def test_constructors_take_real_kinds_as_floats(self):
@@ -350,6 +381,10 @@ class TestArgumentKinds:
         assert DipoleOrientation.aligned(np.int8(1)) == DipoleOrientation.aligned(1.0)
         assert MirrorInterface(IFACE.side_a, IFACE.side_b, phi3=np.float64(0.4)).phi3 == 0.4
         assert type(MirrorInterface(IFACE.side_a, IFACE.side_b, phi1=np.array(1.0)).phi1) is float
+        assert PhysicalConstants(np.int64(1), 1, 1, np.float32(1.0), 1) == NATURAL_UNITS
+        assert type(PhysicalConstants(1, 1, 1, 1, 1).hbar) is float
+        assert type(QuadratureSpec(rel_tolerance=np.float32(0.5)).rel_tolerance) is float
+        assert DipoleOrientation(np.int8(1), 0, np.complex64(0)).alignment == 1.0
 
 
 def test_seeded_cases_are_bounded_before_drawing():

@@ -34,7 +34,7 @@ from mirrorfield import (
 from mirrorfield.interface import side_rate_terms
 from test_interface import valid_side_squares
 
-DEFAULT_ROWS_PER_BLOCK = oracle.ROWS_PER_BLOCK
+DEFAULT_ROWS_PER_BLOCK = oracle.LEAF_VALUES // oracle.PHI_ORDER
 
 BLACK_SHEET = validate_interface(0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
 PERFECT_MIRROR = validate_interface(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, phi1=math.pi, phi3=math.pi)
@@ -233,7 +233,7 @@ def exactly_summed(monkeypatch, compute):
     values of the grid, which rounds their exact total once."""
     with monkeypatch.context() as patch:
         # One leaf, so that the workspaces hold the whole grid.
-        patch.setattr(oracle, "ROWS_PER_BLOCK", 10**9)
+        patch.setattr(oracle, "LEAF_VALUES", 10**9 * oracle.PHI_ORDER)
         patch.setattr(
             oracle,
             "_blocked_sum",
@@ -257,7 +257,7 @@ class TestRowBlocks:
             compute = functools.partial(decay_rate_2d_oracle, case.interface, case.side, case.dipole, u)
             expected = exactly_summed(monkeypatch, compute)
             for rows in (10**9, 7, DEFAULT_ROWS_PER_BLOCK):
-                monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", rows)
+                monkeypatch.setattr(oracle, "LEAF_VALUES", rows * oracle.PHI_ORDER)
                 assert ulps_apart(compute(), expected) <= 4, rows
 
     @pytest.mark.parametrize("u", [300.0, 3e3])
@@ -271,8 +271,26 @@ class TestRowBlocks:
                 )
                 expected = exactly_summed(monkeypatch, compute)
                 for rows in (10**9, 1, 7, DEFAULT_ROWS_PER_BLOCK):
-                    monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", rows)
+                    monkeypatch.setattr(oracle, "LEAF_VALUES", rows * oracle.PHI_ORDER)
                     assert ulps_apart(compute(), expected) <= 4, rows
+
+    def test_1d_leaves_do_not_depend_on_phi_order(self, monkeypatch):
+        # A leaf is counted in values, so the order of the 2D oracle's
+        # azimuth rule moves no bit of the 1D oracle.
+        ragged = QuadratureSpec(points_per_panel=7, panels_per_oscillation=3)
+
+        def hexes():
+            return [
+                decay_rate_1d_oracle(case.interface, case.side, case.dipole.alignment, u, spec).hex()
+                for case in seeded_oracle_cases(seed=12, count=2)
+                for spec in (DEFAULT_QUADRATURE, ragged)
+                for u in (300.0, 3e3)
+            ]
+
+        expected = hexes()
+        for order in (8, 64):
+            monkeypatch.setattr(oracle, "PHI_ORDER", order)
+            assert hexes() == expected, order
 
     def test_result_is_independent_of_worker_count(self, monkeypatch):
         # At each block size the bits do not depend on the worker count,
@@ -280,7 +298,7 @@ class TestRowBlocks:
         ragged = QuadratureSpec(points_per_panel=7, panels_per_oscillation=3)
         specs = (DEFAULT_QUADRATURE, ragged)
         for rows in (10**9, 7, DEFAULT_ROWS_PER_BLOCK):
-            monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", rows)
+            monkeypatch.setattr(oracle, "LEAF_VALUES", rows * oracle.PHI_ORDER)
             values = []
             for workers in (1, 2, 3):
                 monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
@@ -328,7 +346,7 @@ class TestRowBlocks:
         dipole = DipoleOrientation.aligned(0.3)
         monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
         # u = 0: 8 panels of 16 rows, so 8 leaves of 16 rows (16 at the fine level).
-        monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", 16)
+        monkeypatch.setattr(oracle, "LEAF_VALUES", 16 * oracle.PHI_ORDER)
         monkeypatch.setattr(oracle, "_angular_integrand", failing_integrand)
         with pytest.raises(BlockFailed, match="second block"):
             decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0)
@@ -413,7 +431,7 @@ class TestRowBlocks:
         # 8 leaves of 16 rows for the 2D oracle at u = 0, 12 leaves of 32
         # panels for the 1D oracle at u = 300 (twice as many leaves at the
         # fine level).
-        monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", 16)
+        monkeypatch.setattr(oracle, "LEAF_VALUES", 16 * oracle.PHI_ORDER)
         before = threading.active_count()
         decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0)
         decay_rate_1d_oracle(BLACK_SHEET, "a", 0.3, 300.0)
@@ -512,7 +530,7 @@ class TestRowBlocks:
 
         real = oracle._panels
         monkeypatch.setattr(oracle, "_panels", recorded)
-        monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", 20)
+        monkeypatch.setattr(oracle, "LEAF_VALUES", 20 * oracle.PHI_ORDER)
         spec = QuadratureSpec(points_per_panel=9, panels_per_oscillation=2)
         dipole = DipoleOrientation.aligned(0.3)
         decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, u, spec)
@@ -565,7 +583,7 @@ class TestLeafSums:
     def test_streamed_sum_is_within_4_ulp_of_fsum(self, monkeypatch, width, rows_per_block):
         if rows_per_block == "default":
             rows_per_block = DEFAULT_ROWS_PER_BLOCK
-        monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", rows_per_block)
+        monkeypatch.setattr(oracle, "LEAF_VALUES", rows_per_block * oracle.PHI_ORDER)
         rng = np.random.default_rng([width, rows_per_block])
         for rows in (*self.ROWS, 100003 // width):
             # Nonnegative like every oracle grid (a bound in ulp of the sum
@@ -585,7 +603,7 @@ class TestLeafSums:
         rng = np.random.default_rng(8)
         grid = rng.uniform(0.0, 1.0, (20011, 7))
         filled = []
-        monkeypatch.setattr(oracle, "ROWS_PER_BLOCK", 1)
+        monkeypatch.setattr(oracle, "LEAF_VALUES", oracle.PHI_ORDER)
         leaf_rows = oracle._leaf_rows(7)
         monkeypatch.setattr(oracle, "_worker_count", lambda: 8)
         workspaces = oracle._workspaces([grid.shape], (np.float64,))
