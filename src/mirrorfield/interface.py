@@ -242,6 +242,10 @@ class SideRateTerms:
         check_finite(self)
 
 
+#: Least value of each count field of :class:`QuadratureSpec`.
+SPEC_COUNTS = {"panels_per_oscillation": 1, "points_per_panel": 2, "min_panels": 1}
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Panel layout and acceptance tolerance of the oracle quadrature.
@@ -256,7 +260,7 @@ class QuadratureSpec:
     rel_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name, least in (("panels_per_oscillation", 1), ("points_per_panel", 2), ("min_panels", 1)):
+        for name, least in SPEC_COUNTS.items():
             check_count(name, getattr(self, name), least)
         if self.points_per_panel > MAX_POINTS_PER_PANEL:
             raise DomainError(f"points_per_panel must be <= {MAX_POINTS_PER_PANEL}")

@@ -16,10 +16,12 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, MirrorFieldError, QuadratureBudgetExceeded
 from .interface import (
+    SPEC_COUNTS,
     MirrorInterface,
     QuadratureSpec,
     SideCoefficients,
     _check_side,
+    as_real,
     check_count,
     check_finite,
     mirror_parameter,
@@ -77,11 +79,27 @@ def _keys_read(subcommand: str, preset: bool) -> list[str]:
     return [key for key in keys if key not in _PRESET_FIXED] if preset else list(keys)
 
 
-@dataclass
-class SweepConfig:
-    """Merged command-line / config-file options for one sweep."""
+#: Least value of each count setting.
+_COUNTS = {"seed": 0, "grid_count": 2, "u_count": 2, "cases": 1, **SPEC_COUNTS}
 
-    subcommand: str = ""
+
+def _real(name: str, value) -> float:
+    """``value`` as a Python float, if it is one real number (see :func:`as_real`)."""
+    try:
+        return float(as_real(name, value, scalar=True))
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """Merged command-line / config-file options for one sweep, checked on
+    construction: each set field is read by its annotated kind and stored
+    as a plain Python value (a real as a ``float``, a count as an ``int``,
+    the phases as a tuple of floats), so a config built from numpy numbers
+    writes the provenance line that replays it."""
+
+    subcommand: str
     r_a: float | None = None
     t_a: float | None = None
     l_a: float | None = None
@@ -110,7 +128,27 @@ class SweepConfig:
     min_panels: int = QuadratureSpec.min_panels
     rel_tolerance: float = QuadratureSpec.rel_tolerance
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        # The annotation that _SETTINGS parses text by; a None that it
+        # allows stays unset.
+        for item in fields(self):
+            name, value = item.name, getattr(self, item.name)
+            kind, _, optional = item.type.partition(" | ")
+            if value is None and optional:
+                continue
+            if kind == "int":
+                check_count(name, value, _COUNTS[name], ConfigError)
+                value = int(value)
+            elif kind == "str":
+                if not isinstance(value, str):
+                    raise ConfigError(f"{name} must be a string, got {value!r}")
+            elif kind == "tuple[float, ...]":
+                if not isinstance(value, tuple):
+                    raise ConfigError(f"{name} must be a tuple of real numbers, got {value!r}")
+                value = tuple(_real(name, part) for part in value)
+            else:
+                value = _real(name, value)
+            object.__setattr__(self, name, value)
         if self.subcommand not in COMMANDS:
             raise ConfigError(f"unknown subcommand {self.subcommand!r}")
         if self.side not in ("a", "b"):
@@ -121,10 +159,15 @@ class SweepConfig:
             raise ConfigError("need 0 <= u_min < u_max < inf")
         if not (0.0 <= self.l_sq <= 1.0):
             raise ConfigError(f"l_sq must be in [0, 1], got {self.l_sq!r}")
+        default_max = math.sqrt(max(0.0, 1.0 - self.l_sq))
         for name in ("r_a_max", "r_b_max"):
             value = getattr(self, name)
-            if value is not None and not (0.0 < value <= 1.0):
+            if value is None:
+                continue
+            if not (0.0 < value <= 1.0):
                 raise ConfigError(f"{name} must be in (0, 1], got {value!r}")
+            if value > default_max + 1e-12:
+                raise ConfigError(f"{name}={value!r} exceeds sqrt(1 - l_sq) = {default_max!r}")
         if not self.phi3_values:
             raise ConfigError("phi3_values must not be empty")
         if self.preset is not None and self.preset not in PRESETS:
@@ -132,8 +175,6 @@ class SweepConfig:
                 f"unknown preset {self.preset!r}; "
                 f"available: {', '.join(sorted(PRESETS))}"
             )
-        for name, least in (("seed", 0), ("grid_count", 2), ("u_count", 2), ("cases", 1)):
-            check_count(name, getattr(self, name), least, ConfigError)
         # Widest tables: 2 + len(phi3_values) map columns; u plus the
         # 8 curves of the largest preset; the 9 oracle-check columns.
         for name, values in (
@@ -353,12 +394,10 @@ def parse_csv(text: str) -> ResultTable:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (tuple, list)):
-        return ",".join(repr(float(v)) for v in value)
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
     return str(value)
 
 
@@ -396,11 +435,6 @@ def _map_grid(config: SweepConfig) -> tuple[MirrorInterface, np.ndarray, np.ndar
     default_max = math.sqrt(max(0.0, 1.0 - config.l_sq))
     r_a_max = default_max if config.r_a_max is None else config.r_a_max
     r_b_max = default_max if config.r_b_max is None else config.r_b_max
-    for name, value in (("r_a_max", r_a_max), ("r_b_max", r_b_max)):
-        if value > default_max + 1e-12:
-            raise ConfigError(
-                f"{name}={value!r} exceeds sqrt(1 - l_sq) = {default_max!r}"
-            )
     count = config.grid_count
     r_a = np.repeat(np.linspace(0.0, r_a_max, count), count)
     r_b = np.tile(np.linspace(0.0, r_b_max, count), count)
@@ -414,7 +448,6 @@ def _map_grid(config: SweepConfig) -> tuple[MirrorInterface, np.ndarray, np.ndar
 
 def cmd_eta_map(config: SweepConfig) -> ResultTable:
     """Normalisation constants on an (r_a, r_b) grid at fixed loss."""
-    config.validate()
     coating, r_a, r_b, provenance = _map_grid(config)
     return ResultTable(
         columns=["r_a", "r_b", "eta_a_sq", "eta_b_sq"],
@@ -425,12 +458,10 @@ def cmd_eta_map(config: SweepConfig) -> ResultTable:
 
 def cmd_xi_map(config: SweepConfig) -> ResultTable:
     """Mirror parameter on an (r_a, r_b) grid for each requested phase."""
-    config.validate()
     coating, r_a, r_b, provenance = _map_grid(config)
-    phases = tuple(float(p) for p in config.phi3_values)
-    xi = [mirror_parameter(replace(coating, phi3=p), "a") for p in phases]
+    xi = [mirror_parameter(replace(coating, phi3=p), "a") for p in config.phi3_values]
     return ResultTable(
-        columns=["r_a", "r_b"] + [f"xi_phi3={repr(p)}" for p in phases],
+        columns=["r_a", "r_b"] + [f"xi_phi3={repr(p)}" for p in config.phi3_values],
         rows=np.column_stack((r_a, r_b, *xi)),
         provenance=provenance,
     )
@@ -474,7 +505,6 @@ def cmd_decay_curve(config: SweepConfig) -> ResultTable:
     """Decay-rate ratio against ``u`` for a preset family or custom coating."""
     from .rates import sample_decay_curve
 
-    config.validate()
     u_values = np.linspace(config.u_min, config.u_max, config.u_count)
     if config.preset is not None:
         curves = [(label, _coating(*coating), alignment)
@@ -563,7 +593,6 @@ def cmd_oracle_check(config: SweepConfig) -> ResultTable:
     """
     from .oracle import oracle_compare
 
-    config.validate()
     spec = config.quadrature()
     rows = []
     for case in seeded_oracle_cases(config.seed, config.cases):

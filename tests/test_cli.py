@@ -100,6 +100,14 @@ class TestMain:
         assert main(["eta-map", "--svg"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", [None, "plot.svg"], ids=["no-out", "svg-out"])
+    def test_a_bad_setting_is_reported_before_a_usage_error(self, tmp_path, capsys, out):
+        # The config is checked when it is built, before --svg and --out are.
+        args = ["eta-map", "--grid-count", "1", "--svg"]
+        args += [] if out is None else ["--out", str(tmp_path / out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: grid_count must be an integer >= 2, got 1\n"
+
     def test_svg_may_not_replace_the_csv(self, tmp_path, capsys, monkeypatch):
         def refuse(config):
             raise AssertionError("computed before rejecting --out")

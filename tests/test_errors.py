@@ -90,19 +90,26 @@ def coating_slots(use):
     return slots(lambda *values: use(validate_interface(*values)), *COATING)
 
 
+#: The numeric settings of every subcommand, each once per subcommand.
+NUMERIC_SETTINGS = [
+    (subcommand, key)
+    for subcommand, keys in SUBCOMMAND_KEYS.items()
+    for key in keys
+    if key not in ("preset", "side")
+]
+SETTING_IDS = [f"{subcommand}-{key}" for subcommand, key in NUMERIC_SETTINGS]
+
+
 def sweep_slots():
     calls = []
-    for subcommand, keys in SUBCOMMAND_KEYS.items():
-        for key in keys:
-            if key in ("preset", "side"):
-                continue
+    for subcommand, key in NUMERIC_SETTINGS:
 
-            def run(x, subcommand=subcommand, key=key):
-                value = (x,) if key == "phi3_values" else x
-                config = SweepConfig(subcommand, **{**SWEEP[subcommand], key: value})
-                return COMMANDS[subcommand](config)
+        def run(x, subcommand=subcommand, key=key):
+            value = (x,) if key == "phi3_values" else x
+            config = SweepConfig(subcommand, **{**SWEEP[subcommand], key: value})
+            return COMMANDS[subcommand](config)
 
-            calls.append(run)
+        calls.append(run)
     return calls
 
 
@@ -139,7 +146,7 @@ CALLS = {
         + slots(SideCoefficients.with_implied_loss, 0.6, 0.7)
     ),
     "SideRateTerms": slots(SideRateTerms, 0.5, 0.1, 0.5, 0.2, 2.0, 2.0),
-    # A config is checked when its command runs.
+    # A config is checked when it is built, then its command runs.
     "SweepConfig": sweep_slots(),
     "decay_rate_1d_oracle": [
         lambda x: decay_rate_1d_oracle(IFACE, "b", x, 1.0),
@@ -396,5 +403,48 @@ def test_seeded_cases_are_bounded_before_drawing():
     with pytest.raises(DomainError, match="count must be <="):
         seeded_oracle_cases(1, limit + 1)
     with pytest.raises(ConfigError, match="limit"):
-        SweepConfig("oracle-check", cases=limit + 1).validate()
-    SweepConfig("oracle-check", cases=limit).validate()
+        SweepConfig("oracle-check", cases=limit + 1)
+    SweepConfig("oracle-check", cases=limit)
+
+
+class TestSweepConfigKinds:
+    @pytest.mark.parametrize("subcommand, key", NUMERIC_SETTINGS, ids=SETTING_IDS)
+    def test_a_setting_of_the_wrong_kind_fails_construction(self, subcommand, key):
+        bad = ["1", None, [0.5, 0.5], 0.5 + 1j, [[1.0], [1.0, 2.0]], True]
+        if key == "phi3_values":  # one wrong phase inside the tuple, too
+            bad += [(value,) for value in bad]
+        for value in bad:
+            if value is None and SweepConfig.__dataclass_fields__[key].default is None:
+                continue  # None is the unset default there
+            with pytest.raises(ConfigError):
+                SweepConfig(subcommand, **{**SWEEP[subcommand], key: value})
+
+    @pytest.mark.parametrize("subcommand, key", NUMERIC_SETTINGS, ids=SETTING_IDS)
+    def test_real_kinds_are_stored_as_python_numbers(self, subcommand, key):
+        def stored(value):
+            # Without loss, r_a_max and r_b_max may reach 1.
+            config = SweepConfig(subcommand, **{**SWEEP[subcommand], "l_sq": 0.0, key: value})
+            return getattr(config, key)
+
+        kind = SweepConfig.__dataclass_fields__[key].type
+        if kind == "int":
+            for value in (5, np.int64(5), np.uint8(5)):
+                assert type(stored(value)) is int and stored(value) == 5
+            for value in (np.float32(5.0), np.float64(5.0), 5.0):
+                with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+                    stored(value)
+        elif key == "phi3_values":
+            phases = stored((1, np.int64(1), np.float32(0.5), np.float64(0.5)))
+            assert phases == (1.0, 1.0, 0.5, 0.5)
+            assert all(type(phase) is float for phase in phases)
+        else:
+            for value, expected in ((1, 1.0), (np.int64(1), 1.0), (np.float32(0.5), 0.5),
+                                    (np.float64(0.5), 0.5)):
+                assert type(stored(value)) is float and stored(value) == expected
+
+    def test_a_config_is_frozen_and_has_no_separate_check(self):
+        config = SweepConfig("eta-map", grid_count=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.grid_count = 1
+        assert not hasattr(SweepConfig, "validate")
+        assert hash(config) == hash(SweepConfig("eta-map", grid_count=np.int64(3)))

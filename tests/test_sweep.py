@@ -33,10 +33,7 @@ from mirrorfield.sweep import (
 
 
 def make_config(**overrides) -> SweepConfig:
-    config = SweepConfig(subcommand=overrides.pop("subcommand", "eta-map"))
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return config
+    return SweepConfig(**{"subcommand": "eta-map", **overrides})
 
 
 class TestResultTable:
@@ -206,6 +203,8 @@ class TestConfigValidation:
             {"grid_count": 1},
             {"l_sq": 1.5},
             {"r_a_max": 1.2},
+            {"l_sq": 0.5, "r_a_max": 0.99},
+            {"l_sq": 0.5, "r_b_max": 0.75, "subcommand": "xi-map"},
             {"preset": "fig99", "subcommand": "decay-curve"},
             {"cases": 0, "subcommand": "oracle-check"},
             {"seed": -1, "subcommand": "oracle-check"},
@@ -221,7 +220,7 @@ class TestConfigValidation:
     )
     def test_bad_values(self, overrides):
         with pytest.raises(ConfigError):
-            make_config(**overrides).validate()
+            make_config(**overrides)
 
     def test_quadrature_defaults_are_the_spec_defaults(self):
         assert SweepConfig(subcommand="oracle-check").quadrature() == QuadratureSpec()
@@ -250,11 +249,10 @@ class TestSettingsSchema:
     )
     @settings(max_examples=300, deadline=None)
     def test_parse_ends_in_config_or_config_error(self, raw):
-        # Parse and validate only: running a command could allocate
+        # Parse and check only: running a command could allocate
         # without limit for a random grid_count.
         try:
             config = config_from_settings("decay-curve", raw)
-            config.validate()
         except ConfigError:
             return
         assert isinstance(config, SweepConfig)
@@ -439,6 +437,25 @@ class TestReplay:
         table = COMMANDS[config.subcommand](config)
         again = replay_provenance(table.provenance)
         assert format_csv(again) == format_csv(table)
+
+    @pytest.mark.parametrize(
+        "config, setting",
+        [
+            (make_config(subcommand="decay-curve", preset="fig4", u_min=0, u_count=5), "u_min=0.0"),
+            (make_config(grid_count=3, l_sq=np.float64(0.2)), "l_sq=0.2"),
+            (make_config(subcommand="xi-map", grid_count=3, phi3_values=(0, np.float64(0.5))),
+             "phi3_values=0.0,0.5"),
+            (make_config(subcommand="oracle-check", cases=np.int64(2), rel_tolerance=np.float32(0.5)),
+             "rel_tolerance=0.5"),
+        ],
+        ids=["int-u_min", "numpy-l_sq", "mixed-phi3_values", "numpy-oracle-settings"],
+    )
+    def test_a_library_built_config_replays_byte_for_byte(self, config, setting):
+        from mirrorfield.sweep import COMMANDS
+
+        table = COMMANDS[config.subcommand](config)
+        assert setting in table.provenance.split()
+        assert format_csv(replay_provenance(table.provenance)) == format_csv(table)
 
     @pytest.mark.parametrize(
         "provenance",
