@@ -201,8 +201,8 @@ class MirrorInterface:
     Phases are stored reduced to [0, 2*pi).  ``phi1``/``phi3`` are the
     reflection phases for light arriving from the dielectric and the air
     side respectively; ``phi2``/``phi4`` are the matching transmission
-    phases.  Construction rejects coefficient pairs that would make a
-    normalisation denominator vanish in any cell.
+    phases, which no output reads.  Construction rejects coefficient
+    pairs that would make a normalisation denominator vanish in any cell.
     """
 
     side_a: SideCoefficients
@@ -226,15 +226,15 @@ class MirrorInterface:
 class SideRateTerms:
     """Coefficients entering the decay-rate formulas for one emitter side.
 
-    ``r`` and ``reflection_phase`` belong to light emitted towards the
-    coating on the emitter's side; ``t_opposite`` and
-    ``transmission_phase`` to light leaking through from the far side.
+    ``r``, ``reflection_phase`` and ``eta_sq`` belong to light emitted
+    towards the coating on the emitter's side; ``t_opposite`` and
+    ``eta_opposite_sq`` to light leaking through from the far side, which
+    enters only as ``t_opposite**2``, so no transmission phase is needed.
     """
 
     r: float
     reflection_phase: float
     t_opposite: float
-    transmission_phase: float
     eta_sq: float
     eta_opposite_sq: float
 
@@ -357,26 +357,16 @@ def normalisation_constants(
 
 
 def side_rate_terms(interface: MirrorInterface, side: str) -> SideRateTerms:
-    """Collect the coefficients the rate formulas need for one side."""
-    _check_side(side)
-    eta_a_sq, eta_b_sq = normalisation_constants(interface)
-    if side == "a":
-        return SideRateTerms(
-            r=interface.side_a.r,
-            reflection_phase=interface.phi3,
-            t_opposite=interface.side_b.t,
-            transmission_phase=interface.phi4,
-            eta_sq=eta_a_sq,
-            eta_opposite_sq=eta_b_sq,
-        )
-    return SideRateTerms(
-        r=interface.side_b.r,
-        reflection_phase=interface.phi1,
-        t_opposite=interface.side_a.t,
-        transmission_phase=interface.phi2,
-        eta_sq=eta_b_sq,
-        eta_opposite_sq=eta_a_sq,
-    )
+    """Collect the coefficients the rate formulas need for one side: ``r``,
+    the reflection phase and ``eta**2`` of the emitter's side, ``t`` and
+    ``eta**2`` of the far side."""
+    if _check_side(side) == "a":
+        near, far, phase, index = interface.side_a, interface.side_b, interface.phi3, 0
+    else:
+        near, far, phase, index = interface.side_b, interface.side_a, interface.phi1, 1
+    eta_sq = normalisation_constants(interface)
+    return SideRateTerms(r=near.r, reflection_phase=phase, t_opposite=far.t,
+                         eta_sq=eta_sq[index], eta_opposite_sq=eta_sq[1 - index])
 
 
 def mirror_parameter(interface: MirrorInterface, side: str) -> float | np.ndarray:

@@ -413,18 +413,10 @@ def _provenance(config: SweepConfig, **resolved) -> str:
 
 
 def replay_provenance(provenance: str) -> ResultTable:
-    """Regenerate the table described by a provenance line."""
-    tokens = provenance.split()
-    if not tokens:
-        raise ConfigError("empty provenance")
-    subcommand = tokens[0]
-    settings = {}
-    for token in tokens[1:]:
-        key, sep, raw = token.partition("=")
-        if not sep:
-            raise ConfigError(f"bad provenance token {token!r}")
-        settings[key] = raw
-    config = config_from_settings(subcommand, settings)
+    """Regenerate the table described by a provenance line: a subcommand,
+    then ``key=value`` tokens, each read as a line of a config file."""
+    subcommand, *tokens = provenance.split() or [""]
+    config = config_from_settings(subcommand, split_settings("\n".join(tokens), "provenance"))
     return COMMANDS[subcommand](config)
 
 

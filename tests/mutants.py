@@ -1,0 +1,130 @@
+"""Mutation table: each row changes one constant or one wire of the package
+and names the tests that must fail on the changed copy.
+
+A mutant that no test can tell from the real code marks a constant or a
+wire that the tests do not pin.  Run from anywhere, with pytest installed::
+
+    python tests/mutants.py
+
+The script first runs every named test on an unchanged copy of ``src/``
+and ``tests/``, where all must pass.  Then, for each row, it makes a fresh
+temporary copy, replaces the row's old text, which must occur exactly once
+in its file, by the new text, and runs the row's tests there with the copy
+first on ``PYTHONPATH``.  A row is killed when every test it names fails
+(for a parametrised test named without its brackets, at least one case).
+The exit code is 1 if a mutant survives or a row cannot be applied, and 0
+otherwise.  This file is not collected by pytest, since one row costs a
+few seconds; it uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+INTERFACE = "src/mirrorfield/interface.py"
+ORACLE = "src/mirrorfield/oracle.py"
+RATES = "src/mirrorfield/rates.py"
+SWEEP = "src/mirrorfield/sweep.py"
+
+SIDE_B_REFLECTION = "tests/test_interface.py::TestMirrorParameter::test_side_b_uses_back_reflection"
+EXTREME_XI = "tests/test_interface.py::TestMirrorParameter::test_extreme_values"
+TRANSMITTED_WAVE = "tests/test_modes.py::TestMirrorField::test_transmitted_wave_scaling"
+
+#: (file, old text, new text, test ids that must fail on the mutant).
+MUTANTS = [
+    (RATES, "SMALL_U = 1e-3", "SMALL_U = 1e-2",
+     ["tests/test_rates.py::TestOscillatoryBracket::test_matches_mpmath_above_the_series_switch"]),
+    (SWEEP, "ORACLE_FAIL_THRESHOLD = 1e-6", "ORACLE_FAIL_THRESHOLD = 1e-3",
+     ["tests/test_cli.py::TestMain::test_oracle_check_fail_threshold[over]"]),
+    (ORACLE, "spec.rel_tolerance * max(1.0, abs(fine))", "spec.rel_tolerance * abs(fine)",
+     ["tests/test_oracle.py::TestBudget::test_refinement_check_has_a_unit_floor"]),
+    (INTERFACE, "ENERGY_TOL = 1e-9", "ENERGY_TOL = 1e-6",
+     ["tests/test_interface.py::TestSideCoefficients::test_energy_tolerance_boundary"]),
+    (RATES, "_RATIO_SLACK = 1e-12", "_RATIO_SLACK = 1e-6",
+     ["tests/test_rates.py::TestDecayRateCurve::test_rejects_a_ratio_just_beyond_the_rounding_slack"]),
+    (ORACLE, "MAX_ORACLE_NODES = 2**24", "MAX_ORACLE_NODES = 2**25",
+     ["tests/test_oracle.py::TestBudget::test_1d_fine_level_just_over_budget_raises_before_allocating"]),
+    # The emitter-side selection of side_rate_terms.
+    (INTERFACE, "interface.side_a, interface.phi1, 1", "interface.side_a, interface.phi3, 1",
+     [SIDE_B_REFLECTION,
+      "tests/test_rates.py::TestRelativeDecayRate::test_side_b_equals_swapped_side_a"]),
+    (INTERFACE, "r=near.r", "r=far.r", [SIDE_B_REFLECTION, EXTREME_XI]),
+    (INTERFACE, "t_opposite=far.t", "t_opposite=near.t",
+     [TRANSMITTED_WAVE, "tests/test_modes.py::TestMirrorField::test_opaque_backside_blocks_species_b"]),
+    (INTERFACE, "eta_sq=eta_sq[index], eta_opposite_sq=eta_sq[1 - index]",
+     "eta_sq=eta_sq[1 - index], eta_opposite_sq=eta_sq[index]",
+     [EXTREME_XI, TRANSMITTED_WAVE, "tests/test_acceptance.py::test_criterion_8_loss_side_asymmetry"]),
+]
+
+
+def copy_tree(into: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=ignore)
+
+
+def run_tests(copy: Path, tests: list[str]) -> tuple[int, set[str], str]:
+    """Run ``tests`` in ``copy``: pytest's exit code, the ids that failed
+    and the output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(copy / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=env, capture_output=True, text=True, timeout=600,
+    )
+    failed = {line.split()[1] for line in result.stdout.splitlines() if line.startswith("FAILED ")}
+    return result.returncode, failed, result.stdout + result.stderr
+
+
+def named_test_failed(test: str, failed: set[str]) -> bool:
+    return any(found == test or found.startswith(test + "[") for found in failed)
+
+
+def main() -> int:
+    bad = 0
+    for path, old, _, _ in MUTANTS:
+        count = (ROOT / path).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            print(f"BAD ROW   {path}: {old!r} occurs {count} times, not once")
+            bad += 1
+    if bad:
+        return 1
+    with tempfile.TemporaryDirectory(prefix="mirrorfield-mutants-") as scratch:
+        baseline = Path(scratch, "baseline")
+        copy_tree(baseline)
+        tests = sorted({test for row in MUTANTS for test in row[3]})
+        code, _, output = run_tests(baseline, tests)
+        if code != 0:
+            print(output)
+            print("the named tests do not all pass on the unchanged code")
+            return 1
+        for number, (path, old, new, tests) in enumerate(MUTANTS):
+            copy = Path(scratch, f"mutant{number}")
+            copy_tree(copy)
+            target = copy / path
+            target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+            code, failed, output = run_tests(copy, tests)
+            passed = [test for test in tests if not named_test_failed(test, failed)]
+            if code not in (0, 1):
+                print(output)
+                print(f"ERROR     {path}: {old!r} -> {new!r}: pytest exit code {code}")
+                bad += 1
+            elif passed:
+                print(f"SURVIVED  {path}: {old!r} -> {new!r}; still passing: {', '.join(passed)}")
+                bad += 1
+            else:
+                print(f"killed    {path}: {old!r} -> {new!r}")
+            shutil.rmtree(copy)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

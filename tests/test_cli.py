@@ -9,7 +9,7 @@ import pytest
 
 import mirrorfield
 
-from mirrorfield import ConfigError, parse_csv, replay_provenance, format_csv
+from mirrorfield import ConfigError, OracleReport, parse_csv, replay_provenance, format_csv
 from mirrorfield.cli import load_config_file, main
 from mirrorfield.sweep import COMMANDS, parse_angle
 
@@ -204,6 +204,23 @@ class TestMain:
         ])
         assert code == 2
         assert "failures=3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error, ok, code", [(2e-6, 0.0, 2), (5e-7, 1.0, 0)], ids=["over", "under"])
+    def test_oracle_check_fail_threshold(self, monkeypatch, capsys, error, ok, code):
+        # Either side of ORACLE_FAIL_THRESHOLD = 1e-6.
+        def off_by_error(interface, side, dipole, u, spec):
+            return OracleReport(u, dipole.alignment, side, 1.0, 1.0 + error, 1.0, error)
+
+        monkeypatch.setattr("mirrorfield.oracle.oracle_compare", off_by_error)
+        assert main(["oracle-check", "--cases", "2"]) == code
+        assert parse_csv(capsys.readouterr().out).column("ok").tolist() == [ok, ok]
+
+    def test_oracle_check_svg_plots_one_point_per_case(self, tmp_path, capsys):
+        out = tmp_path / "oracle.csv"
+        assert main(["oracle-check", "--cases", "3", "--out", str(out), "--svg"]) == 0
+        root = ET.parse(out.with_suffix(".svg")).getroot()
+        (line,) = root.iter("{http://www.w3.org/2000/svg}polyline")
+        assert len(line.get("points").split()) == 3
 
     def test_oversized_quadrature_spec(self, capsys):
         assert main(["oracle-check", "--cases", "1", "--points-per-panel", "20000"]) == 1

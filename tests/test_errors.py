@@ -145,7 +145,7 @@ CALLS = {
         slots(SideCoefficients, 0.6, 0.8, 0.0)
         + slots(SideCoefficients.with_implied_loss, 0.6, 0.7)
     ),
-    "SideRateTerms": slots(SideRateTerms, 0.5, 0.1, 0.5, 0.2, 2.0, 2.0),
+    "SideRateTerms": slots(SideRateTerms, 0.5, 0.1, 0.5, 2.0, 2.0),
     # A config is checked when it is built, then its command runs.
     "SweepConfig": sweep_slots(),
     "decay_rate_1d_oracle": [
@@ -294,7 +294,8 @@ REAL = "must be a real number"
 
 #: Constructor arguments of the wrong kind, each with the error and message
 #: it raises: a str, bool, complex, None, ragged list or, for a scalar, an
-#: array; amplitudes that do not broadcast; table values that are not real.
+#: array; amplitudes that do not broadcast, curve columns of two lengths;
+#: table values that are not real.
 BAD_CONSTRUCTIONS = {
     "SideCoefficients str": (lambda: SideCoefficients("0.6", "0.8", "0"), DomainError, REAL),
     "SideCoefficients bool": (lambda: SideCoefficients(True, False, 0.0), DomainError, REAL),
@@ -312,6 +313,10 @@ BAD_CONSTRUCTIONS = {
     "aligned str": (lambda: DipoleOrientation.aligned("0.3"), DomainError, REAL),
     "DipoleOrientation str": (lambda: DipoleOrientation("1", 0, 0), DomainError, "d1 must be a real or complex"),
     "DipoleOrientation bool": (lambda: DipoleOrientation(True, 0, 0), DomainError, "d1 must be a real or complex"),
+    "DipoleOrientation ragged": (
+        lambda: DipoleOrientation([[1.0], [1.0, 2.0]], 0, 0), DomainError, "d1 must be a real or complex"
+    ),
+    "DecayRateCurve lengths": (lambda: DecayRateCurve("a", 0.5, [1.0, 2.0], [1.0]), DomainError, "one length"),
     "from_components str": (
         lambda: DipoleOrientation.from_components("1", 0, 0), DomainError, "d1 must be a real or complex"
     ),
@@ -329,7 +334,7 @@ BAD_CONSTRUCTIONS = {
     ),
     "phi1 str": (lambda: validate_interface(*COATING[:6], phi1="1"), DomainError, REAL),
     "phi3 array": (lambda: validate_interface(*COATING[:6], phi3=np.array([1.0, 2.0])), DomainError, REAL),
-    "SideRateTerms str": (lambda: SideRateTerms("0.5", 0.0, 0.5, 0.0, 2.0, 2.0), DomainError, f"r {REAL}"),
+    "SideRateTerms str": (lambda: SideRateTerms("0.5", 0.0, 0.5, 2.0, 2.0), DomainError, f"r {REAL}"),
     "OracleCase None": (lambda: OracleCase(0, IFACE, "a", DIPOLE, None), DomainError, f"u {REAL}"),
     "OracleReport ragged": (
         lambda: OracleReport([[1.0], [1.0, 2.0]], 0.5, "a", 1.0, 1.0, 1.0, 0.0), DomainError, f"u {REAL}"

@@ -69,6 +69,12 @@ class TestSideCoefficients:
         with pytest.raises(EnergyViolation):
             SideCoefficients(0.8, 0.8, 0.0)
 
+    def test_energy_tolerance_boundary(self):
+        # r^2 + t^2 + l^2 = 1 + l^2 within a rounding of 1, either side of ENERGY_TOL = 1e-9.
+        assert SideCoefficients(0.6, 0.8, math.sqrt(5e-10)).l == math.sqrt(5e-10)
+        with pytest.raises(EnergyViolation, match="expected 1 within 1e-09"):
+            SideCoefficients(0.6, 0.8, math.sqrt(3e-9))
+
     def test_array_with_one_bad_cell(self):
         r = np.array([0.6, 0.8, 0.0])
         t = np.array([0.8, 0.8, 1.0])

@@ -221,6 +221,28 @@ class TestBudget:
         with pytest.raises(QuadratureBudgetExceeded):
             decay_rate_1d_oracle(BLACK_SHEET, "a", 0.3, 0.0)
 
+    def test_1d_fine_level_just_over_budget_raises_before_allocating(self, monkeypatch):
+        # ceil(u / pi) = 131073 oscillations of 4 panels of 2 * 16 points.
+        u = 131072.5 * math.pi
+        assert 32 * panel_count(u, DEFAULT_QUADRATURE) == 16_777_344 > 2**24
+
+        def no_workspaces(*args):
+            raise AssertionError("workspaces allocated over budget")
+
+        monkeypatch.setattr(oracle, "_workspaces", no_workspaces)
+        with pytest.raises(QuadratureBudgetExceeded, match="16777344 fine-level nodes"):
+            decay_rate_1d_oracle(BLACK_SHEET, "a", 0.3, u)
+
+    def test_refinement_check_has_a_unit_floor(self):
+        # The levels differ by 5e-10: within 1e-9 * max(1, |fine|), not 1e-9 * |fine|.
+        levels = {16: 1e-3, 32: 1e-3 + 5e-10}
+
+        def fill(points, rows, workspace):
+            return np.array([levels[points]])
+
+        fine = oracle._refined("test", DEFAULT_QUADRATURE, lambda points: (1, 1), (np.float64,), fill, 1.0)
+        assert fine == levels[32]
+
     def test_negative_distance_rejected(self):
         with pytest.raises(DomainError):
             decay_rate_2d_oracle(BLACK_SHEET, "a", DipoleOrientation.aligned(0.0), -0.5)

@@ -136,6 +136,26 @@ class TestOscillatoryBracket:
         # u = pi/2, normal dipole: 2 cos(u)/u^2 - 2 sin(u)/u^3 = -16/pi^3
         assert oscillatory_bracket(0.5 * math.pi, 1.0) == pytest.approx(-16.0 / math.pi**3, abs=1e-15)
 
+    # (u, alignment, bracket) with the bracket from 50-digit mpmath, rounded
+    # to the nearest float.  These u lie above SMALL_U; the O(u**4) Taylor
+    # form would be off there by 1.7e-11 or more.
+    MPMATH_BRACKETS = [
+        (8e-3, 0.0, 0.6666581333625904),
+        (8.5e-3, 0.0, 0.6666570333706194),
+        (9e-3, 0.0, 0.6666558667135308),
+        (9.5e-3, 0.0, 0.6666546333915122),
+        (9.9e-3, 0.0, 0.6666535987352805),
+        (8e-3, 0.3, 0.2666619733508876),
+        (8.5e-3, 0.3, 0.26666136835570503),
+        (9e-3, 0.3, 0.2666607266947852),
+        (9.5e-3, 0.3, 0.2666600483682407),
+        (9.9e-3, 0.3, 0.26665947930783496),
+    ]
+
+    @pytest.mark.parametrize("u, alignment, exact", MPMATH_BRACKETS)
+    def test_matches_mpmath_above_the_series_switch(self, u, alignment, exact):
+        assert abs(oscillatory_bracket(u, alignment) - exact) <= 1e-11
+
     def test_series_matches_direct_at_switchover(self):
         for alignment in (0.0, 0.5, 1.0):
             below = oscillatory_bracket(0.999e-3, alignment)
@@ -281,3 +301,12 @@ class TestDecayRateCurve:
     def test_rejects_unphysical_ratio(self):
         with pytest.raises(DomainError):
             DecayRateCurve("a", 0.0, u=[1.0], ratio=[2.5])
+
+    @pytest.mark.parametrize("ratio", [2.0 + 5e-13, -5e-13])
+    def test_accepts_a_ratio_within_the_rounding_slack(self, ratio):
+        assert DecayRateCurve("a", 0.0, u=[1.0], ratio=[ratio]).ratio[0] == ratio
+
+    @pytest.mark.parametrize("ratio", [2.0 + 1e-11, -1e-11])
+    def test_rejects_a_ratio_just_beyond_the_rounding_slack(self, ratio):
+        with pytest.raises(DomainError, match="outside physical bounds"):
+            DecayRateCurve("a", 0.0, u=[1.0], ratio=[ratio])

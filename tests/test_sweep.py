@@ -197,6 +197,8 @@ class TestConfigValidation:
         [
             {"subcommand": "bogus"},
             {"side": "c"},
+            {"side": 1},
+            {"preset": 1, "subcommand": "decay-curve"},
             {"alignment": 1.5},
             {"u_min": 2.0, "u_max": 1.0},
             {"u_count": 1},
@@ -467,3 +469,18 @@ class TestReplay:
     def test_bad_provenance_is_a_config_error(self, provenance):
         with pytest.raises(ConfigError):
             replay_provenance(provenance)
+
+    @pytest.mark.parametrize(
+        "provenance, message",
+        [("", "unknown subcommand ''"), ("  ", "unknown subcommand ''"),
+         ("eta-map grid_count", "provenance:1: expected key = value"),
+         ("eta-map grid_count=3 l_sq", "provenance:2: expected key = value")],
+    )
+    def test_bad_provenance_message(self, provenance, message):
+        with pytest.raises(ConfigError, match=message):
+            replay_provenance(provenance)
+
+    def test_provenance_tokens_read_like_config_file_lines(self):
+        # A # starts a comment, as in a config file.
+        table = replay_provenance("eta-map grid_count=3#l_sq=0.5 #r_a_max=0.5")
+        assert format_csv(table) == format_csv(cmd_eta_map(make_config(grid_count=3)))
