@@ -63,6 +63,14 @@ def _check_side(side: str) -> str:
     return side
 
 
+def _check_alignment(alignment: float) -> float:
+    """One real ``alignment`` in [0, 1], as a Python float."""
+    value = float(as_real("alignment", alignment, scalar=True))
+    if not (0.0 <= value <= 1.0):
+        raise DomainError(f"alignment must be in [0, 1], got {value!r}")
+    return value
+
+
 def as_value(name: str, value):
     """``value`` checked by :func:`as_real`: a Python float when it is a
     scalar, else a float array."""

@@ -268,6 +268,11 @@ def _distance_integrand(
     return np.add(isotropic, oscillatory, out=isotropic)
 
 
+def _unit_scale(value: float) -> float:
+    """``max(1, |value|)``: a rate ratio's scale, floored at one for checks near its zeros."""
+    return max(1.0, abs(value))
+
+
 def _refined(
     label: str,
     spec: QuadratureSpec,
@@ -280,8 +285,7 @@ def _refined(
     ``fill(points, rows, workspace)`` computes, at the configured and the
     doubled point count, in one set of workspaces allocated only once the
     fine level is within ``MAX_ORACLE_NODES``.  The two levels must agree to
-    ``rel_tolerance`` relative to ``max(1, |fine|)``; the ratio scale is of
-    order one, so the unit floor keeps the check meaningful at zeros.
+    ``rel_tolerance`` relative to :func:`_unit_scale` of the fine level.
     """
     levels = (spec.points_per_panel, 2 * spec.points_per_panel)
     shapes = [shape(points) for points in levels]
@@ -295,7 +299,7 @@ def _refined(
         scale * _blocked_sum(grid, functools.partial(fill, points), workspaces)
         for grid, points in zip(shapes, levels)
     )
-    if abs(fine - coarse) > spec.rel_tolerance * max(1.0, abs(fine)):
+    if abs(fine - coarse) > spec.rel_tolerance * _unit_scale(fine):
         raise QuadratureBudgetExceeded(
             f"{label}: refinement levels disagree "
             f"({coarse!r} vs {fine!r}) beyond rel_tolerance={spec.rel_tolerance!r}"
@@ -368,16 +372,14 @@ def oracle_compare(
 ) -> OracleReport:
     """Evaluate the closed form and both oracles for one configuration.
 
-    ``max_rel_error`` is the larger oracle deviation measured against
-    ``max(1, |closed form|)``, the same unit-floored scale used by the
-    refinement check.
+    ``max_rel_error`` is the larger oracle deviation relative to
+    :func:`_unit_scale` of the closed form, as in the refinement check.
     """
     alignment = dipole.alignment
     closed = relative_decay_rate(interface, side, alignment, u)
     from_2d = decay_rate_2d_oracle(interface, side, dipole, u, spec)
     from_1d = decay_rate_1d_oracle(interface, side, alignment, u, spec)
-    scale = max(1.0, abs(closed))
-    max_rel = max(abs(from_2d - closed), abs(from_1d - closed)) / scale
+    max_rel = max(abs(from_2d - closed), abs(from_1d - closed)) / _unit_scale(closed)
     return OracleReport(
         u=u,
         alignment=alignment,

@@ -20,6 +20,7 @@ from .errors import DomainError, RangeError
 from .interface import (
     Medium,
     MirrorInterface,
+    _check_alignment,
     _check_side,
     as_real,
     as_value,
@@ -163,9 +164,7 @@ class DipoleOrientation:
     @classmethod
     def aligned(cls, alignment: float) -> "DipoleOrientation":
         """Real orientation with the requested normal-component weight."""
-        alignment = float(as_real("alignment", alignment, scalar=True))
-        if not (0.0 <= alignment <= 1.0):
-            raise DomainError(f"alignment must be in [0, 1], got {alignment!r}")
+        alignment = _check_alignment(alignment)
         return cls(math.sqrt(alignment), math.sqrt(1.0 - alignment), 0.0)
 
 
@@ -272,8 +271,7 @@ def check_u(u, scalar: bool = False) -> np.ndarray:
 def _check_rate_args(alignment: float, u) -> np.ndarray:
     """Reject a bad real scalar ``alignment`` or a bad ``u``; return ``u`` as
     :func:`check_u` does."""
-    if not (0.0 <= float(as_real("alignment", alignment, scalar=True)) <= 1.0):
-        raise DomainError(f"alignment must be in [0, 1], got {alignment!r}")
+    _check_alignment(alignment)
     return check_u(u)
 
 
@@ -314,14 +312,7 @@ def unnormalised_decay_rate(interface: MirrorInterface, side: str, alignment: fl
     constant = (1.0 + terms.r**2) / terms.eta_sq + (
         terms.t_opposite**2 / terms.eta_opposite_sq
     )
-    oscillatory = (
-        3.0
-        * terms.r
-        * math.cos(terms.reflection_phase)
-        / terms.eta_sq
-        * _bracket(u, alignment)
-    )
-    return constant + oscillatory
+    return constant + mirror_parameter(interface, side) * _bracket(u, alignment)
 
 
 def sample_decay_curve(

@@ -20,12 +20,14 @@ from .interface import (
     MirrorInterface,
     QuadratureSpec,
     SideCoefficients,
+    _check_alignment,
     _check_side,
     as_real,
     check_count,
     check_finite,
     mirror_parameter,
     normalisation_constants,
+    reduce_phase,
     validate_interface,
 )
 
@@ -36,9 +38,6 @@ if TYPE_CHECKING:
 
 #: Distances exercised by the oracle sweep, cycled per case.
 ORACLE_U_VALUES = (0.1, 1.0, 5.0, 20.0, 100.0)
-
-#: A case fails the oracle sweep above this deviation.
-ORACLE_FAIL_THRESHOLD = 1e-6
 
 #: Sentinel written in place of a result when the quadrature gives up.
 FAILED_VALUE = -1.0
@@ -57,6 +56,11 @@ _INTERFACE_FIELDS = (
 )
 
 _QUADRATURE_FIELDS = tuple(item.name for item in fields(QuadratureSpec))
+
+_ORACLE_COLUMNS = (
+    "case", "side_is_b", "u", "alignment",
+    "closed_form", "oracle_2d", "oracle_1d", "max_rel_error", "ok",
+)
 
 #: The settings each subcommand reads, in provenance order; any other key
 #: is rejected.
@@ -151,10 +155,6 @@ class SweepConfig:
             object.__setattr__(self, name, value)
         if self.subcommand not in COMMANDS:
             raise ConfigError(f"unknown subcommand {self.subcommand!r}")
-        if self.side not in ("a", "b"):
-            raise ConfigError(f"side must be 'a' or 'b', got {self.side!r}")
-        if not (0.0 <= self.alignment <= 1.0):
-            raise ConfigError(f"alignment must be in [0, 1], got {self.alignment!r}")
         if not (0.0 <= self.u_min < self.u_max < math.inf):
             raise ConfigError("need 0 <= u_min < u_max < inf")
         if not (0.0 <= self.l_sq <= 1.0):
@@ -176,16 +176,22 @@ class SweepConfig:
                 f"available: {', '.join(sorted(PRESETS))}"
             )
         # Widest tables: 2 + len(phi3_values) map columns; u plus the
-        # 8 curves of the largest preset; the 9 oracle-check columns.
+        # curves of the largest preset; the oracle-check columns.
         for name, values in (
             ("grid_count", self.grid_count**2 * (2 + len(self.phi3_values))),
-            ("u_count", self.u_count * 9),
-            ("cases", self.cases * 9),
+            ("u_count", self.u_count * (1 + max(map(len, PRESETS.values())))),
+            ("cases", self.cases * len(_ORACLE_COLUMNS)),
         ):
             if values > MAX_TABLE_VALUES:
                 raise ConfigError(f"{name}={getattr(self, name)} gives a table of "
                                   f"{values} values; the limit is {MAX_TABLE_VALUES}")
         try:
+            _check_side(self.side)
+            _check_alignment(self.alignment)
+            for name in ("phi1", "phi2", "phi3", "phi4"):
+                reduce_phase(getattr(self, name), name)
+            for phase in self.phi3_values:
+                reduce_phase(phase, "phi3_values")
             self.quadrature()
         except MirrorFieldError as exc:
             raise ConfigError(str(exc)) from exc
@@ -559,13 +565,14 @@ class OracleCase:
 def seeded_oracle_cases(seed: int, count: int) -> list[OracleCase]:
     """Deterministic case list shared by the CLI sweep and the test suite.
 
-    ``count`` is bounded like the ``cases`` setting: its 9-column
-    ``oracle-check`` table must stay within :data:`MAX_TABLE_VALUES`.
+    ``count`` is bounded like the ``cases`` setting: its ``oracle-check``
+    table must stay within :data:`MAX_TABLE_VALUES`.
     """
     check_count("seed", seed, 0)
     check_count("count", count, 0)
-    if count > MAX_TABLE_VALUES // 9:
-        raise DomainError(f"count must be <= {MAX_TABLE_VALUES // 9}, got {count!r}")
+    most = MAX_TABLE_VALUES // len(_ORACLE_COLUMNS)
+    if count > most:
+        raise DomainError(f"count must be <= {most}, got {count!r}")
     rng = np.random.default_rng(seed)
     cases = []
     for index in range(count):
@@ -580,8 +587,9 @@ def seeded_oracle_cases(seed: int, count: int) -> list[OracleCase]:
 def cmd_oracle_check(config: SweepConfig) -> ResultTable:
     """Closed form against both oracles on a seeded random grid.
 
-    Quadrature failures are reported per row with the sentinel value
-    :data:`FAILED_VALUE` and ``ok = 0`` rather than aborting the sweep.
+    A case fails (``ok = 0``) when ``max_rel_error`` exceeds the spec's
+    ``rel_tolerance`` or its quadrature gives up; such a row holds the
+    sentinel :data:`FAILED_VALUE` rather than aborting the sweep.
     """
     from .oracle import oracle_compare
 
@@ -594,7 +602,7 @@ def cmd_oracle_check(config: SweepConfig) -> ResultTable:
             ok = 0.0
             row_values = (FAILED_VALUE, FAILED_VALUE, FAILED_VALUE, FAILED_VALUE)
         else:
-            ok = 1.0 if report.max_rel_error <= ORACLE_FAIL_THRESHOLD else 0.0
+            ok = 1.0 if report.max_rel_error <= spec.rel_tolerance else 0.0
             row_values = (
                 report.closed_form,
                 report.oracle_2d,
@@ -603,14 +611,7 @@ def cmd_oracle_check(config: SweepConfig) -> ResultTable:
             )
         side_is_b = 0.0 if case.side == "a" else 1.0
         rows.append([float(case.index), side_is_b, case.u, case.dipole.alignment, *row_values, ok])
-    table = ResultTable(
-        columns=[
-            "case", "side_is_b", "u", "alignment",
-            "closed_form", "oracle_2d", "oracle_1d", "max_rel_error", "ok",
-        ],
-        rows=rows,
-        provenance=_provenance(config),
-    )
+    table = ResultTable(columns=list(_ORACLE_COLUMNS), rows=rows, provenance=_provenance(config))
     # Sentinel rows hold -1.0, below every measured error.
     worst = float(table.column("max_rel_error").max(initial=0.0))
     table.trailer = (

@@ -205,14 +205,18 @@ class TestMain:
         assert code == 2
         assert "failures=3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("error, ok, code", [(2e-6, 0.0, 2), (5e-7, 1.0, 0)], ids=["over", "under"])
-    def test_oracle_check_fail_threshold(self, monkeypatch, capsys, error, ok, code):
-        # Either side of ORACLE_FAIL_THRESHOLD = 1e-6.
+    @pytest.mark.parametrize(
+        "error, ok, code, flags",
+        [(2e-9, 0.0, 2, []), (5e-10, 1.0, 0, []), (5e-7, 1.0, 0, ["--rel-tolerance", "1e-6"])],
+        ids=["over", "under", "spec-tolerance"],
+    )
+    def test_oracle_check_fail_threshold(self, monkeypatch, capsys, error, ok, code, flags):
+        # Either side of the spec's rel_tolerance, 1e-9 by default.
         def off_by_error(interface, side, dipole, u, spec):
             return OracleReport(u, dipole.alignment, side, 1.0, 1.0 + error, 1.0, error)
 
         monkeypatch.setattr("mirrorfield.oracle.oracle_compare", off_by_error)
-        assert main(["oracle-check", "--cases", "2"]) == code
+        assert main(["oracle-check", "--cases", "2", *flags]) == code
         assert parse_csv(capsys.readouterr().out).column("ok").tolist() == [ok, ok]
 
     def test_oracle_check_svg_plots_one_point_per_case(self, tmp_path, capsys):

@@ -412,6 +412,19 @@ def test_seeded_cases_are_bounded_before_drawing():
     SweepConfig("oracle-check", cases=limit)
 
 
+def test_table_size_checks_read_the_table_widths():
+    # fig4's 8 curves plus u make the widest decay-curve table, 9 columns.
+    limit = MAX_TABLE_VALUES // 9
+    with pytest.raises(ConfigError, match="limit"):
+        SweepConfig("decay-curve", u_count=limit + 1)
+    SweepConfig("decay-curve", u_count=limit)
+
+
+def test_alignment_range_is_closed_for_the_dipole_and_the_config():
+    assert DipoleOrientation.aligned(1.0).alignment == 1.0
+    assert SweepConfig("decay-curve", alignment=1.0).alignment == 1.0
+
+
 class TestSweepConfigKinds:
     @pytest.mark.parametrize("subcommand, key", NUMERIC_SETTINGS, ids=SETTING_IDS)
     def test_a_setting_of_the_wrong_kind_fails_construction(self, subcommand, key):

@@ -218,6 +218,11 @@ class TestConfigValidation:
             {"phi3_values": (0.0,) * 1000, "subcommand": "xi-map"},
             {"u_count": 10**7, "subcommand": "decay-curve"},
             {"cases": 10**7, "subcommand": "oracle-check"},
+            {"phi3_values": (0.0, math.inf), "subcommand": "xi-map"},
+            {"phi3_values": (math.nan,), "subcommand": "xi-map"},
+            {"phi3": math.nan, "subcommand": "decay-curve"},
+            {"phi1": -math.inf, "subcommand": "decay-curve"},
+            {"phi4": math.inf, "subcommand": "decay-curve"},
         ],
     )
     def test_bad_values(self, overrides):
@@ -390,7 +395,7 @@ class TestOracleCheck:
     @pytest.mark.parametrize(
         "errors,ok,summary",
         [
-            ([2e-9, None, 3e-3, 0.0], [1.0, 0.0, 0.0, 1.0],
+            ([5e-10, None, 3e-3, 0.0], [1.0, 0.0, 0.0, 1.0],
              "summary: cases=4 failures=2 worst_max_rel_error=0.003"),
             ([None, None], [0.0, 0.0], "summary: cases=2 failures=2 worst_max_rel_error=0.0"),
         ],
