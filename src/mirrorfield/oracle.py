@@ -8,28 +8,29 @@ Gauss-Legendre panels along the normal direction cosine, with the panel
 count scaled to the number of phase oscillations, so accuracy is uniform
 in ``u``.
 
-Both oracles run through one function, :func:`_refined`, which checks the
-node budget, evaluates both refinement levels and compares them.  They
-sum their weighted values in fixed leaves of whole rows, never building
-the whole grid: a leaf is the whole rows that hold at most
-``LEAF_VALUES`` (16384) values, 512 cos-theta rows of the 2D grid, and
-each leaf builds the nodes of its own panels.  Each
-call runs its leaves on the calling thread plus helper threads it starts
-and joins itself, up to ``MAX_WORKERS`` in all and one per usable CPU
-(numpy releases the interpreter lock inside its loops).  Each leaf is
-summed with ``np.sum`` and the leaf sums with ``math.fsum``, which rounds
-their exact total once, so a result does not depend on the worker count
-or on the order in which leaves finish.  Each oracle call allocates one
+Both oracles run through one function, :func:`_refined`, which checks
+the node budget, evaluates both refinement levels and compares them.  At
+each level it sums the weighted kernel values in fixed leaves of whole
+panels, never building the whole grid: a leaf is the whole panels that
+hold at most ``LEAF_VALUES`` (16384) values, or one panel where a panel
+holds more (only in the 2D oracle above 256 points per panel), and each
+leaf builds the nodes and weights of its own panels.  Each call runs its
+leaves on the calling thread plus helper threads it starts and joins
+itself, up to ``MAX_WORKERS`` in all and one per usable CPU (numpy
+releases the interpreter lock inside its loops).  Each leaf is summed
+with ``np.sum`` and the leaf sums with ``math.fsum``, which rounds their
+exact total once, so a result does not depend on the worker count or on
+the order in which leaves finish.  Each oracle call allocates one
 workspace per worker slot before its first level, sized for the largest
 leaf of either refinement level, and hands it to the thread that fills
 its leaves; both levels reuse it, and every grid-sized intermediate is
 written into it.  A workspace is 48 bytes per node of a leaf for the 2D
-oracle and 24 for the 1D oracle, at most about 0.8 and 0.4 MB, whatever
-``u`` is.  Each leaf also computes the edges of its own panels, so no
-array of an oracle call grows with ``u``.  Both oracles count their
-fine-level nodes before building any and raise
-:class:`QuadratureBudgetExceeded` above ``MAX_ORACLE_NODES``, which bounds
-their time.
+oracle and 16 for the 1D oracle, at most about 0.8 and 0.26 MB (1.6 MB
+for the 2D oracle at 512 points per panel), whatever ``u`` is.  Each leaf
+also computes the edges of its own panels, so no array of an oracle call
+grows with ``u``.  Both oracles count their fine-level nodes before
+building any and raise :class:`QuadratureBudgetExceeded` above
+``MAX_ORACLE_NODES``, which bounds their time.
 
 Neither oracle touches the closed-form bracket: agreement between the
 three paths is the correctness check, not a construction.
@@ -68,11 +69,10 @@ PHI_ORDER = 32
 #: ``2 * points_per_panel``, times ``PHI_ORDER`` for the 2D oracle.
 MAX_ORACLE_NODES = 2**24
 
-#: Both oracles sum their weighted values in fixed leaves of whole rows
-#: that hold at most ``LEAF_VALUES`` values (see :func:`_leaf_rows`): 512
-#: cos-theta rows of the 2D grid, or the 1D panels that fit.  It sets the
-#: memory use and the work per leaf; the result may move in its last bits
-#: with it.
+#: Both oracles sum their weighted values in fixed leaves of whole panels
+#: that hold at most ``LEAF_VALUES`` values, or of one panel where a panel
+#: holds more (see :func:`_leaf_rows`).  It sets the memory use and the
+#: work per leaf; the result may move in its last bits with it.
 LEAF_VALUES = 16384
 
 #: Most threads that evaluate leaves at once; fewer where this process may
@@ -133,14 +133,12 @@ def _panels(n_panels: int, panels: slice) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
 
 
-def _composite_nodes(
-    centres: np.ndarray, half_width: np.ndarray, points: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the given panels, one row per panel."""
+def _panel_nodes(n_panels: int, points: int, panels: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``points`` points on each of the
+    ``panels`` slice of ``n_panels`` equal panels, one row per panel."""
     base_x, base_w = _gauss_legendre(points)
-    nodes = centres[:, None] + half_width[:, None] * base_x[None, :]
-    weights = half_width[:, None] * base_w[None, :]
-    return nodes, weights
+    centres, half_width = (column[:, None] for column in _panels(n_panels, panels))
+    return centres + half_width * base_x, half_width * base_w
 
 
 def _phi_nodes() -> tuple[np.ndarray, np.ndarray]:
@@ -230,27 +228,28 @@ def _blocked_sum(
     return math.fsum(sums)
 
 
-#: One 1D workspace: the nodes and two kernel grids, 24 bytes per node.
-_DISTANCE_BUFFERS = (np.float64, np.float64, np.float64)
+#: One 1D workspace: two kernel grids, 16 bytes per node.
+_DISTANCE_BUFFERS = (np.float64, np.float64)
 
 
 def _distance_integrand(
     terms: SideRateTerms,
     alignment: float,
     u: float,
-    v: np.ndarray,
-    isotropic: np.ndarray,
-    oscillatory: np.ndarray,
+    nodes: np.ndarray,
+    workspace: list[np.ndarray],
 ) -> np.ndarray:
     """Kernel in the normal direction cosine after the azimuthal integral.
 
-    Evaluated in place: returns ``isotropic`` holding the kernel at the
-    nodes ``v``, which it overwrites, with ``oscillatory`` as scratch; all
-    three have one shape.  Each operation keeps the operands and their
-    order of the plain expression ``isotropic + oscillatory`` below, which
-    keeps the bits:
+    Evaluated in place: returns the second buffer of a workspace of
+    ``_DISTANCE_BUFFERS`` holding the kernel at ``nodes`` as one column,
+    with the first buffer as scratch; it overwrites ``nodes``.  Each
+    operation keeps the operands and their order of the plain expression
+    ``isotropic + oscillatory`` below, which keeps the bits:
     ``constant * (1 + a + (1 - 3a) v v) + k * (1 - 3a + (1 + a) v v) * cos(u v - phase)``.
     """
+    oscillatory, isotropic = (_grid(buffer, (nodes.size, 1)) for buffer in workspace)
+    v = nodes[:, None]
     constant = (1.0 + terms.r**2) / terms.eta_sq + (
         terms.t_opposite**2 / terms.eta_opposite_sq
     )
@@ -276,25 +275,40 @@ def _unit_scale(value: float) -> float:
 def _refined(
     label: str,
     spec: QuadratureSpec,
-    shape: Callable[[int], tuple[int, int]],
+    n_panels: int,
+    kernel: Callable[[np.ndarray, list[np.ndarray]], np.ndarray],
+    phi_weights: np.ndarray,
     dtypes: tuple[type, ...],
-    fill: Callable[[int, slice, list[np.ndarray]], np.ndarray],
     scale: float,
 ) -> float:
-    """``scale`` times the sum of the grid of ``shape(points)`` whose rows
-    ``fill(points, rows, workspace)`` computes, at the configured and the
-    doubled point count, in one set of workspaces allocated only once the
-    fine level is within ``MAX_ORACLE_NODES``.  The two levels must agree to
-    ``rel_tolerance`` relative to :func:`_unit_scale` of the fine level.
+    """``scale`` times the quadrature sum over ``n_panels`` panels at the
+    configured and the doubled point count, in one set of workspaces
+    allocated only once the fine level is within ``MAX_ORACLE_NODES``.
+
+    ``kernel(nodes, workspace)`` evaluates the integrand at a leaf's flat
+    cos-theta nodes, one row per node and one column per azimuth weight in
+    ``phi_weights``, and must leave the workspace's first buffer free: the
+    leaf's weights go there, and their product with the kernel is summed.
+    The two levels must agree to ``rel_tolerance`` relative to
+    :func:`_unit_scale` of the fine level.
     """
     levels = (spec.points_per_panel, 2 * spec.points_per_panel)
-    shapes = [shape(points) for points in levels]
+    # The grid of _blocked_sum: one row per panel of all its values.
+    shapes = [(n_panels, points * phi_weights.size) for points in levels]
     fine_nodes = shapes[1][0] * shapes[1][1]
     if fine_nodes > MAX_ORACLE_NODES:
         raise QuadratureBudgetExceeded(
             f"{label}: {fine_nodes} fine-level nodes exceed MAX_ORACLE_NODES={MAX_ORACLE_NODES}"
         )
     workspaces = _workspaces(shapes, dtypes)
+
+    def fill(points: int, panels: slice, workspace: list[np.ndarray]) -> np.ndarray:
+        cos_x, cos_w = _panel_nodes(n_panels, points, panels)
+        value = kernel(cos_x.ravel(), workspace)
+        weights = _grid(workspace[0], value.shape, np.float64)
+        np.multiply(cos_w.ravel()[:, None], phi_weights[None, :], out=weights)
+        return np.multiply(weights, value, out=weights)
+
     coarse, fine = (
         scale * _blocked_sum(grid, functools.partial(fill, points), workspaces)
         for grid, points in zip(shapes, levels)
@@ -316,23 +330,9 @@ def decay_rate_2d_oracle(
 ) -> float:
     """Rate ratio from the full solid-angle quadrature."""
     n_panels = panel_count(u, spec)
-    terms = side_rate_terms(interface, side)
     phi_x, phi_w = _phi_nodes()
-    integrand = _angular_integrand(terms, dipole, u, phi_x)
-
-    def fill(points: int, rows: slice, workspace: list[np.ndarray]) -> np.ndarray:
-        # The nodes of the panels that cover these rows, the integrand,
-        # then the weights in a buffer it has freed, times it in place.
-        panels = slice(rows.start // points, -(-rows.stop // points))
-        cos_x, cos_w = _composite_nodes(*_panels(n_panels, panels), points)
-        own = slice(rows.start - panels.start * points, rows.stop - panels.start * points)
-        value = integrand(cos_x.ravel()[own], workspace)
-        weights = _grid(workspace[0], value.shape, np.float64)
-        np.multiply(cos_w.ravel()[own, None], phi_w[None, :], out=weights)
-        return np.multiply(weights, value, out=weights)
-
-    return _refined("2d oracle", spec, lambda points: (n_panels * points, PHI_ORDER),
-                    _ANGULAR_BUFFERS, fill, 3.0 / (8.0 * math.pi))
+    integrand = _angular_integrand(side_rate_terms(interface, side), dipole, u, phi_x)
+    return _refined("2d oracle", spec, n_panels, integrand, phi_w, _ANGULAR_BUFFERS, 3.0 / (8.0 * math.pi))
 
 
 def decay_rate_1d_oracle(
@@ -344,23 +344,8 @@ def decay_rate_1d_oracle(
 ) -> float:
     """Rate ratio from the single-axis distance-kernel quadrature."""
     _check_rate_args(alignment, u)
-    terms = side_rate_terms(interface, side)
-    n_panels = panel_count(u, spec)
-
-    def fill(points: int, panels: slice, workspace: list[np.ndarray]) -> np.ndarray:
-        # _composite_nodes in place: the nodes, the kernel, then the
-        # weights in the nodes' buffer, which the kernel has consumed.
-        base_x, base_w = _gauss_legendre(points)
-        nodes, kernel, scratch = (
-            _grid(buffer, (panels.stop - panels.start, points)) for buffer in workspace
-        )
-        centres, width = (column[:, None] for column in _panels(n_panels, panels))
-        np.add(centres, np.multiply(width, base_x, out=nodes), out=nodes)
-        _distance_integrand(terms, alignment, u, nodes, kernel, scratch)
-        weights = np.multiply(width, base_w, out=nodes)
-        return np.multiply(weights, kernel, out=kernel)
-
-    return _refined("1d oracle", spec, lambda points: (n_panels, points), _DISTANCE_BUFFERS, fill, 0.375)
+    kernel = functools.partial(_distance_integrand, side_rate_terms(interface, side), alignment, u)
+    return _refined("1d oracle", spec, panel_count(u, spec), kernel, np.ones(1), _DISTANCE_BUFFERS, 0.375)
 
 
 def oracle_compare(

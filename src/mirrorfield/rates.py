@@ -113,8 +113,15 @@ def _check_components(*components) -> None:
 
 
 def _norm(d1: complex, d2: complex, d3: complex) -> float:
-    """Euclidean norm of three complex components, with no overflow midway."""
-    return math.hypot(*(part for d in map(complex, (d1, d2, d3)) for part in (d.real, d.imag)))
+    """Euclidean norm of three complex components: the square root of the
+    sum of their squared magnitudes, or ``math.hypot`` where a square leaves
+    the float range (it does not overflow midway, but it rounds differently,
+    so the seeded orientations keep the plain formula and its bits)."""
+    components = [complex(d) for d in (d1, d2, d3)]
+    try:
+        return math.sqrt(sum(abs(d) ** 2 for d in components))
+    except OverflowError:
+        return math.hypot(*(part for d in components for part in (d.real, d.imag)))
 
 
 @dataclass(frozen=True)
@@ -150,13 +157,7 @@ class DipoleOrientation:
     ) -> "DipoleOrientation":
         """Normalise arbitrary components into a valid orientation."""
         _check_components(d1, d2, d3)
-        try:
-            norm = math.sqrt(abs(d1) ** 2 + abs(d2) ** 2 + abs(d3) ** 2)
-        except OverflowError:
-            # Only where a square leaves the float range: math.hypot does not
-            # overflow midway, but it rounds differently, so the seeded
-            # orientations keep the plain formula and its bits.
-            norm = _norm(d1, d2, d3)
+        norm = _norm(d1, d2, d3)
         if norm == 0.0:
             raise DomainError("dipole components must not all vanish")
         return cls(d1 / norm, d2 / norm, d3 / norm)

@@ -59,6 +59,9 @@ MUTANTS = [
      ["tests/test_interface.py::TestSideCoefficients::test_energy_tolerance_boundary"]),
     (RATES, "_RATIO_SLACK = 1e-12", "_RATIO_SLACK = 1e-6",
      ["tests/test_rates.py::TestDecayRateCurve::test_rejects_a_ratio_just_beyond_the_rounding_slack"]),
+    # The one node builder of both oracles' shared fill.
+    (ORACLE, "half_width * base_w", "np.ones_like(half_width) * base_w",
+     ["tests/test_oracle.py::TestKnownIntegrals::test_black_sheet_is_free_space"]),
     (ORACLE, "MAX_ORACLE_NODES = 2**24", "MAX_ORACLE_NODES = 2**25",
      ["tests/test_oracle.py::TestBudget::test_1d_fine_level_just_over_budget_raises_before_allocating"]),
     # The emitter-side selection of side_rate_terms.

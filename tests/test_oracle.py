@@ -34,7 +34,7 @@ from mirrorfield import (
 from mirrorfield.interface import side_rate_terms
 from test_interface import valid_side_squares
 
-DEFAULT_ROWS_PER_BLOCK = oracle.LEAF_VALUES // oracle.PHI_ORDER
+DEFAULT_LEAF_VALUES = oracle.LEAF_VALUES
 
 BLACK_SHEET = validate_interface(0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
 PERFECT_MIRROR = validate_interface(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, phi1=math.pi, phi3=math.pi)
@@ -235,13 +235,14 @@ class TestBudget:
 
     def test_refinement_check_has_a_unit_floor(self):
         # The levels differ by 5e-10: within 1e-9 * max(1, |fine|), not 1e-9 * |fine|.
+        # One panel, whose weights sum to 2 at either level, so scale 1/2.
         levels = {16: 1e-3, 32: 1e-3 + 5e-10}
 
-        def fill(points, rows, workspace):
-            return np.array([levels[points]])
+        def kernel(nodes, workspace):
+            return np.full((nodes.size, 1), levels[nodes.size])
 
-        fine = oracle._refined("test", DEFAULT_QUADRATURE, lambda points: (1, 1), (np.float64,), fill, 1.0)
-        assert fine == levels[32]
+        fine = oracle._refined("test", DEFAULT_QUADRATURE, 1, kernel, np.ones(1), (np.float64,), 0.5)
+        assert fine == pytest.approx(levels[32], rel=1e-14)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(DomainError):
@@ -268,23 +269,23 @@ def ulps_apart(found: float, expected: float) -> float:
     return abs(found - expected) / math.ulp(expected)
 
 
-class TestRowBlocks:
-    # The leaf size moves a result only in its last bits: at each block
+class TestLeaves:
+    # The leaf size moves a result only in its last bits: at each leaf
     # size it stays within 4 ulp of the oracle that sums all values exactly.
 
     @pytest.mark.parametrize("u", [300.0, 1e3])
-    def test_result_is_independent_of_block_size(self, monkeypatch, u):
-        # One block (the whole grid at once), a ragged last block, the default.
+    def test_result_is_independent_of_leaf_size(self, monkeypatch, u):
+        # One leaf (the whole grid at once), one panel per leaf, the default.
         for case in seeded_oracle_cases(seed=11, count=2):
             compute = functools.partial(decay_rate_2d_oracle, case.interface, case.side, case.dipole, u)
             expected = exactly_summed(monkeypatch, compute)
-            for rows in (10**9, 7, DEFAULT_ROWS_PER_BLOCK):
-                monkeypatch.setattr(oracle, "LEAF_VALUES", rows * oracle.PHI_ORDER)
-                assert ulps_apart(compute(), expected) <= 4, rows
+            for leaf_values in (10**9 * oracle.PHI_ORDER, 7 * oracle.PHI_ORDER, DEFAULT_LEAF_VALUES):
+                monkeypatch.setattr(oracle, "LEAF_VALUES", leaf_values)
+                assert ulps_apart(compute(), expected) <= 4, leaf_values
 
     @pytest.mark.parametrize("u", [300.0, 3e3])
-    def test_1d_result_is_independent_of_block_size(self, monkeypatch, u):
-        # Blocks of whole panels: all at once, one or two panels, ragged, the default.
+    def test_1d_result_is_independent_of_leaf_size(self, monkeypatch, u):
+        # All panels at once, one or two panels, a ragged last leaf, the default.
         ragged = QuadratureSpec(points_per_panel=7, panels_per_oscillation=3)
         for case in seeded_oracle_cases(seed=12, count=2):
             for spec in (DEFAULT_QUADRATURE, ragged):
@@ -292,9 +293,10 @@ class TestRowBlocks:
                     decay_rate_1d_oracle, case.interface, case.side, case.dipole.alignment, u, spec
                 )
                 expected = exactly_summed(monkeypatch, compute)
-                for rows in (10**9, 1, 7, DEFAULT_ROWS_PER_BLOCK):
-                    monkeypatch.setattr(oracle, "LEAF_VALUES", rows * oracle.PHI_ORDER)
-                    assert ulps_apart(compute(), expected) <= 4, rows
+                for leaf_values in (10**9 * oracle.PHI_ORDER, oracle.PHI_ORDER, 7 * oracle.PHI_ORDER,
+                                    DEFAULT_LEAF_VALUES):
+                    monkeypatch.setattr(oracle, "LEAF_VALUES", leaf_values)
+                    assert ulps_apart(compute(), expected) <= 4, leaf_values
 
     def test_1d_leaves_do_not_depend_on_phi_order(self, monkeypatch):
         # A leaf is counted in values, so the order of the 2D oracle's
@@ -315,12 +317,12 @@ class TestRowBlocks:
             assert hexes() == expected, order
 
     def test_result_is_independent_of_worker_count(self, monkeypatch):
-        # At each block size the bits do not depend on the worker count,
+        # At each leaf size the bits do not depend on the worker count,
         # for both oracles, the default and a ragged 7-point spec.
         ragged = QuadratureSpec(points_per_panel=7, panels_per_oscillation=3)
         specs = (DEFAULT_QUADRATURE, ragged)
-        for rows in (10**9, 7, DEFAULT_ROWS_PER_BLOCK):
-            monkeypatch.setattr(oracle, "LEAF_VALUES", rows * oracle.PHI_ORDER)
+        for leaf_values in (10**9 * oracle.PHI_ORDER, 7 * oracle.PHI_ORDER, DEFAULT_LEAF_VALUES):
+            monkeypatch.setattr(oracle, "LEAF_VALUES", leaf_values)
             values = []
             for workers in (1, 2, 3):
                 monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
@@ -333,7 +335,7 @@ class TestRowBlocks:
                     for case in seeded_oracle_cases(seed=12, count=2)
                     for spec in specs
                 ])
-            assert values[0] == values[1] == values[2], rows
+            assert values[0] == values[1] == values[2], leaf_values
 
     def test_oracle_check_bytes_are_independent_of_worker_count(self, monkeypatch, capsys):
         outputs = []
@@ -344,8 +346,8 @@ class TestRowBlocks:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_block_error_reaches_the_caller(self, monkeypatch, workers):
-        class BlockFailed(Exception):
+    def test_leaf_error_reaches_the_caller(self, monkeypatch, workers):
+        class LeafFailed(Exception):
             pass
 
         real_integrand = oracle._angular_integrand
@@ -353,24 +355,24 @@ class TestRowBlocks:
         calls = []
 
         def failing_integrand(*args):
-            block = real_integrand(*args)
+            leaf = real_integrand(*args)
 
-            def second_block_raises(cos_nodes, workspace):
+            def second_leaf_raises(cos_nodes, workspace):
                 with lock:
                     calls.append(len(cos_nodes))
                     count = len(calls)
                 if count == 2:
-                    raise BlockFailed("second block")
-                return block(cos_nodes, workspace)
+                    raise LeafFailed("second leaf")
+                return leaf(cos_nodes, workspace)
 
-            return second_block_raises
+            return second_leaf_raises
 
         dipole = DipoleOrientation.aligned(0.3)
         monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
-        # u = 0: 8 panels of 16 rows, so 8 leaves of 16 rows (16 at the fine level).
+        # u = 0: 8 panels of 16 rows, so 8 leaves of one panel (32 rows at the fine level).
         monkeypatch.setattr(oracle, "LEAF_VALUES", 16 * oracle.PHI_ORDER)
         monkeypatch.setattr(oracle, "_angular_integrand", failing_integrand)
-        with pytest.raises(BlockFailed, match="second block"):
+        with pytest.raises(LeafFailed, match="second leaf"):
             decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0)
         assert len(calls) >= 2
         monkeypatch.setattr(oracle, "_angular_integrand", real_integrand)
@@ -450,8 +452,8 @@ class TestRowBlocks:
 
         dipole = DipoleOrientation.aligned(0.3)
         monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
-        # 8 leaves of 16 rows for the 2D oracle at u = 0, 12 leaves of 32
-        # panels for the 1D oracle at u = 300 (twice as many leaves at the
+        # 8 leaves of one panel at each level of the 2D oracle at u = 0, 12
+        # leaves of 32 panels for the 1D oracle at u = 300 (24 of 16 at the
         # fine level).
         monkeypatch.setattr(oracle, "LEAF_VALUES", 16 * oracle.PHI_ORDER)
         before = threading.active_count()
@@ -542,8 +544,9 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("u", [0.0, 37.0, 300.0])
     def test_each_leaf_builds_linspace_panels(self, monkeypatch, u):
-        # Each leaf computes the edges of its own panels.  With 20-row leaves
-        # and 9 or 18 points per panel, 2D leaves start and end mid-panel.
+        # Each leaf computes the edges of its own whole panels.  With leaves
+        # of 640 values and 9 or 18 points per panel, a 2D leaf holds two
+        # panels or one, and no panel is split between leaves.
         calls = []
 
         def recorded(n_panels, panels):
@@ -564,10 +567,40 @@ class TestRowBlocks:
             assert n == n_panels
             assert centres.tobytes() == (0.5 * (own[1:] + own[:-1])).tobytes()
             assert half_width.tobytes() == (0.5 * (own[1:] - own[:-1])).tobytes()
-        # One first leaf per level of each oracle, and 2D leaves that share
-        # a panel with the leaf before them.
+        # The leaves of each level of each oracle tile its panels exactly once.
         assert [panels.start for _, panels, _ in calls].count(0) == 4
-        assert sum(panels.stop - panels.start for _, panels, _ in calls) > 4 * n_panels
+        assert sum(panels.stop - panels.start for _, panels, _ in calls) == 4 * n_panels
+        covered = np.zeros(n_panels, int)
+        for _, panels, _ in calls:
+            covered[panels] += 1
+        assert (covered == 4).all()
+
+    def test_a_panel_above_leaf_values_is_one_leaf(self, monkeypatch):
+        # At 512 points per panel a fine-level 2D panel holds 1024 * 32
+        # values, twice LEAF_VALUES: each such leaf is one whole panel, and
+        # the workspaces double, which the peak bound still covers.
+        spec = QuadratureSpec(points_per_panel=512)
+        case = seeded_oracle_cases(seed=12, count=1)[0]
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
+        leaves = []
+        real = oracle._panel_nodes
+
+        def recorded(n_panels, points, panels):
+            leaves.append((points, panels.stop - panels.start))
+            return real(n_panels, points, panels)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_panel_nodes", recorded)
+            expected = decay_rate_2d_oracle(case.interface, case.side, case.dipole, 100.0, spec)
+        fine = [size for points, size in leaves if points == 1024]
+        assert len(fine) == oracle.panel_count(100.0, spec) and set(fine) == {1}
+        tracemalloc.start()
+        try:
+            assert decay_rate_2d_oracle(case.interface, case.side, case.dipole, 100.0, spec) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_cached_rules_are_read_only(self):
         nodes, weights = oracle._gauss_legendre(16)
@@ -601,12 +634,11 @@ class TestLeafSums:
         return fill
 
     @pytest.mark.parametrize("width", [1, 7, 16, 32])
-    @pytest.mark.parametrize("rows_per_block", [1, 7, "default", 10**9])
-    def test_streamed_sum_is_within_4_ulp_of_fsum(self, monkeypatch, width, rows_per_block):
-        if rows_per_block == "default":
-            rows_per_block = DEFAULT_ROWS_PER_BLOCK
-        monkeypatch.setattr(oracle, "LEAF_VALUES", rows_per_block * oracle.PHI_ORDER)
-        rng = np.random.default_rng([width, rows_per_block])
+    # Leaves as long as this many rows of a PHI_ORDER-wide grid.
+    @pytest.mark.parametrize("leaf_rows", [1, 7, DEFAULT_LEAF_VALUES // oracle.PHI_ORDER, 10**9])
+    def test_streamed_sum_is_within_4_ulp_of_fsum(self, monkeypatch, width, leaf_rows):
+        monkeypatch.setattr(oracle, "LEAF_VALUES", leaf_rows * oracle.PHI_ORDER)
+        rng = np.random.default_rng([width, leaf_rows])
         for rows in (*self.ROWS, 100003 // width):
             # Nonnegative like every oracle grid (a bound in ulp of the sum
             # needs that): values of one scale, and values over 24 decades.
