@@ -49,7 +49,7 @@ MAX_POINTS_PER_PANEL = 512
 
 def reduce_phase(phase: float, name: str = "phase") -> float:
     """Map one finite real phase onto [0, 2*pi) as a Python float."""
-    phase = float(as_real(name, phase, scalar=True))
+    phase = as_real(name, phase, scalar=True)
     if not math.isfinite(phase):
         raise RangeError(f"{name} must be finite, got {phase!r}")
     reduced = phase % TWO_PI
@@ -65,22 +65,16 @@ def _check_side(side: str) -> str:
 
 def _check_alignment(alignment: float) -> float:
     """One real ``alignment`` in [0, 1], as a Python float."""
-    value = float(as_real("alignment", alignment, scalar=True))
+    value = as_real("alignment", alignment, scalar=True)
     if not (0.0 <= value <= 1.0):
         raise DomainError(f"alignment must be in [0, 1], got {value!r}")
     return value
 
 
-def as_value(name: str, value):
-    """``value`` checked by :func:`as_real`: a Python float when it is a
-    scalar, else a float array."""
-    array = as_real(name, value)
-    return float(array) if array.ndim == 0 else array
-
-
-def as_real(name: str, value, scalar: bool = False) -> np.ndarray:
-    """``value`` as a float array, if it is a real number or (unless
-    ``scalar``) an array of them: numpy kind ``i``, ``u`` or ``f``.
+def as_real(name: str, value, scalar: bool = False) -> float | np.ndarray:
+    """``value`` as a Python float if it is one real number, or (unless
+    ``scalar``) as a float array if it is an array of them: numpy kind
+    ``i``, ``u`` or ``f``, where a 0-d array counts as one number.
 
     Raise :class:`DomainError` for a bool, str, complex, object or ragged
     input, which a conversion to float would accept, turn into a number or
@@ -93,7 +87,7 @@ def as_real(name: str, value, scalar: bool = False) -> np.ndarray:
     if array is None or array.dtype.kind not in "iuf" or (scalar and array.ndim):
         kind = "a real number" if scalar else "a real number or an array of real numbers"
         raise DomainError(f"{name} must be {kind}, got {value!r}")
-    return array.astype(float, copy=False)
+    return float(array) if array.ndim == 0 else array.astype(float, copy=False)
 
 
 def check_cells(ok, error: type[Exception], message: str, **values) -> None:
@@ -129,11 +123,12 @@ def check_broadcast(**amplitudes) -> None:
         raise DomainError(f"amplitude shapes do not broadcast: {shapes}") from None
 
 
-def check_count(name: str, value, least: int, error: type[Exception] = DomainError) -> None:
-    """Raise ``error`` unless ``value`` is an int or a numpy integer, not a
-    bool, of at least ``least``."""
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as a Python int, if it is an int or a numpy integer, not a
+    bool, of at least ``least``; else raise :class:`DomainError`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,7 @@ class SideCoefficients:
 
     def __post_init__(self) -> None:
         for name in ("r", "t", "l"):
-            value = as_value(name, getattr(self, name))
+            value = as_real(name, getattr(self, name))
             object.__setattr__(self, name, value)
             check_cells((0.0 <= value) & (value <= 1.0), RangeError,
                         f"amplitude {name}={{value!r}} outside [0, 1]", value=value)
@@ -169,7 +164,7 @@ class SideCoefficients:
         Needed for the no-mirror limit where every rate is zero and the
         full energy budget goes into absorption.
         """
-        r, t = as_value("r", r), as_value("t", t)
+        r, t = as_real("r", r), as_real("t", t)
         check_broadcast(r=r, t=t)
         check_cells((0.0 <= r) & (r <= 1.0) & (0.0 <= t) & (t <= 1.0), RangeError,
                     "amplitudes r={r!r}, t={t!r} outside [0, 1]", r=r, t=t)
@@ -188,7 +183,7 @@ class Medium:
 
     def __post_init__(self) -> None:
         for name in ("eps_rel", "mu_rel"):
-            value = float(as_real(name, getattr(self, name), scalar=True))
+            value = as_real(name, getattr(self, name), scalar=True)
             if not value > 0.0:
                 raise RangeError(f"{name} must be > 0, got {value!r}")
             object.__setattr__(self, name, value)
@@ -238,13 +233,14 @@ class SideRateTerms:
     towards the coating on the emitter's side; ``t_opposite`` and
     ``eta_opposite_sq`` to light leaking through from the far side, which
     enters only as ``t_opposite**2``, so no transmission phase is needed.
+    All but the shared ``reflection_phase`` are arrays for an array coating.
     """
 
-    r: float
+    r: float | np.ndarray
     reflection_phase: float
-    t_opposite: float
-    eta_sq: float
-    eta_opposite_sq: float
+    t_opposite: float | np.ndarray
+    eta_sq: float | np.ndarray
+    eta_opposite_sq: float | np.ndarray
 
     def __post_init__(self) -> None:
         check_finite(self)
@@ -269,10 +265,10 @@ class QuadratureSpec:
 
     def __post_init__(self) -> None:
         for name, least in SPEC_COUNTS.items():
-            check_count(name, getattr(self, name), least)
+            object.__setattr__(self, name, check_count(name, getattr(self, name), least))
         if self.points_per_panel > MAX_POINTS_PER_PANEL:
             raise DomainError(f"points_per_panel must be <= {MAX_POINTS_PER_PANEL}")
-        tolerance = float(as_real("rel_tolerance", self.rel_tolerance, scalar=True))
+        tolerance = as_real("rel_tolerance", self.rel_tolerance, scalar=True)
         if not (0.0 < tolerance < math.inf):
             raise DomainError("rel_tolerance must be finite and > 0")
         object.__setattr__(self, "rel_tolerance", tolerance)
@@ -336,7 +332,7 @@ def lossless_interface(
     [0, 1); ``r = 0`` produces a fully transparent coating, which the
     interface constructor rejects as degenerate.
     """
-    r = as_value("r", r)
+    r = as_real("r", r)
     check_cells((0.0 <= r) & (r < 1.0), RangeError,
                 "lossless reflection amplitude must be in [0, 1), got {r!r}", r=r)
     t = np.sqrt(1.0 - r * r)

@@ -104,7 +104,7 @@ def panel_count(u: float, spec: QuadratureSpec) -> int:
     """Number of panels on [-1, 1]: at least ``min_panels``, growing as
     ``ceil(u / pi) * panels_per_oscillation`` once the phase oscillates.
     ``u`` must be one real number, as in both oracles."""
-    u = float(check_u(u, scalar=True))
+    u = check_u(u, scalar=True)
     return max(spec.min_panels, math.ceil(u / math.pi) * spec.panels_per_oscillation)
 
 

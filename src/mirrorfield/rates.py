@@ -12,6 +12,7 @@ an array; a scalar ``u`` on a scalar coating gives a Python float.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ from .interface import (
     _check_alignment,
     _check_side,
     as_real,
-    as_value,
     check_cells,
     mirror_parameter,
     refractive_index,
@@ -56,7 +56,7 @@ class PhysicalConstants:
 
     def __post_init__(self) -> None:
         for name in ("hbar", "eps0", "mu0", "c0", "e_charge"):
-            value = float(as_real(name, getattr(self, name), scalar=True))
+            value = as_real(name, getattr(self, name), scalar=True)
             if not (value > 0.0 and math.isfinite(value)):
                 raise RangeError(f"{name} must be positive and finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -90,8 +90,8 @@ class AtomParams:
     dipole_magnitude: float
 
     def __post_init__(self) -> None:
-        omega0 = float(as_real("omega0", self.omega0, scalar=True))
-        magnitude = float(as_real("dipole_magnitude", self.dipole_magnitude, scalar=True))
+        omega0 = as_real("omega0", self.omega0, scalar=True)
+        magnitude = as_real("dipole_magnitude", self.dipole_magnitude, scalar=True)
         if not (omega0 > 0.0 and math.isfinite(omega0)):
             raise RangeError(f"omega0 must be positive, got {omega0!r}")
         if not (magnitude >= 0.0 and math.isfinite(magnitude)):
@@ -114,14 +114,18 @@ def _check_components(*components) -> None:
 
 def _norm(d1: complex, d2: complex, d3: complex) -> float:
     """Euclidean norm of three complex components: the square root of the
-    sum of their squared magnitudes, or ``math.hypot`` where a square leaves
-    the float range (it does not overflow midway, but it rounds differently,
-    so the seeded orientations keep the plain formula and its bits)."""
+    sum of their squared magnitudes, or ``math.hypot`` where that sum or a
+    square leaves the normal float range (it neither overflows nor
+    underflows midway, but it rounds differently, so the seeded
+    orientations keep the plain formula and its bits)."""
     components = [complex(d) for d in (d1, d2, d3)]
     try:
-        return math.sqrt(sum(abs(d) ** 2 for d in components))
+        total = sum(abs(d) ** 2 for d in components)
     except OverflowError:
-        return math.hypot(*(part for d in components for part in (d.real, d.imag)))
+        total = math.inf
+    if sys.float_info.min <= total < math.inf:
+        return math.sqrt(total)
+    return math.hypot(*(part for d in components for part in (d.real, d.imag)))
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,7 @@ class DecayRateCurve:
         u, ratio = as_real("u", self.u), as_real("ratio", self.ratio)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "ratio", ratio)
-        if u.ndim != 1 or ratio.shape != u.shape:
+        if np.ndim(u) != 1 or np.shape(ratio) != np.shape(u):
             raise DomainError("u and ratio must be 1-d arrays of one length")
         _check_rate_args(self.alignment, u)
         if not np.all(np.diff(u) > 0.0):
@@ -243,7 +247,7 @@ def oscillatory_bracket(u, alignment: float):
     return _bracket(_check_rate_args(alignment, u), alignment)
 
 
-def _bracket(u: np.ndarray, alignment: float):
+def _bracket(u: float | np.ndarray, alignment: float):
     """:func:`oscillatory_bracket` on arguments already checked."""
     series = u < SMALL_U
     # Below SMALL_U the trigonometric form can divide by zero or overflow,
@@ -256,20 +260,20 @@ def _bracket(u: np.ndarray, alignment: float):
         sinc_part = np.where(series, 1.0 - u_sq / 6.0, sin_u / u)
         tail_part = np.where(series, -1.0 / 3.0 + u_sq / 30.0,
                              cos_u / (u * u) - sin_u / (u * u * u))
-    return as_value("bracket", (1.0 - alignment) * sinc_part + (1.0 + alignment) * tail_part)
+    return as_real("bracket", (1.0 - alignment) * sinc_part + (1.0 + alignment) * tail_part)
 
 
-def check_u(u, scalar: bool = False) -> np.ndarray:
-    """``u`` as a float array, after rejecting a scaled distance that is not
-    real (with ``scalar``, not one real number) or is negative, infinite or
-    NaN in any cell."""
+def check_u(u, scalar: bool = False) -> float | np.ndarray:
+    """``u`` read by :func:`as_real`, after rejecting a scaled distance that
+    is not real (with ``scalar``, not one real number) or is negative,
+    infinite or NaN in any cell."""
     u = as_real("u", u, scalar)
     check_cells((0.0 <= u) & (u < math.inf), DomainError,
                 "u must be finite and >= 0, got {u!r}", u=u)
     return u
 
 
-def _check_rate_args(alignment: float, u) -> np.ndarray:
+def _check_rate_args(alignment: float, u) -> float | np.ndarray:
     """Reject a bad real scalar ``alignment`` or a bad ``u``; return ``u`` as
     :func:`check_u` does."""
     _check_alignment(alignment)

@@ -87,14 +87,6 @@ def _keys_read(subcommand: str, preset: bool) -> list[str]:
 _COUNTS = {"seed": 0, "grid_count": 2, "u_count": 2, "cases": 1, **SPEC_COUNTS}
 
 
-def _real(name: str, value) -> float:
-    """``value`` as a Python float, if it is one real number (see :func:`as_real`)."""
-    try:
-        return float(as_real(name, value, scalar=True))
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Merged command-line / config-file options for one sweep, checked on
@@ -133,59 +125,58 @@ class SweepConfig:
     rel_tolerance: float = QuadratureSpec.rel_tolerance
 
     def __post_init__(self) -> None:
-        # The annotation that _SETTINGS parses text by; a None that it
-        # allows stays unset.
-        for item in fields(self):
-            name, value = item.name, getattr(self, item.name)
-            kind, _, optional = item.type.partition(" | ")
-            if value is None and optional:
-                continue
-            if kind == "int":
-                check_count(name, value, _COUNTS[name], ConfigError)
-                value = int(value)
-            elif kind == "str":
-                if not isinstance(value, str):
-                    raise ConfigError(f"{name} must be a string, got {value!r}")
-            elif kind == "tuple[float, ...]":
-                if not isinstance(value, tuple):
-                    raise ConfigError(f"{name} must be a tuple of real numbers, got {value!r}")
-                value = tuple(_real(name, part) for part in value)
-            else:
-                value = _real(name, value)
-            object.__setattr__(self, name, value)
-        if self.subcommand not in COMMANDS:
-            raise ConfigError(f"unknown subcommand {self.subcommand!r}")
-        if not (0.0 <= self.u_min < self.u_max < math.inf):
-            raise ConfigError("need 0 <= u_min < u_max < inf")
-        if not (0.0 <= self.l_sq <= 1.0):
-            raise ConfigError(f"l_sq must be in [0, 1], got {self.l_sq!r}")
-        default_max = math.sqrt(max(0.0, 1.0 - self.l_sq))
-        for name in ("r_a_max", "r_b_max"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not (0.0 < value <= 1.0):
-                raise ConfigError(f"{name} must be in (0, 1], got {value!r}")
-            if value > default_max + 1e-12:
-                raise ConfigError(f"{name}={value!r} exceeds sqrt(1 - l_sq) = {default_max!r}")
-        if not self.phi3_values:
-            raise ConfigError("phi3_values must not be empty")
-        if self.preset is not None and self.preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {self.preset!r}; "
-                f"available: {', '.join(sorted(PRESETS))}"
-            )
-        # Widest tables: 2 + len(phi3_values) map columns; u plus the
-        # curves of the largest preset; the oracle-check columns.
-        for name, values in (
-            ("grid_count", self.grid_count**2 * (2 + len(self.phi3_values))),
-            ("u_count", self.u_count * (1 + max(map(len, PRESETS.values())))),
-            ("cases", self.cases * len(_ORACLE_COLUMNS)),
-        ):
-            if values > MAX_TABLE_VALUES:
-                raise ConfigError(f"{name}={getattr(self, name)} gives a table of "
-                                  f"{values} values; the limit is {MAX_TABLE_VALUES}")
         try:
+            # The annotation that _SETTINGS parses text by; a None that it
+            # allows stays unset.
+            for item in fields(self):
+                name, value = item.name, getattr(self, item.name)
+                kind, _, optional = item.type.partition(" | ")
+                if value is None and optional:
+                    continue
+                if kind == "int":
+                    value = check_count(name, value, _COUNTS[name])
+                elif kind == "str":
+                    if not isinstance(value, str):
+                        raise ConfigError(f"{name} must be a string, got {value!r}")
+                elif kind == "tuple[float, ...]":
+                    if not isinstance(value, tuple):
+                        raise ConfigError(f"{name} must be a tuple of real numbers, got {value!r}")
+                    value = tuple(as_real(name, part, scalar=True) for part in value)
+                else:
+                    value = as_real(name, value, scalar=True)
+                object.__setattr__(self, name, value)
+            if self.subcommand not in COMMANDS:
+                raise ConfigError(f"unknown subcommand {self.subcommand!r}")
+            if not (0.0 <= self.u_min < self.u_max < math.inf):
+                raise ConfigError("need 0 <= u_min < u_max < inf")
+            if not (0.0 <= self.l_sq <= 1.0):
+                raise ConfigError(f"l_sq must be in [0, 1], got {self.l_sq!r}")
+            default_max = _default_r_max(self.l_sq)
+            for name in ("r_a_max", "r_b_max"):
+                value = getattr(self, name)
+                if value is None:
+                    continue
+                if not (0.0 < value <= 1.0):
+                    raise ConfigError(f"{name} must be in (0, 1], got {value!r}")
+                if value > default_max + 1e-12:
+                    raise ConfigError(f"{name}={value!r} exceeds sqrt(1 - l_sq) = {default_max!r}")
+            if not self.phi3_values:
+                raise ConfigError("phi3_values must not be empty")
+            if self.preset is not None and self.preset not in PRESETS:
+                raise ConfigError(
+                    f"unknown preset {self.preset!r}; "
+                    f"available: {', '.join(sorted(PRESETS))}"
+                )
+            # Widest tables: 2 + len(phi3_values) map columns; u plus the
+            # curves of the largest preset; the oracle-check columns.
+            for name, values in (
+                ("grid_count", self.grid_count**2 * (2 + len(self.phi3_values))),
+                ("u_count", self.u_count * (1 + max(map(len, PRESETS.values())))),
+                ("cases", self.cases * len(_ORACLE_COLUMNS)),
+            ):
+                if values > MAX_TABLE_VALUES:
+                    raise ConfigError(f"{name}={getattr(self, name)} gives a table of "
+                                      f"{values} values; the limit is {MAX_TABLE_VALUES}")
             _check_side(self.side)
             _check_alignment(self.alignment)
             for name in ("phi1", "phi2", "phi3", "phi4"):
@@ -426,11 +417,16 @@ def replay_provenance(provenance: str) -> ResultTable:
     return COMMANDS[subcommand](config)
 
 
+def _default_r_max(l_sq: float) -> float:
+    """The maps' default and largest ``r_a_max`` and ``r_b_max``: ``sqrt(1 - l_sq)``."""
+    return math.sqrt(max(0.0, 1.0 - l_sq))
+
+
 def _map_grid(config: SweepConfig) -> tuple[MirrorInterface, np.ndarray, np.ndarray, str]:
     """The row-major (r_a, r_b) grid at fixed loss as one array-valued
     coating, with its r_a and r_b columns and the table's provenance."""
     loss = math.sqrt(config.l_sq)
-    default_max = math.sqrt(max(0.0, 1.0 - config.l_sq))
+    default_max = _default_r_max(config.l_sq)
     r_a_max = default_max if config.r_a_max is None else config.r_a_max
     r_b_max = default_max if config.r_b_max is None else config.r_b_max
     count = config.grid_count

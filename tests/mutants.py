@@ -36,6 +36,8 @@ SWEEP = "src/mirrorfield/sweep.py"
 SIDE_B_REFLECTION = "tests/test_interface.py::TestMirrorParameter::test_side_b_uses_back_reflection"
 EXTREME_XI = "tests/test_interface.py::TestMirrorParameter::test_extreme_values"
 TRANSMITTED_WAVE = "tests/test_modes.py::TestMirrorField::test_transmitted_wave_scaling"
+DIPOLE_RANGE = ("tests/test_rates.py::TestDipoleOrientation::"
+                "test_components_whose_squares_leave_the_normal_range")
 
 #: (file, old text, new text, test ids that must fail on the mutant).
 MUTANTS = [
@@ -74,6 +76,13 @@ MUTANTS = [
     (INTERFACE, "eta_sq=eta_sq[index], eta_opposite_sq=eta_sq[1 - index]",
      "eta_sq=eta_sq[1 - index], eta_opposite_sq=eta_sq[index]",
      [EXTREME_XI, TRANSMITTED_WAVE, "tests/test_acceptance.py::test_criterion_8_loss_side_asymmetry"]),
+    # The one number reader gives a Python float for a scalar.
+    (INTERFACE, "return float(array) if array.ndim == 0 else array.astype(float, copy=False)",
+     "return array.astype(float, copy=False)",
+     ["tests/test_interface.py::TestNumberReaders::test_as_real_gives_a_float_for_a_scalar"]),
+    # The dipole norm falls back to math.hypot outside the normal float range.
+    (RATES, "sys.float_info.min <= total", "0.0 < total", [f"{DIPOLE_RANGE}[1e-160]"]),
+    (RATES, "total < math.inf", "total", [f"{DIPOLE_RANGE}[sum-overflows]"]),
 ]
 
 

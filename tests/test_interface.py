@@ -12,6 +12,7 @@ from mirrorfield import (
     EnergyViolation,
     Medium,
     MirrorInterface,
+    QuadratureSpec,
     RangeError,
     SideCoefficients,
     lossless_interface,
@@ -21,6 +22,7 @@ from mirrorfield import (
     side_rate_terms,
     validate_interface,
 )
+from mirrorfield.interface import as_real, check_count
 from mirrorfield.sweep import config_from_settings, split_settings
 
 TWO_PI = 2.0 * math.pi
@@ -228,6 +230,45 @@ class TestReturnValues:
             cell = validate_interface(float(r), 0.3, None, 0.4, 0.7, None, phi1=0.5, phi3=2.0)
             expected = [*normalisation_constants(cell), mirror_parameter(cell, "a"), mirror_parameter(cell, "b")]
             assert [value[index] for value in values] == expected
+
+
+class TestNumberReaders:
+    """``as_real`` and ``check_count`` hand back plain Python numbers for scalars."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [2, 2.5, np.float32(0.5), np.int64(3), np.uint8(7), np.asarray(1.5), np.asarray(4, np.int16)],
+        ids=["int", "float", "float32", "int64", "uint8", "0-d-float", "0-d-int16"],
+    )
+    def test_as_real_gives_a_float_for_a_scalar(self, value):
+        for scalar in (False, True):
+            number = as_real("x", value, scalar=scalar)
+            assert type(number) is float
+            assert number == float(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [[1, 2], np.arange(3, dtype=np.int32), np.ones((2, 2), np.float32), np.zeros((1, 0))],
+        ids=["list", "int32", "float32-2d", "empty"],
+    )
+    def test_as_real_gives_a_float_array_for_ndim_1_up(self, value):
+        array = as_real("x", value)
+        assert isinstance(array, np.ndarray)
+        assert array.dtype == np.float64
+        assert array.shape == np.shape(value)
+        np.testing.assert_array_equal(array, np.asarray(value, dtype=float))
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint16(3)], ids=["int", "int64", "uint16"])
+    def test_check_count_returns_a_python_int(self, value):
+        count = check_count("n", value, 0)
+        assert type(count) is int
+        assert count == 3
+
+    def test_quadrature_spec_stores_python_ints(self):
+        spec = QuadratureSpec(points_per_panel=np.int64(16), min_panels=np.uint8(3))
+        assert type(spec.points_per_panel) is int
+        assert type(spec.min_panels) is int
+        assert spec == QuadratureSpec(points_per_panel=16, min_panels=3)
 
 
 class TestDielectricHelpers:

@@ -86,6 +86,20 @@ class TestDipoleOrientation:
         with pytest.raises(DomainError):
             DipoleOrientation.from_components(bad, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "components, alignment",
+        [((1e-200, 0, 0), 1.0), ((1e-160, 0, 0), 1.0), ((5e-324, 0, 0), 1.0),
+         ((3e-170, 4e-170j, 0), 0.36), ((1.3e154, 1.3e154, 1.3e154), 1.0 / 3.0)],
+        ids=["1e-200", "1e-160", "subnormal", "complex-tiny", "sum-overflows"],
+    )
+    def test_components_whose_squares_leave_the_normal_range(self, components, alignment):
+        # Each square underflows, or the sum of the squares overflows, while
+        # the norm itself is a normal float.
+        dipole = DipoleOrientation.from_components(*components)
+        norm_sq = sum(abs(d) ** 2 for d in (dipole.d1, dipole.d2, dipole.d3))
+        assert norm_sq == pytest.approx(1.0, abs=1e-15)
+        assert dipole.alignment == pytest.approx(alignment, rel=1e-15)
+
     def test_vanishing_components(self):
         with pytest.raises(DomainError, match="vanish"):
             DipoleOrientation.from_components(0.0, 0.0, 0.0)

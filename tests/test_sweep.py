@@ -434,14 +434,21 @@ class TestReplay:
                 subcommand="decay-curve", r_a=0.5, t_a=0.5, r_b=0.5, t_b=0.5,
                 phi3=1.1, alignment=0.25, u_count=6,
             ),
+            # Explicit losses take the strict SideCoefficients constructor.
+            make_config(
+                subcommand="decay-curve", side="b", r_a=0.6, t_a=0.2, l_a=0.7745966692414834,
+                r_b=0.3, t_b=0.5, l_b=0.812403840463596, phi1=0.5 * math.pi, u_count=101,
+            ),
             make_config(subcommand="oracle-check", cases=3, seed=11),
         ],
-        ids=["eta-map", "xi-map", "preset-curve", "custom-curve", "oracle-check"],
+        ids=["eta-map", "xi-map", "preset-curve", "custom-curve", "custom-losses", "oracle-check"],
     )
     def test_provenance_regenerates_identical_table(self, config):
         from mirrorfield.sweep import COMMANDS
 
         table = COMMANDS[config.subcommand](config)
+        for name in ("l_a", "l_b"):
+            assert (getattr(config, name) is None) == (f"{name}=" not in table.provenance)
         again = replay_provenance(table.provenance)
         assert format_csv(again) == format_csv(table)
 
