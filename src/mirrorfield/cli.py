@@ -1,12 +1,14 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 configuration or model error, 2 oracle-check
-sweep with failing cases.
+Exit codes: 0 success, 1 configuration or model error or an output that
+cannot be written, 2 oracle-check sweep with failing cases.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -17,8 +19,8 @@ from .sweep import (
     SUBCOMMAND_KEYS,
     ResultTable,
     SweepConfig,
+    _csv_blocks,
     config_from_settings,
-    format_csv,
     oracle_failures,
     split_settings,
     write_csv,
@@ -77,6 +79,22 @@ def _render_svg(config: SweepConfig, table: ResultTable) -> str:
     return heat_panels(r_a, r_b, panels, title, "r_a", "r_b")
 
 
+def _write_stdout(table: ResultTable) -> None:
+    """Write the CSV to stdout one row block at a time, as ``write_csv`` does
+    to a file.  If stdout refuses it, stdout is pointed at the null device,
+    so that the interpreter's flush at exit cannot fail a second time."""
+    try:
+        sys.stdout.writelines(_csv_blocks(table))
+        sys.stdout.flush()
+    except OSError:
+        with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor
+            descriptor = sys.stdout.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, descriptor)
+            os.close(null)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     namespace = parser.parse_args(argv)
@@ -93,16 +111,16 @@ def main(argv: list[str] | None = None) -> int:
         if emit_svg and Path(out).suffix == ".svg":
             raise ConfigError(f"--out {out} is where the plot would go; name the CSV otherwise")
         table = COMMANDS[config.subcommand](config)
-        if out is None:
-            sys.stdout.write(format_csv(table))
-        else:
-            try:
+        try:
+            if out is None:
+                _write_stdout(table)
+            else:
                 write_csv(table, out)
                 if emit_svg:
                     svg = _render_svg(config, table)
                     Path(out).with_suffix(".svg").write_text(svg, encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(f"cannot write output: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
         if config.subcommand == "oracle-check":
             print(table.trailer, file=sys.stderr)
             if oracle_failures(table) > 0:

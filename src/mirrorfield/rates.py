@@ -31,7 +31,7 @@ from .interface import (
 )
 
 #: Below this ``u`` the oscillatory bracket switches to its Taylor form.
-SMALL_U = 1e-3
+SMALL_U = 1e-2
 
 #: Global bound on the oscillatory bracket magnitude; the rate ratio
 #: therefore stays within ``1 +- 1.5 * BRACKET_BOUND``.
@@ -238,11 +238,11 @@ def oscillatory_bracket(u, alignment: float):
     """Distance-dependent bracket multiplying the mirror parameter.
 
     ``(1 - A) sin(u)/u + (1 + A) (cos(u)/u**2 - sin(u)/u**3)`` with
-    ``A = alignment`` in [0, 1]; below :data:`SMALL_U` the Taylor form,
-    accurate to O(u**4), is used to avoid cancellation.  Its magnitude
-    never exceeds 2/3, the value reached in the ``u -> 0`` limit.  ``u``
-    may be an array, finite and ``>= 0`` in every cell; a scalar gives a
-    Python float.
+    ``A = alignment`` in [0, 1]; below :data:`SMALL_U` the Taylor form
+    through ``u**8``, accurate to O(u**10), is used to avoid cancellation.
+    Its magnitude never exceeds 2/3, the value reached in the ``u -> 0``
+    limit.  ``u`` may be an array, finite and ``>= 0`` in every cell; a
+    scalar gives a Python float.
     """
     return _bracket(_check_rate_args(alignment, u), alignment)
 
@@ -254,12 +254,14 @@ def _bracket(u: float | np.ndarray, alignment: float):
     # and above it u * u can; np.where discards those cells, so their
     # warnings are silenced.
     with np.errstate(all="ignore"):
-        u_sq = u * u
+        u2 = u * u
         sin_u = np.sin(u)
         cos_u = np.cos(u)
-        sinc_part = np.where(series, 1.0 - u_sq / 6.0, sin_u / u)
-        tail_part = np.where(series, -1.0 / 3.0 + u_sq / 30.0,
-                             cos_u / (u * u) - sin_u / (u * u * u))
+        # The series of j0(u) and -j1(u)/u through u**8, in Horner form.
+        sinc_series = 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0 * (1.0 - u2 / 72.0)))
+        tail_series = -1.0 / 3.0 + u2 / 30.0 * (1.0 - u2 / 28.0 * (1.0 - u2 / 54.0 * (1.0 - u2 / 88.0)))
+        sinc_part = np.where(series, sinc_series, sin_u / u)
+        tail_part = np.where(series, tail_series, cos_u / (u * u) - sin_u / (u * u * u))
     return as_real("bracket", (1.0 - alignment) * sinc_part + (1.0 + alignment) * tail_part)
 
 

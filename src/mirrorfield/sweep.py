@@ -8,7 +8,7 @@ replayed and compared bit for bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
@@ -46,8 +46,8 @@ FAILED_VALUE = -1.0
 #: figures (401 x 401 maps, 20001-point curves), below exhausting memory.
 MAX_TABLE_VALUES = 5_000_000
 
-#: Rows ``format_csv`` formats at once when few values repeat, so that only
-#: one block's value texts are alive at a time.
+#: Rows the CSV writers format and hand to their sink at once, so that no
+#: whole-table text is ever alive.
 CSV_BLOCK_ROWS = 1024
 
 _INTERFACE_FIELDS = (
@@ -334,40 +334,43 @@ class ResultTable:
         return self.rows[:, self.columns.index(name)]
 
 
-def format_csv(table: ResultTable) -> str:
-    """Serialise with a provenance header, repr floats and LF endings.
+def _csv_blocks(table: ResultTable) -> Iterator[str]:
+    """The CSV text of ``table`` in pieces: the header lines, the body in
+    blocks of :data:`CSV_BLOCK_ROWS` rows, then the trailer line if any.
 
     Each value is written as ``repr(float(value))``.  When at most half the
     cells hold distinct bit patterns (not distinct values: ``-0.0 == 0.0``
-    but their texts differ), ``repr`` runs once per pattern and one row
-    template formats the whole body; otherwise the template formats
-    :data:`CSV_BLOCK_ROWS` rows at a time, one ``repr`` per cell.
+    but their texts differ), ``repr`` runs once per pattern, else per cell.
     """
     rows = table.rows
+    yield f"# provenance: {table.provenance}\n{','.join(table.columns)}\n"
     row = ",".join(["%s"] * len(table.columns)) + "\n"
     bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
-    if 2 * len(bits) <= rows.size:
-        # float.__repr__ reads each numpy scalar as the Python float it is, with
-        # no list of Python floats alive at once; repr() would give "np.float64(...)".
-        texts = np.array(list(map(float.__repr__, bits.view(np.float64))), dtype=object)
-        # The inverse has the input's shape on some numpy versions, flat on others.
-        cells = tuple(texts[inverse.ravel()])
-        # Only the texts and the cells stay alive while the body is built.
-        del bits, inverse, texts
-        body = row * len(rows) % cells
-    else:
-        del bits, inverse
+    # float.__repr__ reads each numpy scalar as the Python float it is, with
+    # no list of Python floats alive at once; repr() would give "np.float64(...)".
+    texts = (np.array(list(map(float.__repr__, bits.view(np.float64))), dtype=object)
+             if 2 * len(bits) <= rows.size else None)
+    # The inverse has the input's shape on some numpy versions, flat on others.
+    inverse = None if texts is None else inverse.reshape(rows.shape)
+    del bits
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[start:start + CSV_BLOCK_ROWS]
         # One block's list of Python floats is small, and tolist is the fastest way to it.
-        blocks = (rows[start:start + CSV_BLOCK_ROWS] for start in range(0, len(rows), CSV_BLOCK_ROWS))
-        body = "".join([row * len(block) % tuple(map(float.__repr__, block.ravel().tolist()))
-                        for block in blocks])
-    trailer = f"# {table.trailer}\n" if table.trailer else ""
-    return f"# provenance: {table.provenance}\n{','.join(table.columns)}\n{body}{trailer}"
+        cells = (map(float.__repr__, block.ravel().tolist()) if texts is None
+                 else texts[inverse[start:start + CSV_BLOCK_ROWS].ravel()])
+        yield row * len(block) % tuple(cells)
+    if table.trailer:
+        yield f"# {table.trailer}\n"
+
+
+def format_csv(table: ResultTable) -> str:
+    """Serialise with a provenance header, repr floats and LF endings."""
+    return "".join(_csv_blocks(table))
 
 
 def write_csv(table: ResultTable, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as stream:
-        stream.write(format_csv(table))
+        stream.writelines(_csv_blocks(table))
 
 
 def parse_csv(text: str) -> ResultTable:

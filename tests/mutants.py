@@ -32,6 +32,7 @@ INTERFACE = "src/mirrorfield/interface.py"
 ORACLE = "src/mirrorfield/oracle.py"
 RATES = "src/mirrorfield/rates.py"
 SWEEP = "src/mirrorfield/sweep.py"
+CLI = "src/mirrorfield/cli.py"
 
 SIDE_B_REFLECTION = "tests/test_interface.py::TestMirrorParameter::test_side_b_uses_back_reflection"
 EXTREME_XI = "tests/test_interface.py::TestMirrorParameter::test_extreme_values"
@@ -41,8 +42,8 @@ DIPOLE_RANGE = ("tests/test_rates.py::TestDipoleOrientation::"
 
 #: (file, old text, new text, test ids that must fail on the mutant).
 MUTANTS = [
-    (RATES, "SMALL_U = 1e-3", "SMALL_U = 1e-2",
-     ["tests/test_rates.py::TestOscillatoryBracket::test_matches_mpmath_above_the_series_switch"]),
+    (RATES, "SMALL_U = 1e-2", "SMALL_U = 1e-3",
+     ["tests/test_rates.py::TestOscillatoryBracket::test_matches_mpmath_below_the_series_switch"]),
     # The oracle-check verdict, judged at the spec's rel_tolerance.
     (SWEEP, "report.max_rel_error <= spec.rel_tolerance", "report.max_rel_error <= 1e3 * spec.rel_tolerance",
      ["tests/test_cli.py::TestMain::test_oracle_check_fail_threshold[over]"]),
@@ -83,6 +84,10 @@ MUTANTS = [
     # The dipole norm falls back to math.hypot outside the normal float range.
     (RATES, "sys.float_info.min <= total", "0.0 < total", [f"{DIPOLE_RANGE}[1e-160]"]),
     (RATES, "total < math.inf", "total", [f"{DIPOLE_RANGE}[sum-overflows]"]),
+    # A stdout that refused the CSV is pointed at the null device, so the
+    # interpreter's flush at exit adds no second error.
+    (CLI, "os.dup2(null, descriptor)", "None",
+     ["tests/test_cli.py::TestMain::test_a_closed_stdout_pipe_ends_in_one_error_line"]),
 ]
 
 

@@ -1,3 +1,5 @@
+import errno
+import io
 import math
 import os
 import subprocess
@@ -125,6 +127,33 @@ class TestMain:
         assert main(["eta-map", "--grid-count", "3", "--out", str(out)] + ["--svg"] * svg) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output: ") and str(out) in err
+
+    def test_unwritable_stdout_is_a_config_error(self, monkeypatch, capsys):
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(["eta-map", "--grid-count", "3"]) == 1
+        assert capsys.readouterr().err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+    def test_a_closed_stdout_pipe_ends_in_one_error_line(self):
+        # The CSV fits in stdout's buffer, so the interpreter would flush it
+        # again at exit; that flush must not fail a second time.
+        src = str(Path(mirrorfield.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "mirrorfield.cli", "eta-map", "--grid-count", "3"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert child.returncode == 1
+        assert child.stderr.splitlines() == ["error: cannot write output: [Errno 32] Broken pipe"]
 
     def test_unwritable_svg_is_a_config_error(self, tmp_path, capsys):
         (tmp_path / "map.svg").mkdir()

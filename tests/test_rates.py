@@ -150,31 +150,45 @@ class TestOscillatoryBracket:
         # u = pi/2, normal dipole: 2 cos(u)/u^2 - 2 sin(u)/u^3 = -16/pi^3
         assert oscillatory_bracket(0.5 * math.pi, 1.0) == pytest.approx(-16.0 / math.pi**3, abs=1e-15)
 
-    # (u, alignment, bracket) with the bracket from 50-digit mpmath, rounded
-    # to the nearest float.  These u lie above SMALL_U; the O(u**4) Taylor
-    # form would be off there by 1.7e-11 or more.
+    # (u, alignment, bracket) with the bracket from 50-digit mpmath at the
+    # exact binary u and alignment, rounded to the nearest float.  These u
+    # lie below SMALL_U; the trigonometric form is off there by up to 3e-10.
     MPMATH_BRACKETS = [
-        (8e-3, 0.0, 0.6666581333625904),
-        (8.5e-3, 0.0, 0.6666570333706194),
-        (9e-3, 0.0, 0.6666558667135308),
-        (9.5e-3, 0.0, 0.6666546333915122),
-        (9.9e-3, 0.0, 0.6666535987352805),
-        (8e-3, 0.3, 0.2666619733508876),
-        (8.5e-3, 0.3, 0.26666136835570503),
-        (9e-3, 0.3, 0.2666607266947852),
-        (9.5e-3, 0.3, 0.2666600483682407),
-        (9.9e-3, 0.3, 0.26665947930783496),
+        (0.001, 0.0, 0.6666665333333405),
+        (0.00104, 0.0, 0.6666665224533417),
+        (0.0015, 0.0, 0.6666663666667029),
+        (0.0025, 0.0, 0.6666658333336124),
+        (0.004, 0.0, 0.666664533335162),
+        (0.006, 0.0, 0.6666618666759238),
+        (0.008, 0.0, 0.6666581333625904),
+        (0.00999, 0.0, 0.6666533600578097),
+        (0.001, 0.3, 0.26666659333333764),
+        (0.00104, 0.3, 0.26666658734933835),
+        (0.0015, 0.3, 0.26666650166668837),
+        (0.0025, 0.3, 0.26666620833350074),
+        (0.004, 0.3, 0.2666654933344305),
+        (0.006, 0.3, 0.26666402667222094),
+        (0.008, 0.3, 0.2666619733508876),
+        (0.00999, 0.3, 0.2666593480353525),
+        (0.001, 1.0, -0.6666666000000023),
+        (0.00104, 1.0, -0.6666665945600028),
+        (0.0015, 1.0, -0.6666665166666788),
+        (0.0025, 1.0, -0.666666250000093),
+        (0.004, 1.0, -0.6666656000006095),
+        (0.006, 1.0, -0.6666642666697524),
+        (0.008, 1.0, -0.6666624000097524),
+        (0.00999, 1.0, -0.666660013350381),
     ]
 
     @pytest.mark.parametrize("u, alignment, exact", MPMATH_BRACKETS)
-    def test_matches_mpmath_above_the_series_switch(self, u, alignment, exact):
-        assert abs(oscillatory_bracket(u, alignment) - exact) <= 1e-11
+    def test_matches_mpmath_below_the_series_switch(self, u, alignment, exact):
+        assert abs(oscillatory_bracket(u, alignment) - exact) <= 1e-15
 
     def test_series_matches_direct_at_switchover(self):
         for alignment in (0.0, 0.5, 1.0):
-            below = oscillatory_bracket(0.999e-3, alignment)
-            above = oscillatory_bracket(1.001e-3, alignment)
-            assert below == pytest.approx(above, abs=1e-9)
+            below = oscillatory_bracket(float(np.nextafter(SMALL_U, 0.0)), alignment)
+            above = oscillatory_bracket(SMALL_U, alignment)
+            assert below == pytest.approx(above, abs=1e-11)
 
     @given(
         st.floats(0.0, 200.0, allow_nan=False),
