@@ -14,17 +14,18 @@ each level it sums the weighted kernel values in fixed leaves of whole
 panels, never building the whole grid: a leaf is the whole panels that
 hold at most ``LEAF_VALUES`` (16384) values, or one panel where a panel
 holds more (only in the 2D oracle above 256 points per panel), and each
-leaf builds the nodes and weights of its own panels.  Each call runs its
-leaves on the calling thread plus helper threads it starts and joins
-itself, up to ``MAX_WORKERS`` in all and one per usable CPU (numpy
-releases the interpreter lock inside its loops).  Each leaf is summed
-with ``np.sum`` and the leaf sums with ``math.fsum``, which rounds their
-exact total once, so a result does not depend on the worker count or on
-the order in which leaves finish.  Each oracle call allocates one
-workspace per worker slot before its first level, sized for the largest
-leaf of either refinement level, and hands it to the thread that fills
-its leaves; both levels reuse it, and every grid-sized intermediate is
-written into it.  A workspace is 48 bytes per node of a leaf for the 2D
+leaf builds the nodes and weights of its own panels.  Each call runs both
+levels in one session of the calling thread plus helper threads it starts
+and joins itself, up to ``MAX_WORKERS`` in all and one per usable CPU
+(numpy releases the interpreter lock inside its loops).  The leaves are
+dealt out in fixed strides: worker ``k`` of ``W`` takes leaves ``k, k + W,
+...`` of the coarse level, then of the fine level.  Each leaf is summed
+with ``np.sum`` and the leaf sums of a level with ``math.fsum``, which
+rounds their exact total once, so a result does not depend on the worker
+count or on the order in which leaves finish.  Each worker allocates one
+workspace, sized for the largest leaf of either level, fills all its
+leaves of both levels in it, and writes every grid-sized intermediate
+into it.  A workspace is 48 bytes per node of a leaf for the 2D
 oracle and 16 for the 1D oracle, at most about 0.8 and 0.26 MB (1.6 MB
 for the 2D oracle at 512 points per panel), whatever ``u`` is.  Each leaf
 also computes the edges of its own panels, so no array of an oracle call
@@ -161,71 +162,56 @@ def _leaf_rows(width: int) -> int:
     return max(1, LEAF_VALUES // width)
 
 
-def _workspaces(shapes: list[tuple[int, int]], dtypes: tuple[type, ...]) -> list[list[np.ndarray]]:
-    """One workspace per worker slot of :func:`_blocked_sum` over arrays of each of ``shapes``.
+def _level_sums(
+    shapes: list[tuple[int, int]],
+    fill: Callable[[int, slice, list[np.ndarray]], np.ndarray],
+    dtypes: tuple[type, ...],
+) -> list[float]:
+    """Sum of each array of ``shapes``, whose rows ``fill(level, rows,
+    workspace)`` computes for the array at ``level``, never built whole.
 
-    A workspace is one flat buffer of each of ``dtypes``, long enough for
-    the largest leaf of any of the shapes, so that one set serves both
-    refinement levels of an oracle call.  There are as many as workers
-    may take leaves of the shape with the most leaves.
+    Each array's rows are cut into fixed leaves of :func:`_leaf_rows` rows.
+    The calling thread and helper threads, one worker for each leaf of the
+    array with the most leaves and no more than :func:`_worker_count`, run
+    in one session: worker ``k`` of ``W`` takes leaves ``k, k + W, ...`` of
+    each array in turn, has ``fill`` compute their rows in its own
+    workspace (one flat buffer of each of ``dtypes``, long enough for the
+    largest leaf) and sums them with ``np.sum`` into lists that only it
+    writes.  ``math.fsum`` then adds each array's leaf sums, rounding their
+    exact total once, so no result depends on the worker count or on the
+    order in which leaves finish.  The first exception from any leaf stops
+    every worker before its next leaf and reaches the caller once every
+    helper has been joined.
     """
-    steps = [(rows, width, _leaf_rows(width)) for rows, width in shapes]
-    size = max(min(step, rows) * width for rows, width, step in steps)
-    slots = min(_worker_count(), max(-(-rows // step) for rows, _, step in steps))
-    return [[np.empty(size, dtype) for dtype in dtypes] for _ in range(slots)]
-
-
-def _blocked_sum(
-    shape: tuple[int, int],
-    fill: Callable[[slice, list[np.ndarray]], np.ndarray],
-    workspaces: list[list[np.ndarray]],
-) -> float:
-    """Sum of an array whose rows ``fill(rows, workspace)`` computes, never built whole.
-
-    The rows are cut into fixed leaves of :func:`_leaf_rows` rows each.
-    The calling thread and one helper thread for each further workspace
-    (no more than there are leaves) each take the next leaf, have ``fill``
-    compute its rows in the worker's own workspace, and sum them with
-    ``np.sum``.  ``math.fsum`` then adds the leaf sums, rounding their
-    exact total once, so the result does not depend on the order in which
-    the leaves finish or on the worker count.  The first exception from
-    any leaf stops the workers from taking more leaves and reaches the
-    caller once every helper has been joined.
-    """
-    n_rows = shape[0]
-    step = _leaf_rows(shape[1])
-    starts = range(0, n_rows, step)
-    next_start = iter(starts)
-    lock = threading.Lock()
-    sums: list[float] = []
+    steps = [_leaf_rows(width) for _, width in shapes]
+    size = max(min(step, rows) * width for (rows, width), step in zip(shapes, steps))
+    workers = min(_worker_count(), max(-(-rows // step) for (rows, _), step in zip(shapes, steps)))
+    sums = [[[] for _ in shapes] for _ in range(workers)]
     errors: list[BaseException] = []
 
-    def work(workspace: list[np.ndarray]) -> None:
+    def work(k: int) -> None:
+        workspace = [np.empty(size, dtype) for dtype in dtypes]
         try:
-            while True:
-                with lock:
-                    start = None if errors else next(next_start, None)
-                if start is None:
-                    return
-                total = float(np.sum(fill(slice(start, min(start + step, n_rows)), workspace)))
-                with lock:
-                    sums.append(total)
+            for level, ((n_rows, _), step) in enumerate(zip(shapes, steps)):
+                for start in range(k * step, n_rows, workers * step):
+                    if errors:  # another worker's leaf raised
+                        return
+                    rows = slice(start, min(start + step, n_rows))
+                    sums[k][level].append(float(np.sum(fill(level, rows, workspace))))
         except BaseException as error:  # the caller re-raises it after the joins
-            with lock:
-                errors.append(error)
+            errors.append(error)
 
     helpers = [
-        threading.Thread(target=work, args=(workspace,), name="mirrorfield-oracle")
-        for workspace in workspaces[1 : len(starts)]
+        threading.Thread(target=work, args=(k,), name="mirrorfield-oracle") for k in range(1, workers)
     ]
     for helper in helpers:
         helper.start()
-    work(workspaces[0])
+    work(0)
     for helper in helpers:
         helper.join()
     if errors:
         raise errors[0]
-    return math.fsum(sums)
+    return [math.fsum(s for own in sums for s in own[level]) for level in range(len(shapes))]
 
 
 #: One 1D workspace: two kernel grids, 16 bytes per node.
@@ -282,8 +268,8 @@ def _refined(
     scale: float,
 ) -> float:
     """``scale`` times the quadrature sum over ``n_panels`` panels at the
-    configured and the doubled point count, in one set of workspaces
-    allocated only once the fine level is within ``MAX_ORACLE_NODES``.
+    configured and the doubled point count, in one :func:`_level_sums`
+    session started only once the fine level is within ``MAX_ORACLE_NODES``.
 
     ``kernel(nodes, workspace)`` evaluates the integrand at a leaf's flat
     cos-theta nodes, one row per node and one column per azimuth weight in
@@ -293,26 +279,22 @@ def _refined(
     :func:`_unit_scale` of the fine level.
     """
     levels = (spec.points_per_panel, 2 * spec.points_per_panel)
-    # The grid of _blocked_sum: one row per panel of all its values.
+    # One row per panel of all its values, at each level.
     shapes = [(n_panels, points * phi_weights.size) for points in levels]
     fine_nodes = shapes[1][0] * shapes[1][1]
     if fine_nodes > MAX_ORACLE_NODES:
         raise QuadratureBudgetExceeded(
             f"{label}: {fine_nodes} fine-level nodes exceed MAX_ORACLE_NODES={MAX_ORACLE_NODES}"
         )
-    workspaces = _workspaces(shapes, dtypes)
 
-    def fill(points: int, panels: slice, workspace: list[np.ndarray]) -> np.ndarray:
-        cos_x, cos_w = _panel_nodes(n_panels, points, panels)
+    def fill(level: int, panels: slice, workspace: list[np.ndarray]) -> np.ndarray:
+        cos_x, cos_w = _panel_nodes(n_panels, levels[level], panels)
         value = kernel(cos_x.ravel(), workspace)
         weights = _grid(workspace[0], value.shape, np.float64)
         np.multiply(cos_w.ravel()[:, None], phi_weights[None, :], out=weights)
         return np.multiply(weights, value, out=weights)
 
-    coarse, fine = (
-        scale * _blocked_sum(grid, functools.partial(fill, points), workspaces)
-        for grid, points in zip(shapes, levels)
-    )
+    coarse, fine = (scale * total for total in _level_sums(shapes, fill, dtypes))
     if abs(fine - coarse) > spec.rel_tolerance * _unit_scale(fine):
         raise QuadratureBudgetExceeded(
             f"{label}: refinement levels disagree "

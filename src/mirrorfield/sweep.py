@@ -167,16 +167,18 @@ class SweepConfig:
                     f"unknown preset {self.preset!r}; "
                     f"available: {', '.join(sorted(PRESETS))}"
                 )
-            # Widest tables: 2 + len(phi3_values) map columns; u plus the
-            # curves of the largest preset; the oracle-check columns.
-            for name, values in (
-                ("grid_count", self.grid_count**2 * (2 + len(self.phi3_values))),
-                ("u_count", self.u_count * (1 + max(map(len, PRESETS.values())))),
-                ("cases", self.cases * len(_ORACLE_COLUMNS)),
-            ):
-                if values > MAX_TABLE_VALUES:
-                    raise ConfigError(f"{name}={getattr(self, name)} gives a table of "
-                                      f"{values} values; the limit is {MAX_TABLE_VALUES}")
+            # The table this subcommand writes, at its own width: r_a, r_b
+            # and the map columns; u and one column per curve.
+            name, values = {
+                "eta-map": ("grid_count", self.grid_count**2 * 4),
+                "xi-map": ("grid_count", self.grid_count**2 * (2 + len(self.phi3_values))),
+                "decay-curve": ("u_count", self.u_count * (
+                    1 + len(PRESETS[self.preset]) if self.preset is not None else 2)),
+                "oracle-check": ("cases", self.cases * len(_ORACLE_COLUMNS)),
+            }[self.subcommand]
+            if values > MAX_TABLE_VALUES:
+                raise ConfigError(f"{name}={getattr(self, name)} gives a table of "
+                                  f"{values} values; the limit is {MAX_TABLE_VALUES}")
             _check_side(self.side)
             _check_alignment(self.alignment)
             for name in ("phi1", "phi2", "phi3", "phi4"):

@@ -56,7 +56,9 @@ MUTANTS = [
     # The table-size checks derive their widths.
     (SWEEP, "self.cases * len(_ORACLE_COLUMNS)", "self.cases * (len(_ORACLE_COLUMNS) - 1)",
      ["tests/test_errors.py::test_seeded_cases_are_bounded_before_drawing"]),
-    (SWEEP, "1 + max(map(len, PRESETS.values()))", "max(map(len, PRESETS.values()))",
+    (SWEEP, "1 + len(PRESETS[self.preset])", "len(PRESETS[self.preset])",
+     ["tests/test_errors.py::test_table_size_checks_read_the_table_widths"]),
+    (SWEEP, "self.grid_count**2 * 4", "self.grid_count**2 * (2 + len(self.phi3_values))",
      ["tests/test_errors.py::test_table_size_checks_read_the_table_widths"]),
     (INTERFACE, "ENERGY_TOL = 1e-9", "ENERGY_TOL = 1e-6",
      ["tests/test_interface.py::TestSideCoefficients::test_energy_tolerance_boundary"]),
@@ -67,6 +69,9 @@ MUTANTS = [
      ["tests/test_oracle.py::TestKnownIntegrals::test_black_sheet_is_free_space"]),
     (ORACLE, "MAX_ORACLE_NODES = 2**24", "MAX_ORACLE_NODES = 2**25",
      ["tests/test_oracle.py::TestBudget::test_1d_fine_level_just_over_budget_raises_before_allocating"]),
+    # Each worker checks for another worker's error before each leaf.
+    (ORACLE, "if errors:  # another worker's leaf raised", "if False:",
+     ["tests/test_oracle.py::TestLeaves::test_a_leaf_error_stops_the_other_workers"]),
     # The emitter-side selection of side_rate_terms.
     (INTERFACE, "interface.side_a, interface.phi1, 1", "interface.side_a, interface.phi3, 1",
      [SIDE_B_REFLECTION,

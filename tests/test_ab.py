@@ -60,3 +60,14 @@ def test_a_failed_change_run_is_flagged(side, flagged):
     lines, got = ab.summarise(METRICS, runs["parent"], runs["change"])
     assert got is flagged
     assert f"{side}: 1 of 8 runs failed a check, 1 of 2 results not correct" in lines
+
+
+def test_every_run_gets_a_line():
+    parent = [result(1.0, 100.0), result(1.5, 90.0)]
+    change = [result(0.5, 200.0), result(2.0, 80.0)]
+    assert ab.run_lines(METRICS, parent, change) == [
+        "pair  1 parent: run_s.p50=1 values_per_s=100",
+        "pair  1 change: run_s.p50=0.5 values_per_s=200",
+        "pair  2 parent: run_s.p50=1.5 values_per_s=90",
+        "pair  2 change: run_s.p50=2 values_per_s=80",
+    ]

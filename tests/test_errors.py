@@ -416,8 +416,26 @@ def test_table_size_checks_read_the_table_widths():
     # fig4's 8 curves plus u make the widest decay-curve table, 9 columns.
     limit = MAX_TABLE_VALUES // 9
     with pytest.raises(ConfigError, match="limit"):
-        SweepConfig("decay-curve", u_count=limit + 1)
+        SweepConfig("decay-curve", preset="fig4", u_count=limit + 1)
     SweepConfig("decay-curve", u_count=limit)
+    # A custom coating's table is u and one curve; fig7a's is u and 3 curves.
+    half = MAX_TABLE_VALUES // 2
+    SweepConfig("decay-curve", u_count=half)
+    with pytest.raises(ConfigError, match=f"gives a table of {2 * (half + 1)} values"):
+        SweepConfig("decay-curve", u_count=half + 1)
+    SweepConfig("decay-curve", preset="fig7a", u_count=MAX_TABLE_VALUES // 4)
+    with pytest.raises(ConfigError, match="limit"):
+        SweepConfig("decay-curve", preset="fig7a", u_count=MAX_TABLE_VALUES // 4 + 1)
+    # eta-map writes 4 columns whatever phi3_values holds; xi-map 2 + len(phi3_values).
+    phases = (0.0, 1.0, 2.0, 3.0)
+    side = math.isqrt(MAX_TABLE_VALUES // 4)
+    SweepConfig("eta-map", grid_count=side, phi3_values=phases)
+    with pytest.raises(ConfigError, match=f"gives a table of {4 * (side + 1) ** 2} values"):
+        SweepConfig("eta-map", grid_count=side + 1, phi3_values=phases)
+    side = math.isqrt(MAX_TABLE_VALUES // 6)
+    SweepConfig("xi-map", grid_count=side, phi3_values=phases)
+    with pytest.raises(ConfigError, match="limit"):
+        SweepConfig("xi-map", grid_count=side + 1, phi3_values=phases)
 
 
 def test_alignment_range_is_closed_for_the_dipole_and_the_config():

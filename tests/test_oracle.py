@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -229,7 +230,7 @@ class TestBudget:
         def no_workspaces(*args):
             raise AssertionError("workspaces allocated over budget")
 
-        monkeypatch.setattr(oracle, "_workspaces", no_workspaces)
+        monkeypatch.setattr(oracle, "_level_sums", no_workspaces)
         with pytest.raises(QuadratureBudgetExceeded, match="16777344 fine-level nodes"):
             decay_rate_1d_oracle(BLACK_SHEET, "a", 0.3, u)
 
@@ -254,14 +255,15 @@ class TestBudget:
 def exactly_summed(monkeypatch, compute):
     """``compute()`` with each oracle sum taken by one ``math.fsum`` over all
     values of the grid, which rounds their exact total once."""
+    def one_fsum_per_level(shapes, fill, dtypes):
+        # One leaf per level, in a workspace that holds the whole grid.
+        return [
+            math.fsum(fill(level, slice(0, rows), [np.empty(rows * width, dtype) for dtype in dtypes]).ravel())
+            for level, (rows, width) in enumerate(shapes)
+        ]
+
     with monkeypatch.context() as patch:
-        # One leaf, so that the workspaces hold the whole grid.
-        patch.setattr(oracle, "LEAF_VALUES", 10**9 * oracle.PHI_ORDER)
-        patch.setattr(
-            oracle,
-            "_blocked_sum",
-            lambda shape, fill, workspaces: math.fsum(fill(slice(0, shape[0]), workspaces[0]).ravel()),
-        )
+        patch.setattr(oracle, "_level_sums", one_fsum_per_level)
         return compute()
 
 
@@ -377,6 +379,67 @@ class TestLeaves:
         assert len(calls) >= 2
         monkeypatch.setattr(oracle, "_angular_integrand", real_integrand)
         assert decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0) == pytest.approx(1.0, abs=1e-9)
+
+    def test_a_leaf_error_stops_the_other_workers(self, monkeypatch):
+        # Two workers: the first leaf raises, and the other worker's first
+        # leaf waits until it has.  That worker then checks for the error
+        # before its next leaf, so no third leaf starts.
+        class LeafFailed(Exception):
+            pass
+
+        real_integrand = oracle._angular_integrand
+        lock = threading.Lock()
+        raised = threading.Event()
+        started = []
+
+        def failing_integrand(*args):
+            leaf = real_integrand(*args)
+
+            def first_leaf_raises(cos_nodes, workspace):
+                with lock:
+                    started.append(None)
+                    count = len(started)
+                if count == 1:
+                    raised.set()
+                    raise LeafFailed("first leaf")
+                if count == 2:
+                    assert raised.wait(timeout=30)
+                    time.sleep(0.05)  # time for the engine to record the error
+                return leaf(cos_nodes, workspace)
+
+            return first_leaf_raises
+
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
+        # u = 0: 8 leaves of one panel at each level.
+        monkeypatch.setattr(oracle, "LEAF_VALUES", 16 * oracle.PHI_ORDER)
+        monkeypatch.setattr(oracle, "_angular_integrand", failing_integrand)
+        with pytest.raises(LeafFailed, match="first leaf"):
+            decay_rate_2d_oracle(BLACK_SHEET, "a", DipoleOrientation.aligned(0.3), 0.0)
+        assert len(started) <= 2
+
+    def test_each_call_starts_one_helper_session(self, monkeypatch):
+        # Both levels share one session: a 2D call at u = 0 with 8 leaves per
+        # level and 3 workers starts 2 helpers, not 2 per level.  The 1D
+        # oracle at u <= 100 has one leaf per level and starts none.
+        started = []
+        real_start = threading.Thread.start
+
+        def counted_start(thread):
+            if thread.name.startswith("mirrorfield"):
+                started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 3)
+        dipole = DipoleOrientation.aligned(0.3)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "LEAF_VALUES", 16 * oracle.PHI_ORDER)
+            assert decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0) == pytest.approx(1.0, abs=1e-9)
+        assert len(started) == 2
+        started.clear()
+        for u in (0.0, 1.0, 30.0, 100.0):
+            decay_rate_1d_oracle(BLACK_SHEET, "a", 0.3, u)
+        assert started == []
 
     def test_result_is_independent_of_call_history(self, monkeypatch):
         # Each call sizes and fills its own workspaces, so no call sees what
@@ -613,22 +676,19 @@ class TestLeaves:
 
 class TestLeafSums:
     """The oracles sum each fixed leaf of rows with ``np.sum`` and add the
-    leaf sums with ``math.fsum``."""
+    leaf sums of each level with ``math.fsum``."""
 
     # Rows, and so for width 1 values: below 8, from 8 to 128, 129, odd
     # primes, and (with the last row count) about 1e5 values for every width.
     ROWS = (1, 3, 5, 8, 16, 17, 128, 129, 997, 7919)
 
     @staticmethod
-    def filler(grid: np.ndarray, filled: list | None = None):
-        lock = threading.Lock()
-
-        def fill(block: slice, workspace: list) -> np.ndarray:
+    def filler(grids: tuple[np.ndarray, ...], filled: list | None = None):
+        def fill(level: int, block: slice, workspace: list) -> np.ndarray:
             if filled is not None:
-                with lock:
-                    filled.append(block.start)
-            out = oracle._grid(workspace[0], grid[block].shape)
-            out[...] = grid[block]
+                filled.append((level, block.start, workspace[0]))
+            out = oracle._grid(workspace[0], grids[level][block].shape)
+            out[...] = grids[level][block]
             return out
 
         return fill
@@ -641,33 +701,36 @@ class TestLeafSums:
         rng = np.random.default_rng([width, leaf_rows])
         for rows in (*self.ROWS, 100003 // width):
             # Nonnegative like every oracle grid (a bound in ulp of the sum
-            # needs that): values of one scale, and values over 24 decades.
+            # needs that): values of one scale, and values over 24 decades,
+            # as the two levels of one call.
             flat = rng.uniform(0.0, 1.0, (rows, width))
-            for grid in (flat, flat * 10.0 ** rng.uniform(-12.0, 12.0, (rows, width))):
-                expected = math.fsum(grid.ravel())
-                for workers in (1, 3):
-                    monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
-                    workspaces = oracle._workspaces([grid.shape], (np.float64,))
-                    found = oracle._blocked_sum(grid.shape, self.filler(grid), workspaces)
-                    assert ulps_apart(found, expected) <= 4, (rows, workers)
+            grids = (flat, flat * 10.0 ** rng.uniform(-12.0, 12.0, (rows, width)))
+            for workers in (1, 3):
+                monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+                found = oracle._level_sums([grid.shape for grid in grids], self.filler(grids), (np.float64,))
+                for grid, total in zip(grids, found, strict=True):
+                    assert ulps_apart(total, math.fsum(grid.ravel())) <= 4, (rows, workers)
 
     def test_workers_take_each_leaf_once(self, monkeypatch):
         # More workers than cores, switching threads as often as possible:
-        # a leaf taken twice or lost shows in the fill count or the sum.
+        # a leaf taken twice or lost shows in the fill count or the sum, at
+        # either level.
         rng = np.random.default_rng(8)
-        grid = rng.uniform(0.0, 1.0, (20011, 7))
+        grids = (rng.uniform(0.0, 1.0, (20011, 7)), rng.uniform(0.0, 1.0, (10007, 13)))
         filled = []
         monkeypatch.setattr(oracle, "LEAF_VALUES", oracle.PHI_ORDER)
-        leaf_rows = oracle._leaf_rows(7)
         monkeypatch.setattr(oracle, "_worker_count", lambda: 8)
-        workspaces = oracle._workspaces([grid.shape], (np.float64,))
-        assert len(workspaces) == 8
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            found = oracle._blocked_sum(grid.shape, self.filler(grid, filled), workspaces)
+            found = oracle._level_sums([grid.shape for grid in grids], self.filler(grids, filled), (np.float64,))
         finally:
             sys.setswitchinterval(interval)
-        assert len(filled) == math.ceil(len(grid) / leaf_rows)
-        assert sorted(filled) == list(range(0, len(grid), leaf_rows))
-        assert ulps_apart(found, math.fsum(grid.ravel())) <= 4
+        # Each of the 8 workers filled its leaves in its own workspace.
+        assert len({id(workspace) for _, _, workspace in filled}) == 8
+        for level, grid in enumerate(grids):
+            leaf_rows = oracle._leaf_rows(grid.shape[1])
+            starts = [start for at, start, _ in filled if at == level]
+            assert len(starts) == math.ceil(len(grid) / leaf_rows)
+            assert sorted(starts) == list(range(0, len(grid), leaf_rows))
+            assert ulps_apart(found[level], math.fsum(grid.ravel())) <= 4

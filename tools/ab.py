@@ -10,7 +10,8 @@ to pair, so a drift in machine speed falls on both sides alike.  Each run's
 last stdout line is the benchmark's JSON result.  For every end-to-end
 metric of CHANGE's ``BENCHMARK.json`` the summary gives the parent's median
 and quartiles, the change's median, the relative change of the medians and
-the number of pairs the change won (a tie wins nothing).  A metric whose
+the number of pairs the change won (a tie wins nothing); below it, one
+line per run gives that run's value of every such metric.  A metric whose
 median got worse by more than its ``bound`` (a fraction of the parent's
 median) is flagged ``WORSE``, as is a change run that failed a check.  The
 exit code is 1 if anything is flagged and 0 otherwise.  Standard library
@@ -81,6 +82,16 @@ def summarise(metrics: list[dict], parent: list[dict], change: list[dict]) -> tu
     return lines, flagged
 
 
+def run_lines(metrics: list[dict], parent: list[dict], change: list[dict]) -> list[str]:
+    """One line per run of each pair, with the run's value of each of ``metrics``."""
+    return [
+        f"pair {pair:2d} {side}: "
+        + " ".join(f"{metric['name']}={run['metrics'][metric['name']]['value']:.6g}" for metric in metrics)
+        for pair, runs in enumerate(zip(parent, change), 1)
+        for side, run in zip(("parent", "change"), runs)
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="paired A/B runs of perfbench/run.py")
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -98,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
     print(f"workload {args.workload}: {args.pairs} alternating pairs at {args.seconds:g} s")
     lines, flagged = summarise(spec["end_to_end"], parent, change)
-    print("\n".join(lines))
+    print("\n".join(lines + run_lines(spec["end_to_end"], parent, change)))
     return 1 if flagged else 0
 
 
