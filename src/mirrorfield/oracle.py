@@ -176,28 +176,28 @@ def _level_sums(
     in one session: worker ``k`` of ``W`` takes leaves ``k, k + W, ...`` of
     each array in turn, has ``fill`` compute their rows in its own
     workspace (one flat buffer of each of ``dtypes``, long enough for the
-    largest leaf) and sums them with ``np.sum`` into lists that only it
-    writes.  ``math.fsum`` then adds each array's leaf sums, rounding their
-    exact total once, so no result depends on the worker count or on the
-    order in which leaves finish.  The first exception from any leaf stops
-    every worker before its next leaf and reaches the caller once every
-    helper has been joined.
+    largest leaf) and appends their ``np.sum`` to the array's list of leaf
+    sums.  ``math.fsum`` then adds each list, rounding its exact total once,
+    so no result depends on the worker count or on the order in which
+    leaves finish.  The first exception from any worker, in its workspace
+    or in a leaf, stops every worker before its next leaf and reaches the
+    caller once every helper has been joined.
     """
     steps = [_leaf_rows(width) for _, width in shapes]
     size = max(min(step, rows) * width for (rows, width), step in zip(shapes, steps))
     workers = min(_worker_count(), max(-(-rows // step) for (rows, _), step in zip(shapes, steps)))
-    sums = [[[] for _ in shapes] for _ in range(workers)]
+    sums: list[list[float]] = [[] for _ in shapes]
     errors: list[BaseException] = []
 
     def work(k: int) -> None:
-        workspace = [np.empty(size, dtype) for dtype in dtypes]
         try:
+            workspace = [np.empty(size, dtype) for dtype in dtypes]
             for level, ((n_rows, _), step) in enumerate(zip(shapes, steps)):
                 for start in range(k * step, n_rows, workers * step):
-                    if errors:  # another worker's leaf raised
+                    if errors:  # another worker raised
                         return
                     rows = slice(start, min(start + step, n_rows))
-                    sums[k][level].append(float(np.sum(fill(level, rows, workspace))))
+                    sums[level].append(float(np.sum(fill(level, rows, workspace))))
         except BaseException as error:  # the caller re-raises it after the joins
             errors.append(error)
 
@@ -211,7 +211,7 @@ def _level_sums(
         helper.join()
     if errors:
         raise errors[0]
-    return [math.fsum(s for own in sums for s in own[level]) for level in range(len(shapes))]
+    return [math.fsum(level_sums) for level_sums in sums]
 
 
 #: One 1D workspace: two kernel grids, 16 bytes per node.

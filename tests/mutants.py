@@ -70,7 +70,7 @@ MUTANTS = [
     (ORACLE, "MAX_ORACLE_NODES = 2**24", "MAX_ORACLE_NODES = 2**25",
      ["tests/test_oracle.py::TestBudget::test_1d_fine_level_just_over_budget_raises_before_allocating"]),
     # Each worker checks for another worker's error before each leaf.
-    (ORACLE, "if errors:  # another worker's leaf raised", "if False:",
+    (ORACLE, "if errors:  # another worker raised", "if False:",
      ["tests/test_oracle.py::TestLeaves::test_a_leaf_error_stops_the_other_workers"]),
     # The emitter-side selection of side_rate_terms.
     (INTERFACE, "interface.side_a, interface.phi1, 1", "interface.side_a, interface.phi3, 1",

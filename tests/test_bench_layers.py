@@ -2,8 +2,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
 _SPEC = importlib.util.spec_from_file_location("bench_layers", _PATH)
 bench_layers = importlib.util.module_from_spec(_SPEC)
@@ -33,7 +31,3 @@ def test_tiny_run_writes_every_layer(tmp_path):
         assert len(figure["runs"]) == 5, name
         assert 0.0 < figure["q1"] <= figure["median"] <= figure["q3"], name
 
-
-def test_fewer_than_5_repeats_are_refused(tmp_path):
-    with pytest.raises(SystemExit):
-        bench_layers.main(["--tiny", "--repeats", "4", "--out", str(tmp_path / "x.json")])

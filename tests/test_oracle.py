@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -381,39 +380,40 @@ class TestLeaves:
         assert decay_rate_2d_oracle(BLACK_SHEET, "a", dipole, 0.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_a_leaf_error_stops_the_other_workers(self, monkeypatch):
-        # Two workers: the first leaf raises, and the other worker's first
-        # leaf waits until it has.  That worker then checks for the error
-        # before its next leaf, so no third leaf starts.
+        # Two workers: the helper's first leaf raises, and the calling
+        # thread's first leaf waits until that helper has ended, so its error
+        # is recorded.  The calling thread then checks for the error before
+        # its next leaf, so no third leaf starts.
         class LeafFailed(Exception):
             pass
 
         real_integrand = oracle._angular_integrand
-        lock = threading.Lock()
+        caller = threading.current_thread()
+        failed = []  # the helper whose leaf raised
         raised = threading.Event()
         started = []
 
         def failing_integrand(*args):
             leaf = real_integrand(*args)
 
-            def first_leaf_raises(cos_nodes, workspace):
-                with lock:
-                    started.append(None)
-                    count = len(started)
-                if count == 1:
+            def helper_leaf_raises(cos_nodes, workspace):
+                started.append(None)
+                if threading.current_thread() is not caller:
+                    failed.append(threading.current_thread())
                     raised.set()
-                    raise LeafFailed("first leaf")
-                if count == 2:
-                    assert raised.wait(timeout=30)
-                    time.sleep(0.05)  # time for the engine to record the error
+                    raise LeafFailed("helper leaf")
+                assert raised.wait(timeout=30)
+                failed[0].join(timeout=30)
+                assert not failed[0].is_alive()
                 return leaf(cos_nodes, workspace)
 
-            return first_leaf_raises
+            return helper_leaf_raises
 
         monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
         # u = 0: 8 leaves of one panel at each level.
         monkeypatch.setattr(oracle, "LEAF_VALUES", 16 * oracle.PHI_ORDER)
         monkeypatch.setattr(oracle, "_angular_integrand", failing_integrand)
-        with pytest.raises(LeafFailed, match="first leaf"):
+        with pytest.raises(LeafFailed, match="helper leaf"):
             decay_rate_2d_oracle(BLACK_SHEET, "a", DipoleOrientation.aligned(0.3), 0.0)
         assert len(started) <= 2
 
@@ -710,6 +710,36 @@ class TestLeafSums:
                 found = oracle._level_sums([grid.shape for grid in grids], self.filler(grids), (np.float64,))
                 for grid, total in zip(grids, found, strict=True):
                     assert ulps_apart(total, math.fsum(grid.ravel())) <= 4, (rows, workers)
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_a_workspace_error_reaches_the_caller_after_every_join(self, monkeypatch, failing):
+        # A workspace that cannot be allocated stops the call like a leaf
+        # error, in the helper threads or in the calling thread, and no
+        # helper outlives the call.  Each helper leaf takes 0.2 s, so a
+        # helper left running when the call returns is still alive at the
+        # check; a working engine waits for it, whatever its speed.
+        grids = (np.random.default_rng(9).uniform(0.0, 1.0, (400, 7)),)
+        caller = threading.current_thread()
+        real_empty = np.empty
+        fill = self.filler(grids)
+
+        def empty(*args, **kwargs):
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise MemoryError(f"no workspace in the {failing}")
+            return real_empty(*args, **kwargs)
+
+        def slow_helper_fill(level, rows, workspace):
+            if threading.current_thread() is not caller:
+                threading.Event().wait(0.2)
+            return fill(level, rows, workspace)
+
+        monkeypatch.setattr(oracle, "LEAF_VALUES", oracle.PHI_ORDER)
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 3)
+        monkeypatch.setattr(np, "empty", empty)
+        with pytest.raises(MemoryError, match=f"no workspace in the {failing}"):
+            oracle._level_sums([grids[0].shape], slow_helper_fill, (np.float64,))
+        monkeypatch.setattr(np, "empty", real_empty)
+        assert [thread for thread in threading.enumerate() if thread.name.startswith("mirrorfield")] == []
 
     def test_workers_take_each_leaf_once(self, monkeypatch):
         # More workers than cores, switching threads as often as possible:

@@ -2,10 +2,10 @@
 
 Usage, from the repo root::
 
-    python tools/bench_layers.py --out BENCH_<label>.json [--repeats 5] [--tiny]
+    python tools/bench_layers.py --out BENCH_<label>.json [--tiny]
 
 It imports the package from this checkout's ``src/`` and, in this one
-process, times each layer on fixed inputs ``--repeats`` times (at least 5):
+process, times each layer on fixed inputs ``REPEATS`` (5) times:
 
 - ``validate_interface``, in µs per coating cell, on one array-valued
   coating and per scalar call;
@@ -46,6 +46,9 @@ sys.path.insert(0, str(ROOT / "src"))
 import mirrorfield as mf  # noqa: E402  (this checkout's package)
 from mirrorfield import cli, oracle, sweep  # noqa: E402
 
+#: Timed calls per figure.
+REPEATS = 5
+
 #: Input sizes of a full run and of a ``--tiny`` run.
 SIZES = {
     "full": dict(cells=10**5, samples=10**6, scalar_calls=2000, grid=401, curve=20001, cases=64,
@@ -61,22 +64,22 @@ def summary(runs: list[float], unit: str) -> dict:
     return {"unit": unit, "median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
-def timed(call, repeats: int, scale: float = 1.0) -> list[float]:
-    """Wall time of each of ``repeats`` calls after one warm-up, times ``scale``."""
+def timed(call, scale: float = 1.0) -> list[float]:
+    """Wall time of each of ``REPEATS`` calls after one warm-up, times ``scale``."""
     call()
     runs = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         call()
         runs.append((time.perf_counter() - start) * scale)
     return runs
 
 
-def peaks(call, repeats: int) -> list[float]:
-    """tracemalloc peak of each of ``repeats`` calls after one warm-up, in MB."""
+def peaks(call) -> list[float]:
+    """tracemalloc peak of each of ``REPEATS`` calls after one warm-up, in MB."""
     call()
     runs = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         tracemalloc.start()
         try:
             call()
@@ -93,7 +96,7 @@ def coating_cells(count: int) -> tuple[np.ndarray, ...]:
     return r, t, None, r[::-1], t[::-1], None
 
 
-def measure(size: dict, repeats: int) -> dict:
+def measure(size: dict) -> dict:
     metrics = {}
 
     def add(name: str, runs: list[float], unit: str) -> None:
@@ -101,25 +104,25 @@ def measure(size: dict, repeats: int) -> dict:
 
     cells = coating_cells(size["cells"])
     add("interface.validate_us_per_cell.array",
-        timed(lambda: mf.validate_interface(*cells), repeats, 1e6 / size["cells"]), "us")
+        timed(lambda: mf.validate_interface(*cells), 1e6 / size["cells"]), "us")
     calls = size["scalar_calls"]
 
     def scalar_validations():
         for _ in range(calls):
             mf.validate_interface(0.6, 0.2, None, 0.3, 0.1, None, 0.0, 0.0, 3.0, 0.0)
 
-    add("interface.validate_us_per_cell.scalar", timed(scalar_validations, repeats, 1e6 / calls), "us")
+    add("interface.validate_us_per_cell.scalar", timed(scalar_validations, 1e6 / calls), "us")
 
     coating = mf.validate_interface(0.6, 0.2, None, 0.3, 0.1, None, 0.0, 0.0, 3.0, 0.0)
     u = np.linspace(0.0, 50.0, size["samples"])
     add("rates.ns_per_sample",
-        timed(lambda: mf.relative_decay_rate(coating, "a", 0.3, u), repeats, 1e9 / size["samples"]), "ns")
+        timed(lambda: mf.relative_decay_rate(coating, "a", 0.3, u), 1e9 / size["samples"]), "ns")
 
     def scalar_rates():
         for _ in range(calls):
             mf.relative_decay_rate(coating, "a", 0.3, 1.7)
 
-    add("rates.us_per_scalar_call", timed(scalar_rates, repeats, 1e6 / calls), "us")
+    add("rates.us_per_scalar_call", timed(scalar_rates, 1e6 / calls), "us")
 
     configs = {
         "eta-map": dict(grid_count=size["grid"]),
@@ -132,21 +135,21 @@ def measure(size: dict, repeats: int) -> dict:
         for subcommand, settings in configs.items():
             sweep.SweepConfig(subcommand, **settings)
 
-    add("sweep.config_us", timed(make_configs, repeats, 1e6 / len(configs)), "us")
+    add("sweep.config_us", timed(make_configs, 1e6 / len(configs)), "us")
     for subcommand, settings in configs.items():
         config = sweep.SweepConfig(subcommand, **settings)
         command = sweep.COMMANDS[subcommand]
-        add(f"sweep.assemble_s.{subcommand}", timed(lambda: command(config), repeats), "s")
+        add(f"sweep.assemble_s.{subcommand}", timed(lambda: command(config)), "s")
         table = command(config)
         values = len(table.rows) * len(table.columns)
         add(f"csv.format_ns_per_value.{subcommand}",
-            timed(lambda: sweep.format_csv(table), repeats, 1e9 / values), "ns")
+            timed(lambda: sweep.format_csv(table), 1e9 / values), "ns")
         # A map plots every column but r_a and r_b, a curve every column
         # but u, and oracle-check only max_rel_error.
         series = {"decay-curve": len(table.columns) - 1, "oracle-check": 1}
         plotted = len(table.rows) * series.get(subcommand, len(table.columns) - 2)
         add(f"svg.ns_per_point.{subcommand}",
-            timed(lambda: cli._render_svg(config, table), repeats, 1e9 / plotted), "ns")
+            timed(lambda: cli._render_svg(config, table), 1e9 / plotted), "ns")
 
     case = mf.seeded_oracle_cases(seed=12, count=1)[0]
     routes = {
@@ -161,14 +164,14 @@ def measure(size: dict, repeats: int) -> dict:
             for route, call in routes.items():
                 for u_value in size["oracle_u"]:
                     key = f"u={u_value:g}.workers={label}"
-                    add(f"oracle.{route}_ms.{key}", timed(lambda: call(u_value), repeats, 1e3), "ms")
-                    add(f"oracle.{route}_peak_mb.{key}", peaks(lambda: call(u_value), repeats), "MB")
+                    add(f"oracle.{route}_ms.{key}", timed(lambda: call(u_value), 1e3), "ms")
+                    add(f"oracle.{route}_peak_mb.{key}", peaks(lambda: call(u_value)), "MB")
         finally:
             oracle._worker_count = worker_count
     return metrics
 
 
-def environment(size_name: str, repeats: int) -> dict:
+def environment(size_name: str) -> dict:
     try:
         usable = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -182,21 +185,17 @@ def environment(size_name: str, repeats: int) -> dict:
         "oracle_default_workers": oracle._worker_count(),
         "sizes": {key: list(value) if isinstance(value, tuple) else value
                   for key, value in SIZES[size_name].items()},
-        "repeats": repeats,
+        "repeats": REPEATS,
     }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
-    parser.add_argument("--repeats", type=int, default=5, help="timed calls per figure (at least 5)")
     parser.add_argument("--tiny", action="store_true", help="tiny inputs, for a smoke run")
     args = parser.parse_args(argv)
-    if args.repeats < 5:
-        parser.error("--repeats must be at least 5")
     size_name = "tiny" if args.tiny else "full"
-    result = {"environment": environment(size_name, args.repeats),
-              "metrics": measure(SIZES[size_name], args.repeats)}
+    result = {"environment": environment(size_name), "metrics": measure(SIZES[size_name])}
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 
