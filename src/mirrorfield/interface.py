@@ -114,15 +114,6 @@ def check_finite(record, *names: str) -> None:
                         f"{name} must be finite, got {{value!r}}", value=value)
 
 
-def check_broadcast(**amplitudes) -> None:
-    """Raise :class:`DomainError` unless the shapes of ``amplitudes`` broadcast."""
-    try:
-        np.broadcast_shapes(*map(np.shape, amplitudes.values()))
-    except ValueError:
-        shapes = ", ".join(f"{name} {np.shape(value)}" for name, value in amplitudes.items())
-        raise DomainError(f"amplitude shapes do not broadcast: {shapes}") from None
-
-
 def check_count(name: str, value, least: int) -> int:
     """``value`` as a Python int, if it is an int or a numpy integer, not a
     bool, of at least ``least``; else raise :class:`DomainError`."""
@@ -137,41 +128,36 @@ class SideCoefficients:
 
     All three amplitudes are real and non-negative; phases are carried
     separately by :class:`MirrorInterface`.  Each amplitude is a float or
-    an array (broadcast against the others).  Construction enforces
-    ``r**2 + t**2 + l**2 = 1`` within :data:`ENERGY_TOL` in every cell.
+    an array (broadcast against the others).  A loss left out or ``None``
+    is implied as ``sqrt(1 - r**2 - t**2)`` (zero where that is negative),
+    as in the no-mirror limit, where the whole energy budget goes into
+    absorption.  Construction enforces ``r**2 + t**2 + l**2 = 1`` within
+    :data:`ENERGY_TOL` in every cell.
     """
 
     r: float | np.ndarray
     t: float | np.ndarray
-    l: float | np.ndarray
+    l: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for name in ("r", "t", "l"):
+        for name in ("r", "t") if self.l is None else ("r", "t", "l"):
             value = as_real(name, getattr(self, name))
             object.__setattr__(self, name, value)
             check_cells((0.0 <= value) & (value <= 1.0), RangeError,
                         f"amplitude {name}={{value!r}} outside [0, 1]", value=value)
-        check_broadcast(r=self.r, t=self.t, l=self.l)
+        shapes = {name: np.shape(getattr(self, name)) for name in ("r", "t", "l")}
+        try:
+            np.broadcast_shapes(*shapes.values())
+        except ValueError:
+            listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+            raise DomainError(f"amplitude shapes do not broadcast: {listed}") from None
+        if self.l is None:  # r and t are in range, so their squares are finite
+            implied = np.sqrt(np.maximum(0.0, 1.0 - self.r**2 - self.t**2))
+            object.__setattr__(self, "l", as_real("l", implied))
         budget = self.r**2 + self.t**2 + self.l**2
         check_cells(abs(budget - 1.0) <= ENERGY_TOL, EnergyViolation,
                     f"r^2 + t^2 + l^2 = {{budget!r}}, expected 1 within {ENERGY_TOL}",
                     budget=budget)
-
-    @classmethod
-    def with_implied_loss(cls, r, t) -> "SideCoefficients":
-        """Relaxed constructor: accept any ``r**2 + t**2 <= 1``, infer loss.
-
-        Needed for the no-mirror limit where every rate is zero and the
-        full energy budget goes into absorption.
-        """
-        r, t = as_real("r", r), as_real("t", t)
-        check_broadcast(r=r, t=t)
-        check_cells((0.0 <= r) & (r <= 1.0) & (0.0 <= t) & (t <= 1.0), RangeError,
-                    "amplitudes r={r!r}, t={t!r} outside [0, 1]", r=r, t=t)
-        remainder = 1.0 - r**2 - t**2
-        check_cells(remainder >= -ENERGY_TOL, EnergyViolation,
-                    "r^2 + t^2 = {total!r} exceeds the unit energy budget", total=r**2 + t**2)
-        return cls(r, t, np.sqrt(np.maximum(0.0, remainder)))
 
 
 @dataclass(frozen=True)
@@ -291,9 +277,9 @@ def validate_interface(
     Parameters
     ----------
     r_a, t_a, l_a : float
-        Amplitudes for light approaching from the air side.  Passing
-        ``None`` for a loss amplitude switches that side to relaxed
-        validation, where the loss is implied by ``1 - r**2 - t**2``.
+        Amplitudes for light approaching from the air side.  A loss of
+        ``None`` is implied as ``sqrt(1 - r**2 - t**2)``, as in
+        :class:`SideCoefficients`.
     r_b, t_b, l_b : float
         Same for light approaching through the dielectric.
     phi1, phi2, phi3, phi4 : float
@@ -308,15 +294,9 @@ def validate_interface(
     DegenerateTransparency
         If ``1 + r^2 - t^2`` is numerically zero on either side.
     """
-    if l_a is None:
-        side_a = SideCoefficients.with_implied_loss(r_a, t_a)
-    else:
-        side_a = SideCoefficients(r_a, t_a, l_a)
-    if l_b is None:
-        side_b = SideCoefficients.with_implied_loss(r_b, t_b)
-    else:
-        side_b = SideCoefficients(r_b, t_b, l_b)
-    return MirrorInterface(side_a, side_b, phi1, phi2, phi3, phi4)
+    return MirrorInterface(
+        SideCoefficients(r_a, t_a, l_a), SideCoefficients(r_b, t_b, l_b), phi1, phi2, phi3, phi4
+    )
 
 
 def lossless_interface(

@@ -62,6 +62,9 @@ MUTANTS = [
      ["tests/test_errors.py::test_table_size_checks_read_the_table_widths"]),
     (INTERFACE, "ENERGY_TOL = 1e-9", "ENERGY_TOL = 1e-6",
      ["tests/test_interface.py::TestSideCoefficients::test_energy_tolerance_boundary"]),
+    # An implied loss is floored at 0 before its square root.
+    (INTERFACE, "np.maximum(0.0, 1.0 - self.r**2 - self.t**2)", "1.0 - self.r**2 - self.t**2",
+     ["tests/test_interface.py::TestSideCoefficients::test_implied_loss_energy_tolerance_boundary"]),
     (RATES, "_RATIO_SLACK = 1e-12", "_RATIO_SLACK = 1e-6",
      ["tests/test_rates.py::TestDecayRateCurve::test_rejects_a_ratio_just_beyond_the_rounding_slack"]),
     # The one node builder of both oracles' shared fill.

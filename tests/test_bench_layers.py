@@ -25,6 +25,7 @@ def test_tiny_run_writes_every_layer(tmp_path):
         *(f"oracle.{route}_{figure}.u={u}.workers={workers}"
           for route in ("2d", "1d") for figure in ("ms", "peak_mb")
           for u in ("1", "100") for workers in ("1", "default")),
+        "e2e.wall_s.eta-map.grid=11", "e2e.peak_mib.eta-map.grid=11",
     }
     assert set(result["metrics"]) == expected
     for name, figure in result["metrics"].items():

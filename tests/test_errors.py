@@ -143,7 +143,7 @@ CALLS = {
     "ResultTable": slots(lambda a, b: ResultTable(["a", "b"], [[a, b]], "p"), 1.0, 2.0),
     "SideCoefficients": (
         slots(SideCoefficients, 0.6, 0.8, 0.0)
-        + slots(SideCoefficients.with_implied_loss, 0.6, 0.7)
+        + slots(SideCoefficients, 0.6, 0.7)
     ),
     "SideRateTerms": slots(SideRateTerms, 0.5, 0.1, 0.5, 2.0, 2.0),
     # A config is checked when it is built, then its command runs.
@@ -304,9 +304,9 @@ BAD_CONSTRUCTIONS = {
     "SideCoefficients shapes": (
         lambda: SideCoefficients([0.6, 0.8], [0.8, 0.6, 0.0], 0.0), DomainError, "do not broadcast"
     ),
-    "with_implied_loss str": (lambda: SideCoefficients.with_implied_loss("0.6", "0.8"), DomainError, REAL),
-    "with_implied_loss shapes": (
-        lambda: SideCoefficients.with_implied_loss([0.6, 0.8], [0.8, 0.6, 0.0]), DomainError, "do not broadcast"
+    "SideCoefficients implied-loss str": (lambda: SideCoefficients("0.6", "0.8"), DomainError, REAL),
+    "SideCoefficients implied-loss shapes": (
+        lambda: SideCoefficients([0.6, 0.8], [0.8, 0.6, 0.0]), DomainError, "do not broadcast"
     ),
     "lossless_interface str": (lambda: lossless_interface("0.5"), DomainError, REAL),
     "aligned bool": (lambda: DipoleOrientation.aligned(True), DomainError, REAL),

@@ -77,6 +77,14 @@ class TestSideCoefficients:
         with pytest.raises(EnergyViolation, match="expected 1 within 1e-09"):
             SideCoefficients(0.6, 0.8, math.sqrt(3e-9))
 
+    def test_implied_loss_energy_tolerance_boundary(self):
+        # An implied loss is floored at 0, so r^2 + t^2 may exceed 1 only by ENERGY_TOL.
+        side = SideCoefficients(0.6, math.sqrt(0.64 + 5e-10))
+        assert side.l == 0.0 and type(side.l) is float
+        with pytest.raises(EnergyViolation, match="expected 1 within 1e-09"):
+            SideCoefficients(0.6, math.sqrt(0.64 + 3e-9))
+        assert SideCoefficients(0.6, 0.8, None) == SideCoefficients(0.6, 0.8)
+
     def test_array_with_one_bad_cell(self):
         r = np.array([0.6, 0.8, 0.0])
         t = np.array([0.8, 0.8, 1.0])
@@ -85,10 +93,10 @@ class TestSideCoefficients:
         assert "np.float64" not in str(info.value)
 
     def test_implied_loss(self):
-        side = SideCoefficients.with_implied_loss(0.6, 0.0)
+        side = SideCoefficients(0.6, 0.0)
         assert math.isclose(side.l, 0.8, rel_tol=1e-15)
         with pytest.raises(EnergyViolation):
-            SideCoefficients.with_implied_loss(0.8, 0.8)
+            SideCoefficients(0.8, 0.8)
 
 
 class TestMirrorInterface:

@@ -17,13 +17,24 @@ process, times each layer on fixed inputs ``REPEATS`` (5) times:
 - both oracles at ``u`` in {1, 1e2, 1e3, 1e4}, in ms and in tracemalloc
   peak MB, with one worker and with the default worker count.
 
+It then runs ``mirrorfield <subcommand>`` end to end, each in a child
+process writing its CSV to a temporary file, on the fixed configurations
+of ``SIZES[...]["children"]``: the wall time of each child, in s, as seen
+from here (interpreter start and imports included), and the child's own
+peak resident set, in MiB.  The child reads that peak as ``VmHWM`` from its
+own ``/proc/self/status`` after the command returns; ``exec`` resets it, so
+unlike ``ru_maxrss`` it does not inherit this process's high-water mark.
+The child peaks therefore need Linux.
+
 Each figure is given as the median and quartiles of its repeats, with the
 repeats themselves; the file also records the Python and numpy versions
-and the usable CPU count.  One untimed call warms each figure up first
-(the oracles cache their Gauss-Legendre rules), so no figure includes an
-import or a first-call cost.  ``--tiny`` shrinks every input, for a smoke
-run in about a second.  Nothing here is a gate: the numbers drift with
-the machine.  Standard library and numpy only.
+and the usable CPU count.  One untimed call warms each in-process figure
+up first (the oracles cache their Gauss-Legendre rules), so none of them
+includes an import or a first-call cost; the children, which pay their
+imports by design, run after this process has read the same files.
+``--tiny`` shrinks every input and runs one small ``eta-map`` child, for a
+smoke run in under two seconds.  Nothing here is a gate: the numbers
+drift with the machine.  Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -33,7 +44,9 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -52,10 +65,30 @@ REPEATS = 5
 #: Input sizes of a full run and of a ``--tiny`` run.
 SIZES = {
     "full": dict(cells=10**5, samples=10**6, scalar_calls=2000, grid=401, curve=20001, cases=64,
-                 oracle_u=(1.0, 1e2, 1e3, 1e4)),
+                 oracle_u=(1.0, 1e2, 1e3, 1e4),
+                 children={
+                     "eta-map.grid=401": ("eta-map", "--grid-count", "401"),
+                     "xi-map.grid=401": ("xi-map", "--grid-count", "401", "--phi3-values", "0,0.5pi,pi"),
+                     "decay-curve.fig4": ("decay-curve", "--preset", "fig4", "--u-count", "20001"),
+                     "oracle-check.seed=42": ("oracle-check", "--seed", "42"),
+                     # The largest map under MAX_TABLE_VALUES.
+                     "eta-map.grid=1118": ("eta-map", "--grid-count", "1118"),
+                 }),
     "tiny": dict(cells=100, samples=1000, scalar_calls=20, grid=11, curve=101, cases=2,
-                 oracle_u=(1.0, 1e2)),
+                 oracle_u=(1.0, 1e2),
+                 children={"eta-map.grid=11": ("eta-map", "--grid-count", "11")}),
 }
+
+#: A child's program: run the command line after the source directory,
+#: then write the process's own ``VmHWM`` line to stderr, last.
+CHILD = """import sys
+sys.path.insert(0, sys.argv.pop(1))
+from mirrorfield.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status", encoding="ascii") as status:
+    sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
 
 
 def summary(runs: list[float], unit: str) -> dict:
@@ -87,6 +120,24 @@ def peaks(call) -> list[float]:
         finally:
             tracemalloc.stop()
     return runs
+
+
+def child_runs(argv: tuple[str, ...], out: Path) -> tuple[list[float], list[float]]:
+    """Wall time in s and own peak in MiB of each of ``REPEATS`` children
+    running ``mirrorfield *argv --out out``."""
+    walls, highs = [], []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        child = subprocess.run(
+            [sys.executable, "-c", CHILD, str(ROOT / "src"), *argv, "--out", str(out)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        wall = time.perf_counter() - start
+        if child.returncode != 0:
+            raise RuntimeError(f"mirrorfield {' '.join(argv)} exited {child.returncode}: {child.stderr}")
+        walls.append(wall)
+        highs.append(int(child.stderr.splitlines()[-1].split()[1]) / 1024)  # "VmHWM: <n> kB"
+    return walls, highs
 
 
 def coating_cells(count: int) -> tuple[np.ndarray, ...]:
@@ -168,6 +219,12 @@ def measure(size: dict) -> dict:
                     add(f"oracle.{route}_peak_mb.{key}", peaks(lambda: call(u_value)), "MB")
         finally:
             oracle._worker_count = worker_count
+
+    with tempfile.TemporaryDirectory(prefix="bench-layers-") as scratch:
+        for label, argv in size["children"].items():
+            walls, highs = child_runs(argv, Path(scratch, "table.csv"))
+            add(f"e2e.wall_s.{label}", walls, "s")
+            add(f"e2e.peak_mib.{label}", highs, "MiB")
     return metrics
 
 
