@@ -1,15 +1,17 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 configuration or model error or an output that
-cannot be written, 2 oracle-check sweep with failing cases.
-"""
+``--some-key VALUE`` or ``--some-key=VALUE`` sets ``some_key`` to VALUE
+verbatim, like a config-file line (so ``--phi3 -pi/2`` works; no ``_``, no
+abbreviations); only ``--config``, ``--out``, ``--svg`` and ``--help`` are
+not settings.  Exit codes: 0 success, 1 a malformed command line, a
+configuration or model error or an unwritable output, 2 failing oracle cases."""
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import ConfigError, MirrorFieldError
@@ -36,29 +38,25 @@ def load_config_file(path: str) -> dict[str, str]:
     return split_settings(text, path)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mirrorfield",
-        description="Spontaneous-emission sweeps near a coated interface.",
-    )
-    subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    helps = {
-        "eta-map": "tabulate the mode normalisation constants on a reflectivity grid",
-        "xi-map": "tabulate the mirror parameter on a reflectivity grid",
-        "decay-curve": "sample the decay-rate ratio against scaled distance",
-        "oracle-check": "compare the closed form against numeric integrations",
-    }
-    for name, flags in SUBCOMMAND_KEYS.items():
-        sub = subparsers.add_parser(name, help=helps[name])
-        sub.add_argument("--config", help="flat key = value settings file")
-        sub.add_argument("--out", help="write CSV here instead of stdout")
-        sub.add_argument(
-            "--svg", action="store_true",
-            help="also write an SVG plot next to --out",
-        )
-        for flag in flags:
-            sub.add_argument(f"--{flag.replace('_', '-')}", dest=flag, default=None)
-    return parser
+def _read_command_line(argv: list[str]) -> tuple[str, dict[str, str], str | None, bool]:
+    """The subcommand, its settings (the config file's, then the flags'), --out and --svg."""
+    if not argv:
+        raise ConfigError("no subcommand; see mirrorfield --help")
+    words, flags = iter(argv[1:]), {}
+    for word in words:
+        name, sep, value = word.partition("=")
+        if not name.startswith("--") or "_" in name:
+            raise ConfigError(f"expected --some-key VALUE or --some-key=VALUE, got {word!r}")
+        if not sep and name != "--svg":
+            value = next(words, None)
+            if value is None:
+                raise ConfigError(f"{name} needs a value")
+        flags[name[2:].replace("-", "_")] = value
+    out, svg = flags.pop("out", None), flags.pop("svg", None)
+    if svg:
+        raise ConfigError(f"--svg takes no value, got {svg!r}")
+    settings = load_config_file(flags.pop("config")) if "config" in flags else {}
+    return argv[0], {**settings, **flags}, out, svg is not None
 
 
 def _render_svg(config: SweepConfig, table: ResultTable) -> str:
@@ -79,33 +77,34 @@ def _render_svg(config: SweepConfig, table: ResultTable) -> str:
     return heat_panels(r_a, r_b, panels, title, "r_a", "r_b")
 
 
-def _write_stdout(table: ResultTable) -> None:
-    """Write the CSV to stdout one row block at a time, as ``write_csv`` does
-    to a file.  If stdout refuses it, stdout is pointed at the null device,
-    so that the interpreter's flush at exit cannot fail a second time."""
+def _write_stdout(blocks: Iterable[str]) -> None:
+    """Write ``blocks`` (CSV row blocks or the help) to stdout.  If stdout
+    refuses them, it is pointed at the null device, so that the flush at
+    exit cannot fail a second time, and a ``ConfigError`` is raised."""
     try:
-        sys.stdout.writelines(_csv_blocks(table))
+        sys.stdout.writelines(blocks)
         sys.stdout.flush()
-    except OSError:
+    except OSError as exc:
         with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor
             descriptor = sys.stdout.fileno()
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, descriptor)
             os.close(null)
-        raise
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    namespace = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        settings = load_config_file(namespace.config) if namespace.config else {}
-        for flag in SUBCOMMAND_KEYS[namespace.subcommand]:
-            raw = getattr(namespace, flag)
-            if raw is not None:
-                settings[flag] = raw
-        config = config_from_settings(namespace.subcommand, settings)
-        out, emit_svg = namespace.out, namespace.svg
+        if "-h" in argv or "--help" in argv:
+            lines = ["usage: mirrorfield SUBCOMMAND [--config FILE] [--out CSV [--svg]] [--some-key VALUE ...]\n"]
+            for name, keys in SUBCOMMAND_KEYS.items():
+                flags = " ".join(f"--{key.replace('_', '-')}" for key in keys)
+                lines.append(f"  {name} {flags}: {(COMMANDS[name].__doc__ or ' ').splitlines()[0]}\n")
+            _write_stdout(lines)
+            return 0
+        subcommand, settings, out, emit_svg = _read_command_line(argv)
+        config = config_from_settings(subcommand, settings)
         if emit_svg and out is None:
             raise ConfigError("--svg needs --out to name the plot file")
         if emit_svg and Path(out).suffix == ".svg":
@@ -113,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         table = COMMANDS[config.subcommand](config)
         try:
             if out is None:
-                _write_stdout(table)
+                _write_stdout(_csv_blocks(table))
             else:
                 write_csv(table, out)
                 if emit_svg:

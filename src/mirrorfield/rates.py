@@ -311,15 +311,15 @@ def unnormalised_decay_rate(interface: MirrorInterface, side: str, alignment: fl
 
     Evaluates ``(1 + r^2)/eta^2 + t_opp^2/eta_opp^2`` explicitly instead
     of collapsing it to 1, plus the same oscillatory term as
-    :func:`relative_decay_rate`.  It is the algebraic oracle the tests
-    compare the normalised closed form against; nothing else calls it.
+    :func:`relative_decay_rate`, with ``xi`` computed here rather than by
+    :func:`mirror_parameter`.  It is the algebraic oracle the tests compare
+    the normalised closed form against; nothing else calls it.
     """
     u = _check_rate_args(alignment, u)
     terms = side_rate_terms(interface, side)
-    constant = (1.0 + terms.r**2) / terms.eta_sq + (
-        terms.t_opposite**2 / terms.eta_opposite_sq
-    )
-    return constant + mirror_parameter(interface, side) * _bracket(u, alignment)
+    constant = (1.0 + terms.r**2) / terms.eta_sq + terms.t_opposite**2 / terms.eta_opposite_sq
+    xi = 3.0 * terms.r * math.cos(terms.reflection_phase) / terms.eta_sq
+    return constant + xi * _bracket(u, alignment)
 
 
 def sample_decay_curve(

@@ -96,6 +96,13 @@ MUTANTS = [
     # interpreter's flush at exit adds no second error.
     (CLI, "os.dup2(null, descriptor)", "None",
      ["tests/test_cli.py::TestMain::test_a_closed_stdout_pipe_ends_in_one_error_line"]),
+    # A flag name spells its key one way only, with '-' for '_'.
+    (CLI, ' or "_" in name', "",
+     ["tests/test_cli.py::TestCommandLine::test_a_malformed_command_line_is_one_error_line[underscore]"]),
+    # The algebraic oracle computes xi itself, so it catches a wrong sign of
+    # mirror_parameter's phase factor.
+    (INTERFACE, "math.cos(terms.reflection_phase)", "abs(math.cos(terms.reflection_phase))",
+     ["tests/test_rates.py::TestRelativeDecayRate::test_two_routes_agree"]),
 ]
 
 

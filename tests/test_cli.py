@@ -13,7 +13,14 @@ import mirrorfield
 
 from mirrorfield import ConfigError, OracleReport, parse_csv, replay_provenance, format_csv
 from mirrorfield.cli import load_config_file, main
-from mirrorfield.sweep import COMMANDS, parse_angle
+from mirrorfield.sweep import COMMANDS, SUBCOMMAND_KEYS, parse_angle
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full device."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
 
 
 class TestAngleParsing:
@@ -129,10 +136,6 @@ class TestMain:
         assert err.startswith("error: cannot write output: ") and str(out) in err
 
     def test_unwritable_stdout_is_a_config_error(self, monkeypatch, capsys):
-        class FullStdout(io.StringIO):
-            def write(self, text):
-                raise OSError(errno.ENOSPC, "No space left on device")
-
         monkeypatch.setattr(sys, "stdout", FullStdout())
         assert main(["eta-map", "--grid-count", "3"]) == 1
         assert capsys.readouterr().err == "error: cannot write output: [Errno 28] No space left on device\n"
@@ -273,6 +276,61 @@ class TestMain:
         assert format_csv(replay_provenance(table.provenance)) == format_csv(table)
 
 
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["eta-map", "--bogus", "1"], "unknown option 'bogus'"),
+            (["eta-map", "--grid", "3"], "unknown option 'grid'"),
+            (["eta-map", "--r-a", "0.5"], "eta-map does not read option 'r_a'"),
+            (["eta-map", "--grid-count"], "--grid-count needs a value"),
+            (["eta-map", "5"], "got '5'"),
+            (["eta-map", "--u_count", "3"], "got '--u_count'"),
+            (["eta-map", "--out", "eta.csv", "--svg=1"], "--svg takes no value"),
+            (["frob"], "unknown subcommand 'frob'"),
+            ([], "no subcommand"),
+        ],
+        ids=["unknown-key", "abbreviation", "unread-key", "no-value", "bare-word",
+             "underscore", "svg-value", "unknown-subcommand", "empty"],
+    )
+    def test_a_malformed_command_line_is_one_error_line(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert captured.out == ""
+
+    def test_space_equals_and_config_file_give_the_same_bytes(self, tmp_path, capsys):
+        # A value is read verbatim, so a leading '-' does not make it a flag.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("phi3 = -pi/2\n")
+        custom = ["decay-curve", "--r-a", "0.6", "--t-a", "0.2", "--r-b", "0.3", "--t-b", "0.1",
+                  "--u-count", "11"]
+        outputs = []
+        for extra in (["--phi3", "-pi/2"], ["--phi3=-pi/2"], ["--config", str(cfg)]):
+            assert main(custom + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert " phi3=-1.5707963267948966 " in outputs[0].splitlines()[0]
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_names_every_flag_of_every_subcommand(self, flag, capsys):
+        assert main([flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        usage, *lines = captured.out.splitlines()
+        assert all(word in usage for word in ("--config", "--out", "--svg"))
+        assert len(lines) == len(SUBCOMMAND_KEYS)
+        for line, (name, keys) in zip(lines, SUBCOMMAND_KEYS.items()):
+            words = line.partition(":")[0].split()
+            assert words == [name, *(f"--{key.replace('_', '-')}" for key in keys)]
+
+    def test_help_on_an_unwritable_stdout_is_one_error_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(["--help"]) == 1
+        assert capsys.readouterr().err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
 #: Every public name of the package: ``__all__`` must list exactly these.
 PUBLIC_NAMES = [
     "AIR", "AtomParams", "CODATA2018", "ConfigError", "DEFAULT_QUADRATURE",
@@ -332,7 +390,7 @@ class TestImports:
         loaded = modules_loaded_by_command(
             "eta-map", "--grid-count", "3", "--out", str(tmp_path / "eta.csv"))
         assert "mirrorfield.sweep" in loaded
-        assert not loaded & {"mirrorfield.rates", "mirrorfield.oracle", "mirrorfield.modes"}
+        assert not loaded & {"mirrorfield.rates", "mirrorfield.oracle", "mirrorfield.modes", "argparse"}
 
     def test_a_decay_curve_loads_neither_the_oracles_nor_modes(self, tmp_path):
         loaded = modules_loaded_by_command(
