@@ -58,7 +58,7 @@ def reduce_phase(phase: float, name: str = "phase") -> float:
 
 
 def _check_side(side: str) -> str:
-    if side not in _SIDES:
+    if not isinstance(side, str) or side not in _SIDES:
         raise DomainError(f"side must be 'a' or 'b', got {side!r}")
     return side
 

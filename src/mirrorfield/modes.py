@@ -72,9 +72,7 @@ def _angular_integrand(
     cos_phi = np.cos(phi_nodes)[None, :]
     sin_phi = np.sin(phi_nodes)[None, :]
 
-    d1c = complex(dipole.d1).conjugate()
-    d2c = complex(dipole.d2).conjugate()
-    d3c = complex(dipole.d3).conjugate()
+    d1c, d2c, d3c = (d.conjugate() for d in (dipole.d1, dipole.d2, dipole.d3))
 
     # d* . e for both transverse vectors, and the image-dipole variants:
     # the first is p1 itself, the second is q2 below.

@@ -54,12 +54,13 @@ from .interface import (
     MirrorInterface,
     QuadratureSpec,
     SideRateTerms,
+    _check_alignment,
     _check_side,
     check_finite,
     side_rate_terms,
 )
 from .modes import _ANGULAR_BUFFERS, _angular_integrand, _grid
-from .rates import DipoleOrientation, _check_rate_args, check_u, relative_decay_rate
+from .rates import DipoleOrientation, check_u, relative_decay_rate
 
 #: Fixed Gauss-Legendre order of the azimuthal rule.  The integrand is a
 #: trigonometric polynomial of degree two in the azimuth, for which this
@@ -311,6 +312,7 @@ def decay_rate_2d_oracle(
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Rate ratio from the full solid-angle quadrature."""
+    u = check_u(u, scalar=True)
     n_panels = panel_count(u, spec)
     phi_x, phi_w = _phi_nodes()
     integrand = _angular_integrand(side_rate_terms(interface, side), dipole, u, phi_x)
@@ -325,7 +327,7 @@ def decay_rate_1d_oracle(
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Rate ratio from the single-axis distance-kernel quadrature."""
-    _check_rate_args(alignment, u)
+    alignment, u = _check_alignment(alignment), check_u(u, scalar=True)
     kernel = functools.partial(_distance_integrand, side_rate_terms(interface, side), alignment, u)
     return _refined("1d oracle", spec, panel_count(u, spec), kernel, np.ones(1), _DISTANCE_BUFFERS, 0.375)
 
@@ -342,7 +344,7 @@ def oracle_compare(
     ``max_rel_error`` is the larger oracle deviation relative to
     :func:`_unit_scale` of the closed form, as in the refinement check.
     """
-    alignment = dipole.alignment
+    u, alignment = check_u(u, scalar=True), dipole.alignment
     closed = relative_decay_rate(interface, side, alignment, u)
     from_2d = decay_rate_2d_oracle(interface, side, dipole, u, spec)
     from_1d = decay_rate_1d_oracle(interface, side, alignment, u, spec)

@@ -100,9 +100,9 @@ class AtomParams:
         object.__setattr__(self, "dipole_magnitude", magnitude)
 
 
-def _check_components(*components) -> None:
-    """Raise :class:`DomainError` unless each of ``d1, d2, d3`` is one real
-    or complex number: numpy kind ``i``, ``u``, ``f`` or ``c``, not a bool or str."""
+def _check_components(*components) -> tuple[complex, ...]:
+    """``d1, d2, d3`` as Python complex numbers; :class:`DomainError` unless each
+    is one real or complex number: numpy kind ``i``, ``u``, ``f`` or ``c``, not a bool or str."""
     for name, value in zip(("d1", "d2", "d3"), components):
         try:
             array = np.asarray(value)
@@ -110,15 +110,15 @@ def _check_components(*components) -> None:
             array = None
         if array is None or array.dtype.kind not in "iufc" or array.ndim:
             raise DomainError(f"{name} must be a real or complex number, got {value!r}")
+    return tuple(map(complex, components))
 
 
-def _norm(d1: complex, d2: complex, d3: complex) -> float:
-    """Euclidean norm of three complex components: the square root of the
+def _norm(*components: complex) -> float:
+    """Euclidean norm of Python complex components: the square root of the
     sum of their squared magnitudes, or ``math.hypot`` where that sum or a
     square leaves the normal float range (it neither overflows nor
     underflows midway, but it rounds differently, so the seeded
     orientations keep the plain formula and its bits)."""
-    components = [complex(d) for d in (d1, d2, d3)]
     try:
         total = sum(abs(d) ** 2 for d in components)
     except OverflowError:
@@ -134,7 +134,7 @@ class DipoleOrientation:
 
     ``d1`` is the component normal to the coating; ``alignment`` is its
     squared magnitude, 0 for a dipole in the coating plane and 1 for one
-    perpendicular to it.
+    perpendicular to it.  Each component is stored as a Python complex.
     """
 
     d1: complex
@@ -142,7 +142,8 @@ class DipoleOrientation:
     d3: complex
 
     def __post_init__(self) -> None:
-        _check_components(self.d1, self.d2, self.d3)
+        for name, value in zip(("d1", "d2", "d3"), _check_components(self.d1, self.d2, self.d3)):
+            object.__setattr__(self, name, value)
         norm = _norm(self.d1, self.d2, self.d3)
         norm_sq = norm * norm  # inf, not OverflowError, for a huge component
         if not abs(norm_sq - 1.0) <= 1e-12:
@@ -159,12 +160,12 @@ class DipoleOrientation:
     def from_components(
         cls, d1: complex, d2: complex, d3: complex
     ) -> "DipoleOrientation":
-        """Normalise arbitrary components into a valid orientation."""
-        _check_components(d1, d2, d3)
-        norm = _norm(d1, d2, d3)
+        """Normalise arbitrary components, each read as its Python ``complex()``, into a valid orientation."""
+        components = _check_components(d1, d2, d3)
+        norm = _norm(*components)
         if norm == 0.0:
             raise DomainError("dipole components must not all vanish")
-        return cls(d1 / norm, d2 / norm, d3 / norm)
+        return cls(*(d / norm for d in components))
 
     @classmethod
     def aligned(cls, alignment: float) -> "DipoleOrientation":
@@ -184,12 +185,12 @@ class DecayRateCurve:
 
     def __post_init__(self) -> None:
         _check_side(self.side)
-        u, ratio = as_real("u", self.u), as_real("ratio", self.ratio)
+        u, ratio = check_u(self.u), as_real("ratio", self.ratio)
+        object.__setattr__(self, "alignment", _check_alignment(self.alignment))
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "ratio", ratio)
         if np.ndim(u) != 1 or np.shape(ratio) != np.shape(u):
             raise DomainError("u and ratio must be 1-d arrays of one length")
-        _check_rate_args(self.alignment, u)
         if not np.all(np.diff(u) > 0.0):
             raise DomainError("samples must be strictly increasing in u")
         check_cells((-_RATIO_SLACK <= ratio) & (ratio <= 1.0 + 1.5 * BRACKET_BOUND + _RATIO_SLACK),
@@ -242,9 +243,10 @@ def oscillatory_bracket(u, alignment: float):
     through ``u**8``, accurate to O(u**10), is used to avoid cancellation.
     Its magnitude never exceeds 2/3, the value reached in the ``u -> 0``
     limit.  ``u`` may be an array, finite and ``>= 0`` in every cell; a
-    scalar gives a Python float.
+    scalar gives a Python float.  Each number is read as its Python ``float()``.
     """
-    return _bracket(_check_rate_args(alignment, u), alignment)
+    alignment, u = _check_alignment(alignment), check_u(u)
+    return _bracket(u, alignment)
 
 
 def _bracket(u: float | np.ndarray, alignment: float):
@@ -275,13 +277,6 @@ def check_u(u, scalar: bool = False) -> float | np.ndarray:
     return u
 
 
-def _check_rate_args(alignment: float, u) -> float | np.ndarray:
-    """Reject a bad real scalar ``alignment`` or a bad ``u``; return ``u`` as
-    :func:`check_u` does."""
-    _check_alignment(alignment)
-    return check_u(u)
-
-
 def relative_decay_rate(interface: MirrorInterface, side: str, alignment: float, u):
     """Decay rate near the coating over the reference rate for that side.
 
@@ -292,7 +287,8 @@ def relative_decay_rate(interface: MirrorInterface, side: str, alignment: float,
         Emitter on the air side ("a", reference rate ``gamma_air``) or
         inside the dielectric ("b", reference ``gamma_med``).
     alignment : float
-        Squared normal component of the dipole orientation, in [0, 1].
+        Squared normal component of the dipole orientation, in [0, 1];
+        a numpy number is read as its Python ``float()``, as is a scalar ``u``.
     u : float or array
         Dimensionless distance ``2 k0 x``, ``>= 0`` in every cell.
 
@@ -302,7 +298,7 @@ def relative_decay_rate(interface: MirrorInterface, side: str, alignment: float,
         ``1 + xi * bracket(u, alignment)``; always within [0, 2].  A
         Python float when both ``u`` and the coating are scalar.
     """
-    u = _check_rate_args(alignment, u)
+    alignment, u = _check_alignment(alignment), check_u(u)
     return 1.0 + mirror_parameter(interface, side) * _bracket(u, alignment)
 
 
@@ -315,7 +311,7 @@ def unnormalised_decay_rate(interface: MirrorInterface, side: str, alignment: fl
     :func:`mirror_parameter`.  It is the algebraic oracle the tests compare
     the normalised closed form against; nothing else calls it.
     """
-    u = _check_rate_args(alignment, u)
+    alignment, u = _check_alignment(alignment), check_u(u)
     terms = side_rate_terms(interface, side)
     constant = (1.0 + terms.r**2) / terms.eta_sq + terms.t_opposite**2 / terms.eta_opposite_sq
     xi = 3.0 * terms.r * math.cos(terms.reflection_phase) / terms.eta_sq

@@ -319,8 +319,8 @@ class ResultTable:
             rows = np.asarray(self.rows, dtype=float)
         except ValueError as exc:  # a ragged nested list
             raise ConfigError("table rows must match the column count") from exc
-        except TypeError as exc:  # a complex or an object
-            raise ConfigError("table values must be real numbers") from exc
+        except (TypeError, OverflowError) as exc:  # a complex, an object or an int beyond the float range
+            raise ConfigError("table values must be real numbers within the float range") from exc
         if rows.shape == (0,):
             rows = rows.reshape(0, width)
         if rows.ndim != 2 or rows.shape[1] != width:
@@ -545,7 +545,7 @@ def _random_dipole(rng: np.random.Generator) -> DipoleOrientation:
     while True:
         parts = rng.normal(size=3) + 1j * rng.normal(size=3)
         if np.linalg.norm(parts) > 1e-6:
-            return DipoleOrientation.from_components(*map(complex, parts))
+            return DipoleOrientation.from_components(*parts)
 
 
 @dataclass(frozen=True)
@@ -569,8 +569,7 @@ def seeded_oracle_cases(seed: int, count: int) -> list[OracleCase]:
     ``count`` is bounded like the ``cases`` setting: its ``oracle-check``
     table must stay within :data:`MAX_TABLE_VALUES`.
     """
-    check_count("seed", seed, 0)
-    check_count("count", count, 0)
+    seed, count = check_count("seed", seed, 0), check_count("count", count, 0)
     most = MAX_TABLE_VALUES // len(_ORACLE_COLUMNS)
     if count > most:
         raise DomainError(f"count must be <= {most}, got {count!r}")

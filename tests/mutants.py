@@ -103,6 +103,14 @@ MUTANTS = [
     # mirror_parameter's phase factor.
     (INTERFACE, "math.cos(terms.reflection_phase)", "abs(math.cos(terms.reflection_phase))",
      ["tests/test_rates.py::TestRelativeDecayRate::test_two_routes_agree"]),
+    # The closed form and the 1D oracle compute with the alignment their
+    # reader returned, not the numpy number they were given.
+    (RATES, "alignment, u = _check_alignment(alignment), check_u(u)\n    return 1.0 +",
+     "_, u = _check_alignment(alignment), check_u(u)\n    return 1.0 +",
+     ["tests/test_rates.py::TestNumpyNumbers::test_closed_form_reads_python_values"]),
+    (ORACLE, "alignment, u = _check_alignment(alignment), check_u(u, scalar=True)",
+     "_, u = _check_alignment(alignment), check_u(u, scalar=True)",
+     ["tests/test_oracle.py::TestNumpyNumbers::test_oracles_read_python_values"]),
 ]
 
 

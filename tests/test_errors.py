@@ -273,8 +273,9 @@ class TestCounts:
 def test_record_side_must_be_a_or_b(build):
     for side in ("a", "b"):
         assert build(side).side == side
-    with pytest.raises(DomainError, match="side must be 'a' or 'b'"):
-        build("z")
+    for side in ("z", np.array(["a", "b"]), np.array(["a"])):
+        with pytest.raises(DomainError, match="side must be 'a' or 'b'"):
+            build(side)
 
 
 #: Arguments of a kind the rate path does not take: not a real number or an
@@ -295,7 +296,8 @@ REAL = "must be a real number"
 #: Constructor arguments of the wrong kind, each with the error and message
 #: it raises: a str, bool, complex, None, ragged list or, for a scalar, an
 #: array; amplitudes that do not broadcast, curve columns of two lengths;
-#: table values that are not real.
+#: a side that is not a str; table values that are not real or leave the
+#: float range.
 BAD_CONSTRUCTIONS = {
     "SideCoefficients str": (lambda: SideCoefficients("0.6", "0.8", "0"), DomainError, REAL),
     "SideCoefficients bool": (lambda: SideCoefficients(True, False, 0.0), DomainError, REAL),
@@ -341,6 +343,11 @@ BAD_CONSTRUCTIONS = {
     ),
     "ResultTable complex": (lambda: ResultTable(["x"], [[1j]], "p"), ConfigError, "must be real numbers"),
     "ResultTable object": (lambda: ResultTable(["x"], [[object()]], "p"), ConfigError, "must be real numbers"),
+    "ResultTable huge int": (lambda: ResultTable(["x"], [[10**400]], "p"), ConfigError, "within the float range"),
+    "relative_decay_rate side array": (
+        lambda: relative_decay_rate(IFACE, np.array(["a", "b"]), 0.3, 1.0), DomainError, "side must be"
+    ),
+    "side_rate_terms side array": (lambda: side_rate_terms(IFACE, np.array(["a"])), DomainError, "side must be"),
 }
 
 

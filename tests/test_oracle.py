@@ -33,6 +33,7 @@ from mirrorfield import (
 )
 from mirrorfield.interface import side_rate_terms
 from test_interface import valid_side_squares
+from test_rates import NUMPY_NUMBERS
 
 DEFAULT_LEAF_VALUES = oracle.LEAF_VALUES
 
@@ -181,6 +182,22 @@ class TestAgreementWithClosedForm:
         coarse_value = decay_rate_2d_oracle(iface, "a", dipole, 30.0)
         fine_value = decay_rate_2d_oracle(iface, "a", dipole, 30.0, fine)
         assert coarse_value == pytest.approx(fine_value, abs=1e-10)
+
+
+class TestNumpyNumbers:
+    @pytest.mark.parametrize("alignment, u", NUMPY_NUMBERS.values(), ids=NUMPY_NUMBERS)
+    def test_oracles_read_python_values(self, alignment, u):
+        # Each oracle computes with the Python float of a numpy number, so
+        # it gives that float's result bit for bit.
+        case = seeded_oracle_cases(seed=13, count=1)[0]
+        args = (case.interface, case.side)
+        python = float(alignment), float(u)
+        for numbers in ((alignment, python[1]), (python[0], u), (alignment, u)):
+            assert decay_rate_1d_oracle(*args, *numbers) == decay_rate_1d_oracle(*args, *python), numbers
+        assert decay_rate_2d_oracle(*args, case.dipole, u) == decay_rate_2d_oracle(*args, case.dipole, python[1])
+        report = oracle_compare(*args, case.dipole, u)
+        assert report == oracle_compare(*args, case.dipole, python[1])
+        assert type(report.u) is float
 
 
 class TestBudget:

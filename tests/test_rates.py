@@ -36,6 +36,16 @@ from test_interface import coatings
 
 ATOM = AtomParams(omega0=1.0, dipole_magnitude=1.0)
 
+#: An alignment and a distance of each numpy kind a reader takes.  Under
+#: NumPy 2's scalar promotion, arithmetic on a float16 or float32 scalar (or
+#: 0-d array) itself rounds differently from arithmetic on its Python float.
+NUMPY_NUMBERS = {
+    "float16": (np.float16(0.3), np.float16(2.7)),
+    "float32": (np.float32(0.3), np.float32(2.7)),
+    "int64": (np.int64(1), np.int64(3)),
+    "0-d array": (np.array(0.3, dtype=np.float32), np.array(2.7, dtype=np.float32)),
+}
+
 
 def perfect_mirror(phase: float) -> "MirrorInterface":
     return validate_interface(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, phi1=phase, phi3=phase)
@@ -99,6 +109,17 @@ class TestDipoleOrientation:
         norm_sq = sum(abs(d) ** 2 for d in (dipole.d1, dipole.d2, dipole.d3))
         assert norm_sq == pytest.approx(1.0, abs=1e-15)
         assert dipole.alignment == pytest.approx(alignment, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "components",
+        [(np.float32(0.6), np.float32(0.8), 0.0),
+         (np.complex64(0.3 + 0.4j), np.float32(-0.5), np.complex64(0.7j))],
+        ids=["float32", "complex64"],
+    )
+    def test_numpy_components_are_read_as_python_complex(self, components):
+        dipole = DipoleOrientation.from_components(*components)
+        assert dipole == DipoleOrientation.from_components(*map(complex, components))
+        assert all(type(d) is complex for d in (dipole.d1, dipole.d2, dipole.d3))
 
     def test_vanishing_components(self):
         with pytest.raises(DomainError, match="vanish"):
@@ -290,6 +311,25 @@ class TestRelativeDecayRate:
         assert raw == pytest.approx(direct, abs=1e-12)
         assert direct >= -1e-12
         assert direct <= 2.0 + 1e-12
+
+
+class TestNumpyNumbers:
+    @pytest.mark.parametrize("read", ["alignment", "u", "both"])
+    @pytest.mark.parametrize("alignment, u", NUMPY_NUMBERS.values(), ids=NUMPY_NUMBERS)
+    def test_closed_form_reads_python_values(self, alignment, u, read):
+        # Each function computes with the Python float of a numpy number,
+        # so it gives that float's result bit for bit.
+        iface = lossless_interface(0.7, phi3=0.4)
+        python = float(alignment), float(u)
+        numbers = (alignment if read != "u" else python[0]), (u if read != "alignment" else python[1])
+        for side in ("a", "b"):
+            for call in (relative_decay_rate, unnormalised_decay_rate):
+                assert call(iface, side, *numbers) == call(iface, side, *python), (call, side)
+            curve = sample_decay_curve(iface, side, numbers[0], [0.5, numbers[1]])
+            expected = sample_decay_curve(iface, side, python[0], [0.5, python[1]])
+            assert curve.ratio.tolist() == expected.ratio.tolist()
+            assert type(curve.alignment) is float and curve.alignment == python[0]
+        assert oscillatory_bracket(numbers[1], numbers[0]) == oscillatory_bracket(python[1], python[0])
 
 
 _HALF = lossless_interface(0.5)
