@@ -71,6 +71,13 @@ def _check_alignment(alignment: float) -> float:
     return value
 
 
+def _check_one_cell(interface: MirrorInterface) -> MirrorInterface:
+    """``interface`` if each amplitude is one number, as the oracles need, else :class:`DomainError`."""
+    if any(np.ndim(getattr(side, name)) for side in (interface.side_a, interface.side_b) for name in "rtl"):
+        raise DomainError("the oracles take a coating of one cell: each amplitude must be one number")
+    return interface
+
+
 def as_real(name: str, value, scalar: bool = False) -> float | np.ndarray:
     """``value`` as a Python float if it is one real number, or (unless
     ``scalar``) as a float array if it is an array of them: numpy kind
@@ -101,6 +108,15 @@ def check_cells(ok, error: type[Exception], message: str, **values) -> None:
         cell = int(np.argmin(ok.ravel()))
         at = {name: float(np.broadcast_to(v, ok.shape).flat[cell]) for name, v in values.items()}
         raise error(message.format(**at))
+
+
+def _check_broadcast(what: str, **values) -> None:
+    """Raise :class:`DomainError` unless ``values`` broadcast together, naming each shape."""
+    try:
+        np.broadcast(*values.values())
+    except ValueError:
+        listed = ", ".join(f"{name} {np.shape(value)}" for name, value in values.items())
+        raise DomainError(f"{what} do not broadcast: {listed}") from None
 
 
 def check_finite(record, *names: str) -> None:
@@ -145,12 +161,7 @@ class SideCoefficients:
             object.__setattr__(self, name, value)
             check_cells((0.0 <= value) & (value <= 1.0), RangeError,
                         f"amplitude {name}={{value!r}} outside [0, 1]", value=value)
-        shapes = {name: np.shape(getattr(self, name)) for name in ("r", "t", "l")}
-        try:
-            np.broadcast_shapes(*shapes.values())
-        except ValueError:
-            listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
-            raise DomainError(f"amplitude shapes do not broadcast: {listed}") from None
+        _check_broadcast("amplitude shapes", r=self.r, t=self.t, l=self.l)
         if self.l is None:  # r and t are in range, so their squares are finite
             implied = np.sqrt(np.maximum(0.0, 1.0 - self.r**2 - self.t**2))
             object.__setattr__(self, "l", as_real("l", implied))
@@ -190,8 +201,8 @@ class MirrorInterface:
     Phases are stored reduced to [0, 2*pi).  ``phi1``/``phi3`` are the
     reflection phases for light arriving from the dielectric and the air
     side respectively; ``phi2``/``phi4`` are the matching transmission
-    phases, which no output reads.  Construction rejects coefficient
-    pairs that would make a normalisation denominator vanish in any cell.
+    phases, which no output reads.  Construction rejects sides whose cells
+    do not broadcast together and any cell whose normalisation vanishes.
     """
 
     side_a: SideCoefficients
@@ -204,7 +215,10 @@ class MirrorInterface:
     def __post_init__(self) -> None:
         for name in ("phi1", "phi2", "phi3", "phi4"):
             object.__setattr__(self, name, reduce_phase(getattr(self, name), name))
-        for label, side in (("a", self.side_a), ("b", self.side_b)):
+        sides = {"a": self.side_a, "b": self.side_b}
+        _check_broadcast("the cells of the two sides", **{f"{name}_{label}": getattr(side, name)
+                                                          for label, side in sides.items() for name in "rtl"})
+        for label, side in sides.items():
             denom = 1.0 + side.r**2 - side.t**2
             check_cells(denom > DEGENERACY_TOL, DegenerateTransparency,
                         f"1 + r^2 - t^2 = {{denom!r}} on side {label}; "

@@ -53,21 +53,22 @@ def _angular_integrand(
     dipole: DipoleOrientation,
     u: float,
     phi_nodes: np.ndarray,
-) -> Callable[[np.ndarray, list[np.ndarray]], np.ndarray]:
+    phi_weights: np.ndarray,
+) -> Callable[[np.ndarray, np.ndarray, list[np.ndarray]], np.ndarray]:
     """Squared couplings summed over polarisations and photon species.
 
-    Returns a function of a block of cos theta nodes and a workspace of
-    ``_ANGULAR_BUFFERS`` that evaluates the integrand on the (block, phi)
-    product grid; the factors that depend on the azimuth alone are
-    computed once here.  The couplings are those of the module docstring:
-    ``|g1|**2 + |g2|**2`` on the emitter's side, one per polarisation, plus
-    the far side's transmitted share.
+    Returns a function of a block of cos theta nodes, their weights and a
+    workspace of ``_ANGULAR_BUFFERS`` that returns the weighted values at
+    the nodes: the integrand on the (block, phi) product grid times
+    ``cos_weights ⊗ phi_weights``.  The couplings are those of the module
+    docstring: ``|g1|**2 + |g2|**2`` on the emitter's side, one per
+    polarisation, plus the far side's transmitted share.
 
-    Every intermediate of the size of the grid is written into the
-    workspace, and the integrand is returned in its third buffer; the
-    other three are free again when the function returns.  Each operation
-    keeps the operands and their order of the plain expression
-    ``(p2 * travel + q2 * back) / eta`` and so on, which keeps the bits.
+    The factors that depend on the azimuth alone are computed once here,
+    and every intermediate of the size of the grid is written into the
+    workspace.  Each operation keeps the operands and their order of the
+    plain expression ``(p2 * travel + q2 * back) / eta`` and so on, which
+    keeps the bits.
     """
     cos_phi = np.cos(phi_nodes)[None, :]
     sin_phi = np.sin(phi_nodes)[None, :]
@@ -87,7 +88,7 @@ def _angular_integrand(
     p1_sq = np.abs(p1) ** 2
     transmitted_weight = terms.t_opposite**2 / terms.eta_opposite_sq
 
-    def block(cos_nodes: np.ndarray, workspace: list[np.ndarray]) -> np.ndarray:
+    def block(cos_nodes: np.ndarray, cos_weights: np.ndarray, workspace: list[np.ndarray]) -> np.ndarray:
         shape = (len(cos_nodes), phi_nodes.size)
         first, second, same_side, far_side = (_grid(buffer, shape) for buffer in workspace)
         c = cos_nodes[:, None]
@@ -117,8 +118,11 @@ def _angular_integrand(
         np.multiply(g2, inverse_eta, out=g2)
         g2_sq = np.abs(g2, out=_grid(workspace[1], shape, np.float64))
         np.square(g2_sq, out=g2_sq)
-        # |g1|**2 + |g2|**2 + far_side
+        # |g1|**2 + |g2|**2 + far_side, times the weights in the real view of
+        # the first buffer, whose g2 is spent.
         np.add(same_side, g2_sq, out=same_side)
-        return np.add(same_side, far_side, out=same_side)
+        np.add(same_side, far_side, out=same_side)
+        weights = np.multiply.outer(cos_weights, phi_weights, out=_grid(workspace[0], shape, np.float64))
+        return np.multiply(weights, same_side, out=weights)
 
     return block

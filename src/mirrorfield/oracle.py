@@ -1,37 +1,23 @@
 """Independent quadrature checks of the closed-form decay-rate ratio.
 
-Two oracles are provided.  The 2D oracle integrates the squared
-dipole-mode couplings of :mod:`mirrorfield.modes` over the full solid
-angle; the 1D oracle integrates the distance kernel that remains after
-the azimuthal integral is done analytically.  Both use composite
-Gauss-Legendre panels along the normal direction cosine, with the panel
-count scaled to the number of phase oscillations, so accuracy is uniform
-in ``u``.
+Two oracles are provided, each for a coating of one cell.  The 2D oracle
+integrates the squared dipole-mode couplings of :mod:`mirrorfield.modes`
+over the full solid angle; the 1D oracle integrates the distance kernel
+that remains after the azimuthal integral is done analytically.  Both use
+composite Gauss-Legendre panels along the normal direction cosine, with
+the panel count scaled to the number of phase oscillations, so accuracy
+is uniform in ``u``.
 
-Both oracles run through one function, :func:`_refined`, which checks
-the node budget, evaluates both refinement levels and compares them.  At
-each level it sums the weighted kernel values in fixed leaves of whole
-panels, never building the whole grid: a leaf is the whole panels that
-hold at most ``LEAF_VALUES`` (16384) values, or one panel where a panel
-holds more (only in the 2D oracle above 256 points per panel), and each
-leaf builds the nodes and weights of its own panels.  Each call runs both
-levels in one session of the calling thread plus helper threads it starts
-and joins itself, up to ``MAX_WORKERS`` in all and one per usable CPU
-(numpy releases the interpreter lock inside its loops).  The leaves are
-dealt out in fixed strides: worker ``k`` of ``W`` takes leaves ``k, k + W,
-...`` of the coarse level, then of the fine level.  Each leaf is summed
-with ``np.sum`` and the leaf sums of a level with ``math.fsum``, which
-rounds their exact total once, so a result does not depend on the worker
-count or on the order in which leaves finish.  Each worker allocates one
-workspace, sized for the largest leaf of either level, fills all its
-leaves of both levels in it, and writes every grid-sized intermediate
-into it.  A workspace is 48 bytes per node of a leaf for the 2D
-oracle and 16 for the 1D oracle, at most about 0.8 and 0.26 MB (1.6 MB
-for the 2D oracle at 512 points per panel), whatever ``u`` is.  Each leaf
-also computes the edges of its own panels, so no array of an oracle call
-grows with ``u``.  Both oracles count their fine-level nodes before
-building any and raise :class:`QuadratureBudgetExceeded` above
-``MAX_ORACLE_NODES``, which bounds their time.
+Both run through :func:`_refined`, which checks the node budget and
+compares two refinement levels.  Their kernels return the weighted values
+at the nodes of one leaf, the whole panels that hold at most
+``LEAF_VALUES`` values (or one larger panel); :func:`_level_sums` adds
+the leaf sums of each level on up to ``MAX_WORKERS`` threads, rounding
+once, so no result depends on the worker count.  The 2D kernel writes
+every leaf-sized intermediate into a workspace of 48 bytes per node of a
+worker's largest leaf; the 1D kernel is a plain expression and needs
+none.  No array grows with ``u``, and a call over ``MAX_ORACLE_NODES``
+fine-level nodes raises :class:`QuadratureBudgetExceeded` before any.
 
 Neither oracle touches the closed-form bracket: agreement between the
 three paths is the correctness check, not a construction.
@@ -55,11 +41,12 @@ from .interface import (
     QuadratureSpec,
     SideRateTerms,
     _check_alignment,
+    _check_one_cell,
     _check_side,
     check_finite,
     side_rate_terms,
 )
-from .modes import _ANGULAR_BUFFERS, _angular_integrand, _grid
+from .modes import _ANGULAR_BUFFERS, _angular_integrand
 from .rates import DipoleOrientation, check_u, relative_decay_rate
 
 #: Fixed Gauss-Legendre order of the azimuthal rule.  The integrand is a
@@ -71,10 +58,9 @@ PHI_ORDER = 32
 #: ``2 * points_per_panel``, times ``PHI_ORDER`` for the 2D oracle.
 MAX_ORACLE_NODES = 2**24
 
-#: Both oracles sum their weighted values in fixed leaves of whole panels
-#: that hold at most ``LEAF_VALUES`` values, or of one panel where a panel
-#: holds more (see :func:`_leaf_rows`).  It sets the memory use and the
-#: work per leaf; the result may move in its last bits with it.
+#: Most values of a leaf of whole panels, unless one panel holds more (see
+#: :func:`_leaf_rows`).  It sets the memory use and the work per leaf; the
+#: result may move in its last bits with it.
 LEAF_VALUES = 16384
 
 #: Most threads that evaluate leaves at once; fewer where this process may
@@ -215,43 +201,23 @@ def _level_sums(
     return [math.fsum(level_sums) for level_sums in sums]
 
 
-#: One 1D workspace: two kernel grids, 16 bytes per node.
-_DISTANCE_BUFFERS = (np.float64, np.float64)
-
-
 def _distance_integrand(
     terms: SideRateTerms,
     alignment: float,
     u: float,
     nodes: np.ndarray,
+    weights: np.ndarray,
     workspace: list[np.ndarray],
 ) -> np.ndarray:
-    """Kernel in the normal direction cosine after the azimuthal integral.
-
-    Evaluated in place: returns the second buffer of a workspace of
-    ``_DISTANCE_BUFFERS`` holding the kernel at ``nodes`` as one column,
-    with the first buffer as scratch; it overwrites ``nodes``.  Each
-    operation keeps the operands and their order of the plain expression
-    ``isotropic + oscillatory`` below, which keeps the bits:
-    ``constant * (1 + a + (1 - 3a) v v) + k * (1 - 3a + (1 + a) v v) * cos(u v - phase)``.
-    """
-    oscillatory, isotropic = (_grid(buffer, (nodes.size, 1)) for buffer in workspace)
-    v = nodes[:, None]
-    constant = (1.0 + terms.r**2) / terms.eta_sq + (
-        terms.t_opposite**2 / terms.eta_opposite_sq
-    )
-    np.multiply(1.0 - 3.0 * alignment, v, out=isotropic)
-    np.multiply(isotropic, v, out=isotropic)
-    np.add(1.0 + alignment, isotropic, out=isotropic)
-    np.multiply(constant, isotropic, out=isotropic)
-    np.multiply(1.0 + alignment, v, out=oscillatory)
-    np.multiply(oscillatory, v, out=oscillatory)
-    np.add(1.0 - 3.0 * alignment, oscillatory, out=oscillatory)
-    np.multiply(2.0 * terms.r / terms.eta_sq, oscillatory, out=oscillatory)
-    phase = np.multiply(u, v, out=v)
-    np.subtract(phase, terms.reflection_phase, out=phase)
-    np.multiply(oscillatory, np.cos(phase, out=phase), out=oscillatory)
-    return np.add(isotropic, oscillatory, out=isotropic)
+    """The kernel in the normal direction cosine ``v`` after the azimuthal
+    integral, times ``weights``, at ``nodes``; ``workspace`` is empty:
+    ``constant * (1 + a + (1 - 3a) v v) + 2 r / eta**2 * (1 - 3a + (1 + a) v v) * cos(u v - phase)``.
+    ``constant``, ``(1 + r**2) / eta**2 + t_opp**2 / eta_opp**2``, is 1 by
+    the normalisation; the oracle computes it to check that too."""
+    constant = (1.0 + terms.r**2) / terms.eta_sq + terms.t_opposite**2 / terms.eta_opposite_sq
+    isotropic = constant * (1.0 + alignment + (1.0 - 3.0 * alignment) * nodes * nodes)
+    oscillatory = 2.0 * terms.r / terms.eta_sq * (1.0 - 3.0 * alignment + (1.0 + alignment) * nodes * nodes)
+    return weights * (isotropic + oscillatory * np.cos(u * nodes - terms.reflection_phase))
 
 
 def _unit_scale(value: float) -> float:
@@ -263,8 +229,8 @@ def _refined(
     label: str,
     spec: QuadratureSpec,
     n_panels: int,
-    kernel: Callable[[np.ndarray, list[np.ndarray]], np.ndarray],
-    phi_weights: np.ndarray,
+    kernel: Callable[[np.ndarray, np.ndarray, list[np.ndarray]], np.ndarray],
+    phi_count: int,
     dtypes: tuple[type, ...],
     scale: float,
 ) -> float:
@@ -272,16 +238,15 @@ def _refined(
     configured and the doubled point count, in one :func:`_level_sums`
     session started only once the fine level is within ``MAX_ORACLE_NODES``.
 
-    ``kernel(nodes, workspace)`` evaluates the integrand at a leaf's flat
-    cos-theta nodes, one row per node and one column per azimuth weight in
-    ``phi_weights``, and must leave the workspace's first buffer free: the
-    leaf's weights go there, and their product with the kernel is summed.
-    The two levels must agree to ``rel_tolerance`` relative to
-    :func:`_unit_scale` of the fine level.
+    ``kernel(nodes, weights, workspace)`` returns the weighted values at a
+    leaf's flat cos-theta nodes, ``phi_count`` per node, in a workspace of
+    one buffer of each of ``dtypes``; their sum is the leaf's.  The two
+    levels must agree to ``rel_tolerance`` relative to :func:`_unit_scale`
+    of the fine level.
     """
     levels = (spec.points_per_panel, 2 * spec.points_per_panel)
     # One row per panel of all its values, at each level.
-    shapes = [(n_panels, points * phi_weights.size) for points in levels]
+    shapes = [(n_panels, points * phi_count) for points in levels]
     fine_nodes = shapes[1][0] * shapes[1][1]
     if fine_nodes > MAX_ORACLE_NODES:
         raise QuadratureBudgetExceeded(
@@ -290,10 +255,7 @@ def _refined(
 
     def fill(level: int, panels: slice, workspace: list[np.ndarray]) -> np.ndarray:
         cos_x, cos_w = _panel_nodes(n_panels, levels[level], panels)
-        value = kernel(cos_x.ravel(), workspace)
-        weights = _grid(workspace[0], value.shape, np.float64)
-        np.multiply(cos_w.ravel()[:, None], phi_weights[None, :], out=weights)
-        return np.multiply(weights, value, out=weights)
+        return kernel(cos_x.ravel(), cos_w.ravel(), workspace)
 
     coarse, fine = (scale * total for total in _level_sums(shapes, fill, dtypes))
     if abs(fine - coarse) > spec.rel_tolerance * _unit_scale(fine):
@@ -312,11 +274,10 @@ def decay_rate_2d_oracle(
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Rate ratio from the full solid-angle quadrature."""
-    u = check_u(u, scalar=True)
-    n_panels = panel_count(u, spec)
-    phi_x, phi_w = _phi_nodes()
-    integrand = _angular_integrand(side_rate_terms(interface, side), dipole, u, phi_x)
-    return _refined("2d oracle", spec, n_panels, integrand, phi_w, _ANGULAR_BUFFERS, 3.0 / (8.0 * math.pi))
+    u, (phi_x, phi_w) = check_u(u, scalar=True), _phi_nodes()
+    integrand = _angular_integrand(side_rate_terms(_check_one_cell(interface), side), dipole, u, phi_x, phi_w)
+    scale = 3.0 / (8.0 * math.pi)
+    return _refined("2d oracle", spec, panel_count(u, spec), integrand, phi_x.size, _ANGULAR_BUFFERS, scale)
 
 
 def decay_rate_1d_oracle(
@@ -328,8 +289,8 @@ def decay_rate_1d_oracle(
 ) -> float:
     """Rate ratio from the single-axis distance-kernel quadrature."""
     alignment, u = _check_alignment(alignment), check_u(u, scalar=True)
-    kernel = functools.partial(_distance_integrand, side_rate_terms(interface, side), alignment, u)
-    return _refined("1d oracle", spec, panel_count(u, spec), kernel, np.ones(1), _DISTANCE_BUFFERS, 0.375)
+    kernel = functools.partial(_distance_integrand, side_rate_terms(_check_one_cell(interface), side), alignment, u)
+    return _refined("1d oracle", spec, panel_count(u, spec), kernel, 1, (), 0.375)
 
 
 def oracle_compare(

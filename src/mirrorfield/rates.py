@@ -22,6 +22,7 @@ from .interface import (
     Medium,
     MirrorInterface,
     _check_alignment,
+    _check_broadcast,
     _check_side,
     as_real,
     check_cells,
@@ -290,7 +291,8 @@ def relative_decay_rate(interface: MirrorInterface, side: str, alignment: float,
         Squared normal component of the dipole orientation, in [0, 1];
         a numpy number is read as its Python ``float()``, as is a scalar ``u``.
     u : float or array
-        Dimensionless distance ``2 k0 x``, ``>= 0`` in every cell.
+        Dimensionless distance ``2 k0 x``, ``>= 0`` in every cell; an array
+        must broadcast against an array coating's cells.
 
     Returns
     -------
@@ -299,7 +301,9 @@ def relative_decay_rate(interface: MirrorInterface, side: str, alignment: float,
         Python float when both ``u`` and the coating are scalar.
     """
     alignment, u = _check_alignment(alignment), check_u(u)
-    return 1.0 + mirror_parameter(interface, side) * _bracket(u, alignment)
+    xi = mirror_parameter(interface, side)
+    _check_broadcast("u and the coating's cells", u=u, cells=xi)
+    return 1.0 + xi * _bracket(u, alignment)
 
 
 def unnormalised_decay_rate(interface: MirrorInterface, side: str, alignment: float, u):
@@ -313,6 +317,7 @@ def unnormalised_decay_rate(interface: MirrorInterface, side: str, alignment: fl
     """
     alignment, u = _check_alignment(alignment), check_u(u)
     terms = side_rate_terms(interface, side)
+    _check_broadcast("u and the coating's cells", u=u, cells=terms.eta_sq)
     constant = (1.0 + terms.r**2) / terms.eta_sq + terms.t_opposite**2 / terms.eta_opposite_sq
     xi = 3.0 * terms.r * math.cos(terms.reflection_phase) / terms.eta_sq
     return constant + xi * _bracket(u, alignment)

@@ -21,6 +21,7 @@ from .interface import (
     QuadratureSpec,
     SideCoefficients,
     _check_alignment,
+    _check_one_cell,
     _check_side,
     as_real,
     check_count,
@@ -550,7 +551,7 @@ def _random_dipole(rng: np.random.Generator) -> DipoleOrientation:
 
 @dataclass(frozen=True)
 class OracleCase:
-    """One deterministic pseudo-random oracle configuration."""
+    """One deterministic pseudo-random oracle configuration, of a coating of one cell."""
 
     index: int
     interface: MirrorInterface
@@ -559,6 +560,7 @@ class OracleCase:
     u: float
 
     def __post_init__(self) -> None:
+        _check_one_cell(self.interface)
         _check_side(self.side)
         check_finite(self, "index", "u")
 

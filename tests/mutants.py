@@ -29,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 INTERFACE = "src/mirrorfield/interface.py"
+MODES = "src/mirrorfield/modes.py"
 ORACLE = "src/mirrorfield/oracle.py"
 RATES = "src/mirrorfield/rates.py"
 SWEEP = "src/mirrorfield/sweep.py"
@@ -105,12 +106,19 @@ MUTANTS = [
      ["tests/test_rates.py::TestRelativeDecayRate::test_two_routes_agree"]),
     # The closed form and the 1D oracle compute with the alignment their
     # reader returned, not the numpy number they were given.
-    (RATES, "alignment, u = _check_alignment(alignment), check_u(u)\n    return 1.0 +",
-     "_, u = _check_alignment(alignment), check_u(u)\n    return 1.0 +",
+    (RATES, "alignment, u = _check_alignment(alignment), check_u(u)\n    xi = mirror_parameter(",
+     "_, u = _check_alignment(alignment), check_u(u)\n    xi = mirror_parameter(",
      ["tests/test_rates.py::TestNumpyNumbers::test_closed_form_reads_python_values"]),
     (ORACLE, "alignment, u = _check_alignment(alignment), check_u(u, scalar=True)",
      "_, u = _check_alignment(alignment), check_u(u, scalar=True)",
      ["tests/test_oracle.py::TestNumpyNumbers::test_oracles_read_python_values"]),
+    # Each kernel weights its own values: a coefficient of the 1D formula,
+    # and the 2D block's azimuth weights (symmetric, so only ones differ).
+    (ORACLE, "(1.0 + alignment) * nodes * nodes", "(1.0 + 2.0 * alignment) * nodes * nodes",
+     ["tests/test_oracle.py::TestKnownIntegrals::test_perfect_mirror_contact",
+      "tests/test_oracle.py::TestAgreementWithClosedForm::test_random_configurations"]),
+    (MODES, "np.multiply.outer(cos_weights, phi_weights,", "np.multiply.outer(cos_weights, np.ones_like(phi_weights),",
+     ["tests/test_oracle.py::TestKnownIntegrals::test_black_sheet_is_free_space"]),
 ]
 
 

@@ -4,6 +4,7 @@ float argument, inf, nan and -0.0 included, with a finite result or a
 kind, and public counts are bounded."""
 
 import dataclasses
+import functools
 import inspect
 import math
 import os
@@ -293,11 +294,17 @@ RATE_CALLS = {
 
 REAL = "must be a real number"
 
+#: An array coating of two cells and one of one cell, which only the oracles refuse.
+TWO_CELLS = validate_interface(np.array([0.5, 0.6]), *COATING[1:])
+ONE_CELL = validate_interface(np.array([0.5]), *COATING[1:])
+ONE_CELL_ONLY = "the oracles take a coating of one cell"
+
 #: Constructor arguments of the wrong kind, each with the error and message
 #: it raises: a str, bool, complex, None, ragged list or, for a scalar, an
-#: array; amplitudes that do not broadcast, curve columns of two lengths;
-#: a side that is not a str; table values that are not real or leave the
-#: float range.
+#: array; amplitudes, coating sides or a coating and ``u`` whose cells do
+#: not broadcast, an array coating for the oracles, curve columns of two
+#: lengths; a side that is not a str; table values that are not real or
+#: leave the float range.
 BAD_CONSTRUCTIONS = {
     "SideCoefficients str": (lambda: SideCoefficients("0.6", "0.8", "0"), DomainError, REAL),
     "SideCoefficients bool": (lambda: SideCoefficients(True, False, 0.0), DomainError, REAL),
@@ -348,6 +355,30 @@ BAD_CONSTRUCTIONS = {
         lambda: relative_decay_rate(IFACE, np.array(["a", "b"]), 0.3, 1.0), DomainError, "side must be"
     ),
     "side_rate_terms side array": (lambda: side_rate_terms(IFACE, np.array(["a"])), DomainError, "side must be"),
+    "MirrorInterface cells": (
+        lambda: MirrorInterface(SideCoefficients(np.array([0.5, 0.6]), 0.5),
+                                SideCoefficients(np.array([0.5, 0.5, 0.5]), 0.5)),
+        DomainError, "cells of the two sides do not broadcast",
+    ),
+    "relative_decay_rate cells": (
+        lambda: relative_decay_rate(TWO_CELLS, "a", 0.3, np.ones(3)), DomainError, "do not broadcast"
+    ),
+    "unnormalised_decay_rate cells": (
+        lambda: unnormalised_decay_rate(TWO_CELLS, "a", 0.3, np.ones(3)), DomainError, "do not broadcast"
+    ),
+    "sample_decay_curve cells": (
+        lambda: sample_decay_curve(TWO_CELLS, "a", 0.3, np.ones(3)), DomainError, "do not broadcast"
+    ),
+    **{
+        f"{name} {cells}": (functools.partial(call, coating), DomainError, ONE_CELL_ONLY)
+        for cells, coating in (("two cells", TWO_CELLS), ("one cell", ONE_CELL))
+        for name, call in (
+            ("decay_rate_2d_oracle", lambda coating: decay_rate_2d_oracle(coating, "a", DIPOLE, 1.0)),
+            ("decay_rate_1d_oracle", lambda coating: decay_rate_1d_oracle(coating, "a", 0.3, 1.0)),
+            ("oracle_compare", lambda coating: oracle_compare(coating, "a", DIPOLE, 1.0)),
+            ("OracleCase", lambda coating: OracleCase(0, coating, "a", DIPOLE, 1.0)),
+        )
+    },
 }
 
 

@@ -19,11 +19,13 @@ PERFECT_MIRROR = validate_interface(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, phi1=math.pi, 
 
 
 def kernel(terms, dipole, u, cos_nodes, phi_nodes):
-    """The integrand on the (cos theta, phi) product grid, in a fresh workspace."""
+    """The integrand on the (cos theta, phi) product grid, in a fresh workspace:
+    the kernel's weighted values at unit weights, which keep every bit."""
     cos_nodes = np.asarray(cos_nodes, dtype=float)
     phi_nodes = np.asarray(phi_nodes, dtype=float)
     workspace = [np.empty(cos_nodes.size * phi_nodes.size, dtype) for dtype in modes._ANGULAR_BUFFERS]
-    return modes._angular_integrand(terms, dipole, u, phi_nodes)(cos_nodes, workspace).copy()
+    block = modes._angular_integrand(terms, dipole, u, phi_nodes, np.ones(phi_nodes.size))
+    return block(cos_nodes, np.ones(cos_nodes.size), workspace).copy()
 
 
 def random_nodes(rng, rows=41, columns=23):
@@ -267,15 +269,16 @@ class TestAngularKernel:
         cases = seeded_oracle_cases(seed=1, count=4) + seeded_oracle_cases(seed=2, count=3)
         for case in cases:
             terms = side_rate_terms(case.interface, case.side)
-            block = modes._angular_integrand(terms, case.dipole, u, phi_nodes)
+            # Unit weights, so the weighted values are the integrand's bits.
+            block = modes._angular_integrand(terms, case.dipole, u, phi_nodes, np.ones(phi_nodes.size))
             workspace = [np.empty(1025 * oracle.PHI_ORDER, dtype) for dtype in modes._ANGULAR_BUFFERS]
             # A full leaf, then ragged ones, all in one workspace: each block
             # starts from what the one before left in it.
             for rows in (1024, 7, 1025, 513, 1):
                 cos_nodes = np.sort(rng.uniform(-1.0, 1.0, rows))
                 cos_nodes[: min(rows, 3)] = (-1.0, 0.0, 1.0)[: min(rows, 3)]
-                found = block(cos_nodes, workspace)
+                found = block(cos_nodes, np.ones(rows), workspace)
                 expected = self.plain_block(terms, case.dipole, u, phi_nodes, cos_nodes)
                 assert found.shape == expected.shape
-                assert np.shares_memory(found, workspace[2])
+                assert np.shares_memory(found, workspace[0])
                 assert found.tobytes() == expected.tobytes(), (case.index, rows)

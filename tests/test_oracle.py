@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
-from mirrorfield import oracle
+from mirrorfield import modes, oracle
 from mirrorfield.cli import main
 from mirrorfield import (
     DEFAULT_QUADRATURE,
@@ -255,10 +255,10 @@ class TestBudget:
         # One panel, whose weights sum to 2 at either level, so scale 1/2.
         levels = {16: 1e-3, 32: 1e-3 + 5e-10}
 
-        def kernel(nodes, workspace):
-            return np.full((nodes.size, 1), levels[nodes.size])
+        def kernel(nodes, weights, workspace):
+            return weights * levels[nodes.size]
 
-        fine = oracle._refined("test", DEFAULT_QUADRATURE, 1, kernel, np.ones(1), (np.float64,), 0.5)
+        fine = oracle._refined("test", DEFAULT_QUADRATURE, 1, kernel, 1, (), 0.5)
         assert fine == pytest.approx(levels[32], rel=1e-14)
 
     def test_negative_distance_rejected(self):
@@ -375,13 +375,13 @@ class TestLeaves:
         def failing_integrand(*args):
             leaf = real_integrand(*args)
 
-            def second_leaf_raises(cos_nodes, workspace):
+            def second_leaf_raises(cos_nodes, cos_weights, workspace):
                 with lock:
                     calls.append(len(cos_nodes))
                     count = len(calls)
                 if count == 2:
                     raise LeafFailed("second leaf")
-                return leaf(cos_nodes, workspace)
+                return leaf(cos_nodes, cos_weights, workspace)
 
             return second_leaf_raises
 
@@ -413,7 +413,7 @@ class TestLeaves:
         def failing_integrand(*args):
             leaf = real_integrand(*args)
 
-            def helper_leaf_raises(cos_nodes, workspace):
+            def helper_leaf_raises(cos_nodes, cos_weights, workspace):
                 started.append(None)
                 if threading.current_thread() is not caller:
                     failed.append(threading.current_thread())
@@ -422,7 +422,7 @@ class TestLeaves:
                 assert raised.wait(timeout=30)
                 failed[0].join(timeout=30)
                 assert not failed[0].is_alive()
-                return leaf(cos_nodes, workspace)
+                return leaf(cos_nodes, cos_weights, workspace)
 
             return helper_leaf_raises
 
@@ -704,7 +704,7 @@ class TestLeafSums:
         def fill(level: int, block: slice, workspace: list) -> np.ndarray:
             if filled is not None:
                 filled.append((level, block.start, workspace[0]))
-            out = oracle._grid(workspace[0], grids[level][block].shape)
+            out = modes._grid(workspace[0], grids[level][block].shape)
             out[...] = grids[level][block]
             return out
 
