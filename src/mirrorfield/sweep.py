@@ -307,7 +307,15 @@ def config_from_settings(subcommand: str, settings: Mapping[str, str]) -> SweepC
 class ResultTable:
     """Rectangular float table plus its regeneration recipe: ``rows`` is one
     read-only float64 array of shape ``(n, len(columns))``, converted once
-    when given as nested lists.  ``==`` compares identity."""
+    when given as nested lists.  ``==`` compares identity.
+
+    Raise :class:`ConfigError` for what the CSV cannot carry: cells that
+    do not make a finite array of numpy kind ``i``, ``u`` or ``f`` (a bool,
+    str, complex or object cell, such as an int beyond int64, makes
+    another), and a column name, provenance or trailer that holds a line
+    break or any other character but printable ASCII, or a column name
+    that holds a comma.
+    """
 
     columns: list[str]
     rows: np.ndarray
@@ -315,13 +323,19 @@ class ResultTable:
     trailer: str | None = None
 
     def __post_init__(self) -> None:
+        texts = (self.provenance, "" if self.trailer is None else self.trailer, *self.columns)
+        if not all(isinstance(text, str) and text.isascii() and text.isprintable() for text in texts):
+            raise ConfigError("table provenance, trailer and column names must be printable ASCII text")
+        if any("," in name for name in self.columns):
+            raise ConfigError("table column names must not hold a comma")
         width = len(self.columns)
         try:
-            rows = np.asarray(self.rows, dtype=float)
+            rows = np.asarray(self.rows)
         except ValueError as exc:  # a ragged nested list
             raise ConfigError("table rows must match the column count") from exc
-        except (TypeError, OverflowError) as exc:  # a complex, an object or an int beyond the float range
-            raise ConfigError("table values must be real numbers within the float range") from exc
+        if rows.dtype.kind not in "iuf":
+            raise ConfigError("table values must be real numbers within the float range")
+        rows = rows.astype(float, copy=False)
         if rows.shape == (0,):
             rows = rows.reshape(0, width)
         if rows.ndim != 2 or rows.shape[1] != width:
@@ -616,11 +630,10 @@ def cmd_oracle_check(config: SweepConfig) -> ResultTable:
     table = ResultTable(columns=list(_ORACLE_COLUMNS), rows=rows, provenance=_provenance(config))
     # Sentinel rows hold -1.0, below every measured error.
     worst = float(table.column("max_rel_error").max(initial=0.0))
-    table.trailer = (
+    return replace(table, trailer=(
         f"summary: cases={config.cases} failures={oracle_failures(table)} "
         f"worst_max_rel_error={worst!r}"
-    )
-    return table
+    ))
 
 
 COMMANDS = {

@@ -32,3 +32,24 @@ def test_tiny_run_writes_every_layer(tmp_path):
         assert len(figure["runs"]) == 5, name
         assert 0.0 < figure["q1"] <= figure["median"] <= figure["q3"], name
 
+
+def test_repeats_run_round_by_round(monkeypatch):
+    """Each figure is warmed once, then every round reads every figure once,
+    then the children run once per round, so no figure's repeats run back to
+    back and each figure's runs are its own readings in round order."""
+    log = []
+
+    def logged(name):
+        return lambda: log.append(name) or len(log)
+
+    def read(call):
+        return call()
+
+    monkeypatch.setattr(bench_layers, "figures",
+                        lambda size: {name: (read, logged(name), 1.0, "s") for name in ("a", "b")})
+    monkeypatch.setattr(bench_layers, "child", lambda argv, out: (logged(argv)(), 1.0))
+    metrics = bench_layers.measure({"children": {"x": "x", "y": "y"}})
+    assert log == ["a", "b"] + ["a", "b"] * 5 + ["x", "y"] * 5
+    assert metrics["a"]["runs"] == [3, 5, 7, 9, 11] and metrics["b"]["runs"] == [4, 6, 8, 10, 12]
+    assert metrics["e2e.wall_s.x"]["runs"] == [13, 15, 17, 19, 21]
+    assert metrics["e2e.peak_mib.y"]["runs"] == [1.0] * 5

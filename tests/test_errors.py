@@ -304,7 +304,7 @@ ONE_CELL_ONLY = "the oracles take a coating of one cell"
 #: array; amplitudes, coating sides or a coating and ``u`` whose cells do
 #: not broadcast, an array coating for the oracles, curve columns of two
 #: lengths; a side that is not a str; table values that are not real or
-#: leave the float range.
+#: leave the float range, and table text that its CSV cannot carry.
 BAD_CONSTRUCTIONS = {
     "SideCoefficients str": (lambda: SideCoefficients("0.6", "0.8", "0"), DomainError, REAL),
     "SideCoefficients bool": (lambda: SideCoefficients(True, False, 0.0), DomainError, REAL),
@@ -351,6 +351,19 @@ BAD_CONSTRUCTIONS = {
     "ResultTable complex": (lambda: ResultTable(["x"], [[1j]], "p"), ConfigError, "must be real numbers"),
     "ResultTable object": (lambda: ResultTable(["x"], [[object()]], "p"), ConfigError, "must be real numbers"),
     "ResultTable huge int": (lambda: ResultTable(["x"], [[10**400]], "p"), ConfigError, "within the float range"),
+    "ResultTable str": (lambda: ResultTable(["x"], [["2.5"]], "p"), ConfigError, "must be real numbers"),
+    "ResultTable bool": (lambda: ResultTable(["x"], [[True]], "p"), ConfigError, "must be real numbers"),
+    "ResultTable non-ASCII column": (lambda: ResultTable(["é"], [[1.0]], "p"), ConfigError, "printable ASCII"),
+    "ResultTable column line separator": (
+        lambda: ResultTable(["x\x85"], [[1.0]], "p"), ConfigError, "printable ASCII"
+    ),
+    "ResultTable column comma": (lambda: ResultTable(["x,y"], [[1.0]], "p"), ConfigError, "must not hold a comma"),
+    "ResultTable provenance line break": (
+        lambda: ResultTable(["x"], [[1.0]], "p\nq"), ConfigError, "printable ASCII"
+    ),
+    "ResultTable trailer line break": (
+        lambda: ResultTable(["x"], [[1.0]], "p", "t\nu"), ConfigError, "printable ASCII"
+    ),
     "relative_decay_rate side array": (
         lambda: relative_decay_rate(IFACE, np.array(["a", "b"]), 0.3, 1.0), DomainError, "side must be"
     ),

@@ -5,7 +5,7 @@ Usage, from the repo root::
     python tools/bench_layers.py --out BENCH_<label>.json [--tiny]
 
 It imports the package from this checkout's ``src/`` and, in this one
-process, times each layer on fixed inputs ``REPEATS`` (5) times:
+process, measures each layer on fixed inputs ``REPEATS`` (5) times:
 
 - ``validate_interface``, in µs per coating cell, on one array-valued
   coating and per scalar call;
@@ -29,12 +29,14 @@ The child peaks therefore need Linux.
 Each figure is given as the median and quartiles of its repeats, with the
 repeats themselves; the file also records the Python and numpy versions
 and the usable CPU count.  One untimed call warms each in-process figure
-up first (the oracles cache their Gauss-Legendre rules), so none of them
-includes an import or a first-call cost; the children, which pay their
-imports by design, run after this process has read the same files.
+(the oracles cache their Gauss-Legendre rules); then each of ``REPEATS``
+rounds reads every figure once, and after them the children run once per
+round likewise.  The machine's drift so falls on all figures alike:
+compare ratios of figures within one file, not figures across files.  A
+figure under a millisecond reads a cold-cache time.
 ``--tiny`` shrinks every input and runs one small ``eta-map`` child, for a
-smoke run in under two seconds.  Nothing here is a gate: the numbers
-drift with the machine.  Standard library and numpy only.
+smoke run in under two seconds.  Nothing here is a gate.  Standard
+library and numpy only.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -97,83 +100,75 @@ def summary(runs: list[float], unit: str) -> dict:
     return {"unit": unit, "median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
-def timed(call, scale: float = 1.0) -> list[float]:
-    """Wall time of each of ``REPEATS`` calls after one warm-up, times ``scale``."""
+def wall(call) -> float:
+    """Wall time of one call, in s."""
+    start = time.perf_counter()
     call()
-    runs = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
+    return time.perf_counter() - start
+
+
+def peak(call) -> float:
+    """tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
         call()
-        runs.append((time.perf_counter() - start) * scale)
-    return runs
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-def peaks(call) -> list[float]:
-    """tracemalloc peak of each of ``REPEATS`` calls after one warm-up, in MB."""
-    call()
-    runs = []
-    for _ in range(REPEATS):
-        tracemalloc.start()
+def child(argv: tuple[str, ...], out: Path) -> tuple[float, float]:
+    """Wall time in s and own peak in MiB of one child running
+    ``mirrorfield *argv --out out``."""
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ROOT / "src"), *argv, "--out", str(out)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    elapsed = time.perf_counter() - start
+    if run.returncode != 0:
+        raise RuntimeError(f"mirrorfield {' '.join(argv)} exited {run.returncode}: {run.stderr}")
+    return elapsed, int(run.stderr.splitlines()[-1].split()[1]) / 1024  # "VmHWM: <n> kB"
+
+
+def with_workers(workers: int, call):
+    """``call``, run with the oracles' worker count set to ``workers``."""
+    def run():
+        saved, oracle._worker_count = oracle._worker_count, lambda: workers
         try:
             call()
-            runs.append(tracemalloc.get_traced_memory()[1] / 1e6)
         finally:
-            tracemalloc.stop()
-    return runs
+            oracle._worker_count = saved
+    return run
 
 
-def child_runs(argv: tuple[str, ...], out: Path) -> tuple[list[float], list[float]]:
-    """Wall time in s and own peak in MiB of each of ``REPEATS`` children
-    running ``mirrorfield *argv --out out``."""
-    walls, highs = [], []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        child = subprocess.run(
-            [sys.executable, "-c", CHILD, str(ROOT / "src"), *argv, "--out", str(out)],
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-        )
-        wall = time.perf_counter() - start
-        if child.returncode != 0:
-            raise RuntimeError(f"mirrorfield {' '.join(argv)} exited {child.returncode}: {child.stderr}")
-        walls.append(wall)
-        highs.append(int(child.stderr.splitlines()[-1].split()[1]) / 1024)  # "VmHWM: <n> kB"
-    return walls, highs
-
-
-def coating_cells(count: int) -> tuple[np.ndarray, ...]:
-    """Amplitudes of ``count`` lossy coating cells, as the maps build them."""
-    r = np.linspace(0.0, 0.8, count)
+def figures(size: dict) -> dict:
+    """Every in-process figure: name -> (measure, call, scale, unit), where
+    ``measure`` is :func:`wall` or :func:`peak` of ``call`` and the figure
+    is that reading times ``scale``."""
+    table = {}
+    r = np.linspace(0.0, 0.8, size["cells"])  # lossy coating cells, as the maps build them
     t = np.sqrt(1.0 - r * r - 0.2)
-    return r, t, None, r[::-1], t[::-1], None
-
-
-def measure(size: dict) -> dict:
-    metrics = {}
-
-    def add(name: str, runs: list[float], unit: str) -> None:
-        metrics[name] = summary(runs, unit)
-
-    cells = coating_cells(size["cells"])
-    add("interface.validate_us_per_cell.array",
-        timed(lambda: mf.validate_interface(*cells), 1e6 / size["cells"]), "us")
+    cells = (r, t, None, r[::-1], t[::-1], None)
+    table["interface.validate_us_per_cell.array"] = (
+        wall, lambda: mf.validate_interface(*cells), 1e6 / len(r), "us")
     calls = size["scalar_calls"]
 
-    def scalar_validations():
-        for _ in range(calls):
-            mf.validate_interface(0.6, 0.2, None, 0.3, 0.1, None, 0.0, 0.0, 3.0, 0.0)
+    def scalar(call, *args):
+        def run():
+            for _ in range(calls):
+                call(*args)
+        return run
 
-    add("interface.validate_us_per_cell.scalar", timed(scalar_validations, 1e6 / calls), "us")
-
-    coating = mf.validate_interface(0.6, 0.2, None, 0.3, 0.1, None, 0.0, 0.0, 3.0, 0.0)
+    amplitudes = (0.6, 0.2, None, 0.3, 0.1, None, 0.0, 0.0, 3.0, 0.0)
+    table["interface.validate_us_per_cell.scalar"] = (
+        wall, scalar(mf.validate_interface, *amplitudes), 1e6 / calls, "us")
+    coating = mf.validate_interface(*amplitudes)
     u = np.linspace(0.0, 50.0, size["samples"])
-    add("rates.ns_per_sample",
-        timed(lambda: mf.relative_decay_rate(coating, "a", 0.3, u), 1e9 / size["samples"]), "ns")
-
-    def scalar_rates():
-        for _ in range(calls):
-            mf.relative_decay_rate(coating, "a", 0.3, 1.7)
-
-    add("rates.us_per_scalar_call", timed(scalar_rates, 1e6 / calls), "us")
+    table["rates.ns_per_sample"] = (
+        wall, lambda: mf.relative_decay_rate(coating, "a", 0.3, u), 1e9 / size["samples"], "ns")
+    table["rates.us_per_scalar_call"] = (
+        wall, scalar(mf.relative_decay_rate, coating, "a", 0.3, 1.7), 1e6 / calls, "us")
 
     configs = {
         "eta-map": dict(grid_count=size["grid"]),
@@ -181,50 +176,55 @@ def measure(size: dict) -> dict:
         "decay-curve": dict(preset="fig4", u_count=size["curve"]),
         "oracle-check": dict(seed=42, cases=size["cases"]),
     }
-
-    def make_configs():
-        for subcommand, settings in configs.items():
-            sweep.SweepConfig(subcommand, **settings)
-
-    add("sweep.config_us", timed(make_configs, 1e6 / len(configs)), "us")
+    table["sweep.config_us"] = (
+        wall, lambda: [sweep.SweepConfig(name, **settings) for name, settings in configs.items()],
+        1e6 / len(configs), "us")
     for subcommand, settings in configs.items():
         config = sweep.SweepConfig(subcommand, **settings)
         command = sweep.COMMANDS[subcommand]
-        add(f"sweep.assemble_s.{subcommand}", timed(lambda: command(config)), "s")
-        table = command(config)
-        values = len(table.rows) * len(table.columns)
-        add(f"csv.format_ns_per_value.{subcommand}",
-            timed(lambda: sweep.format_csv(table), 1e9 / values), "ns")
+        table[f"sweep.assemble_s.{subcommand}"] = (wall, partial(command, config), 1.0, "s")
+        result = command(config)
+        values = len(result.rows) * len(result.columns)
+        table[f"csv.format_ns_per_value.{subcommand}"] = (
+            wall, partial(sweep.format_csv, result), 1e9 / values, "ns")
         # A map plots every column but r_a and r_b, a curve every column
         # but u, and oracle-check only max_rel_error.
-        series = {"decay-curve": len(table.columns) - 1, "oracle-check": 1}
-        plotted = len(table.rows) * series.get(subcommand, len(table.columns) - 2)
-        add(f"svg.ns_per_point.{subcommand}",
-            timed(lambda: cli._render_svg(config, table), 1e9 / plotted), "ns")
+        series = {"decay-curve": len(result.columns) - 1, "oracle-check": 1}
+        plotted = len(result.rows) * series.get(subcommand, len(result.columns) - 2)
+        table[f"svg.ns_per_point.{subcommand}"] = (
+            wall, partial(cli._render_svg, config, result), 1e9 / plotted, "ns")
 
     case = mf.seeded_oracle_cases(seed=12, count=1)[0]
     routes = {
-        "2d": lambda u: mf.decay_rate_2d_oracle(case.interface, case.side, case.dipole, u),
-        "1d": lambda u: mf.decay_rate_1d_oracle(case.interface, case.side, case.dipole.alignment, u),
+        "2d": partial(mf.decay_rate_2d_oracle, case.interface, case.side, case.dipole),
+        "1d": partial(mf.decay_rate_1d_oracle, case.interface, case.side, case.dipole.alignment),
     }
-    default_workers = oracle._worker_count()
-    worker_count = oracle._worker_count
-    for label, workers in (("1", 1), ("default", default_workers)):
-        oracle._worker_count = lambda: workers
-        try:
-            for route, call in routes.items():
-                for u_value in size["oracle_u"]:
-                    key = f"u={u_value:g}.workers={label}"
-                    add(f"oracle.{route}_ms.{key}", timed(lambda: call(u_value), 1e3), "ms")
-                    add(f"oracle.{route}_peak_mb.{key}", peaks(lambda: call(u_value)), "MB")
-        finally:
-            oracle._worker_count = worker_count
+    for label, workers in (("1", 1), ("default", oracle._worker_count())):
+        for route, call in routes.items():
+            for u_value in size["oracle_u"]:
+                run = with_workers(workers, partial(call, u_value))
+                key = f"u={u_value:g}.workers={label}"
+                table[f"oracle.{route}_ms.{key}"] = (wall, run, 1e3, "ms")
+                table[f"oracle.{route}_peak_mb.{key}"] = (peak, run, 1e-6, "MB")
+    return table
 
+
+def measure(size: dict) -> dict:
+    """Every figure of :func:`figures`, warmed once, then the children of
+    ``size["children"]``, each read once per round for ``REPEATS`` rounds."""
+    table = figures(size)
+    for _, call, _, _ in table.values():
+        call()
+    rounds = [[how(call) * scale for how, call, scale, _ in table.values()] for _ in range(REPEATS)]
+    metrics = {name: summary(list(runs), unit)
+               for (name, (*_, unit)), runs in zip(table.items(), zip(*rounds))}
     with tempfile.TemporaryDirectory(prefix="bench-layers-") as scratch:
-        for label, argv in size["children"].items():
-            walls, highs = child_runs(argv, Path(scratch, "table.csv"))
-            add(f"e2e.wall_s.{label}", walls, "s")
-            add(f"e2e.peak_mib.{label}", highs, "MiB")
+        out = Path(scratch, "table.csv")
+        rounds = [[child(argv, out) for argv in size["children"].values()] for _ in range(REPEATS)]
+    for label, readings in zip(size["children"], zip(*rounds)):
+        walls, highs = map(list, zip(*readings))
+        metrics[f"e2e.wall_s.{label}"] = summary(walls, "s")
+        metrics[f"e2e.peak_mib.{label}"] = summary(highs, "MiB")
     return metrics
 
 
@@ -240,8 +240,7 @@ def environment(size_name: str) -> dict:
         "machine": platform.machine(),
         "usable_cpus": usable,
         "oracle_default_workers": oracle._worker_count(),
-        "sizes": {key: list(value) if isinstance(value, tuple) else value
-                  for key, value in SIZES[size_name].items()},
+        "sizes": SIZES[size_name],
         "repeats": REPEATS,
     }
 
