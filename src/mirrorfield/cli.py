@@ -47,14 +47,14 @@ def _read_command_line(argv: list[str]) -> tuple[str, dict[str, str], str | None
         name, sep, value = word.partition("=")
         if not name.startswith("--") or "_" in name:
             raise ConfigError(f"expected --some-key VALUE or --some-key=VALUE, got {word!r}")
+        if name == "--svg" and sep:
+            raise ConfigError(f"--svg takes no value, got {value!r}")
         if not sep and name != "--svg":
             value = next(words, None)
             if value is None:
                 raise ConfigError(f"{name} needs a value")
         flags[name[2:].replace("-", "_")] = value
     out, svg = flags.pop("out", None), flags.pop("svg", None)
-    if svg:
-        raise ConfigError(f"--svg takes no value, got {svg!r}")
     settings = load_config_file(flags.pop("config")) if "config" in flags else {}
     return argv[0], {**settings, **flags}, out, svg is not None
 

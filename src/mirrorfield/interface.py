@@ -2,19 +2,20 @@
 
 A thin coating between air and a dielectric is described by real electric
 field amplitudes for reflection, transmission and loss, one triple per
-side of approach, together with four phase shifts.  Energy conservation
-ties each triple to ``r**2 + t**2 + l**2 = 1``.  The module derives the
-normalisation constants ``eta_a**2`` and ``eta_b**2`` of the quantised
-field near the coating and the dimensionless mirror parameter ``xi`` that
-sets the size of the distance-dependent decay-rate modulation.
+side of approach, together with a reflection phase per side.  Energy
+conservation ties each triple to ``r**2 + t**2 + l**2 = 1``.  The module
+derives the normalisation constants ``eta_a**2`` and ``eta_b**2`` of the
+quantised field near the coating and the dimensionless mirror parameter
+``xi`` that sets the size of the distance-dependent decay-rate modulation.
 
 Sides are labelled ``"a"`` for light that approaches the coating from the
-air half space (where reflection picks up ``phi3`` and transmission from
-the far side ``phi4``) and ``"b"`` for light approaching through the
-dielectric (reflection phase ``phi1``, transmission phase ``phi2``).
+air half space (reflection phase ``phi3``) and ``"b"`` for light
+approaching through the dielectric (reflection phase ``phi1``).  Light from
+the far side reaches an emitter only as its transmitted wave, which enters
+every rate as ``t**2``, so the coating carries no transmission phase.
 
 Amplitudes may be numpy arrays: such a coating is a grid of coatings that
-share the four scalar phases, and every derived quantity is per cell.
+share the two scalar phases, and every derived quantity is per cell.
 """
 
 from __future__ import annotations
@@ -78,20 +79,29 @@ def _check_one_cell(interface: MirrorInterface) -> MirrorInterface:
     return interface
 
 
+def _holds_bool(value) -> bool:
+    """Whether ``value`` is or holds a bool, also inside nested lists and
+    tuples, where numpy reads it as a number beside the other cells."""
+    if isinstance(value, (list, tuple)):
+        # Items that are all plain floats and ints, the common case, settle it by their types.
+        return not set(map(type, value)) <= {float, int} and any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_)) or (isinstance(value, np.ndarray) and value.dtype.kind == "b")
+
+
 def as_real(name: str, value, scalar: bool = False) -> float | np.ndarray:
     """``value`` as a Python float if it is one real number, or (unless
     ``scalar``) as a float array if it is an array of them: numpy kind
     ``i``, ``u`` or ``f``, where a 0-d array counts as one number.
 
-    Raise :class:`DomainError` for a bool, str, complex, object or ragged
-    input, which a conversion to float would accept, turn into a number or
-    fail on with a bare error.
+    Raise :class:`DomainError` for a bool (also inside a list), str,
+    complex, object or ragged input, which a conversion to float would
+    accept, turn into a number or fail on with a bare error.
     """
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged nested sequence
         array = None
-    if array is None or array.dtype.kind not in "iuf" or (scalar and array.ndim):
+    if array is None or array.dtype.kind not in "iuf" or (scalar and array.ndim) or _holds_bool(value):
         kind = "a real number" if scalar else "a real number or an array of real numbers"
         raise DomainError(f"{name} must be {kind}, got {value!r}")
     return float(array) if array.ndim == 0 else array.astype(float, copy=False)
@@ -196,24 +206,21 @@ AIR = Medium(1.0, 1.0)
 
 @dataclass(frozen=True)
 class MirrorInterface:
-    """Two sets of side coefficients plus the four coating phases.
+    """Two sets of side coefficients plus the two reflection phases.
 
     Phases are stored reduced to [0, 2*pi).  ``phi1``/``phi3`` are the
     reflection phases for light arriving from the dielectric and the air
-    side respectively; ``phi2``/``phi4`` are the matching transmission
-    phases, which no output reads.  Construction rejects sides whose cells
-    do not broadcast together and any cell whose normalisation vanishes.
+    side respectively.  Construction rejects sides whose cells do not
+    broadcast together and any cell whose normalisation vanishes.
     """
 
     side_a: SideCoefficients
     side_b: SideCoefficients
     phi1: float = 0.0
-    phi2: float = 0.0
     phi3: float = 0.0
-    phi4: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("phi1", "phi2", "phi3", "phi4"):
+        for name in ("phi1", "phi3"):
             object.__setattr__(self, name, reduce_phase(getattr(self, name), name))
         sides = {"a": self.side_a, "b": self.side_b}
         _check_broadcast("the cells of the two sides", **{f"{name}_{label}": getattr(side, name)
@@ -282,9 +289,7 @@ def validate_interface(
     t_b: float,
     l_b: float | None,
     phi1: float = 0.0,
-    phi2: float = 0.0,
     phi3: float = 0.0,
-    phi4: float = 0.0,
 ) -> MirrorInterface:
     """Construct a :class:`MirrorInterface` from raw coefficients.
 
@@ -296,8 +301,8 @@ def validate_interface(
         :class:`SideCoefficients`.
     r_b, t_b, l_b : float
         Same for light approaching through the dielectric.
-    phi1, phi2, phi3, phi4 : float
-        Reflection/transmission phases; reduced to [0, 2*pi) on storage.
+    phi1, phi3 : float
+        Reflection phases on sides b and a; reduced to [0, 2*pi) on storage.
 
     Raises
     ------
@@ -309,17 +314,11 @@ def validate_interface(
         If ``1 + r^2 - t^2`` is numerically zero on either side.
     """
     return MirrorInterface(
-        SideCoefficients(r_a, t_a, l_a), SideCoefficients(r_b, t_b, l_b), phi1, phi2, phi3, phi4
+        SideCoefficients(r_a, t_a, l_a), SideCoefficients(r_b, t_b, l_b), phi1, phi3
     )
 
 
-def lossless_interface(
-    r: float,
-    phi1: float = 0.0,
-    phi2: float = 0.0,
-    phi3: float = 0.0,
-    phi4: float = 0.0,
-) -> MirrorInterface:
+def lossless_interface(r: float, phi1: float = 0.0, phi3: float = 0.0) -> MirrorInterface:
     """Symmetric lossless coating with reflection amplitude ``r``.
 
     ``t = sqrt(1 - r**2)`` and ``l = 0`` on both sides.  ``r`` must lie in
@@ -331,7 +330,7 @@ def lossless_interface(
                 "lossless reflection amplitude must be in [0, 1), got {r!r}", r=r)
     t = np.sqrt(1.0 - r * r)
     side = SideCoefficients(r, t, 0.0)
-    return MirrorInterface(side, side, phi1, phi2, phi3, phi4)
+    return MirrorInterface(side, side, phi1, phi3)
 
 
 def normalisation_constants(

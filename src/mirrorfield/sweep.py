@@ -7,6 +7,7 @@ replayed and compared bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, fields, replace
@@ -23,6 +24,7 @@ from .interface import (
     _check_alignment,
     _check_one_cell,
     _check_side,
+    _holds_bool,
     as_real,
     check_count,
     check_finite,
@@ -104,6 +106,8 @@ class SweepConfig:
     t_b: float | None = None
     l_b: float | None = None
     phi1: float = 0.0
+    # No output reads the transmission phases phi2 and phi4; they stay
+    # settings so that every provenance line written with them replays.
     phi2: float = 0.0
     phi3: float = 0.0
     phi4: float = 0.0
@@ -203,7 +207,8 @@ class SweepConfig:
                 "custom curves need interface amplitudes; "
                 f"missing: {', '.join(missing)}"
             )
-        return validate_interface(**{name: getattr(self, name) for name in _INTERFACE_FIELDS})
+        return validate_interface(self.r_a, self.t_a, self.l_a, self.r_b, self.t_b, self.l_b,
+                                  self.phi1, self.phi3)
 
 
 def parse_angle(text: str) -> float:
@@ -309,12 +314,12 @@ class ResultTable:
     read-only float64 array of shape ``(n, len(columns))``, converted once
     when given as nested lists.  ``==`` compares identity.
 
-    Raise :class:`ConfigError` for what the CSV cannot carry: cells that
-    do not make a finite array of numpy kind ``i``, ``u`` or ``f`` (a bool,
-    str, complex or object cell, such as an int beyond int64, makes
-    another), and a column name, provenance or trailer that holds a line
-    break or any other character but printable ASCII, or a column name
-    that holds a comma.
+    Raise :class:`ConfigError` for what the CSV cannot carry: no columns,
+    cells that do not make a finite array of numpy kind ``i``, ``u`` or
+    ``f`` (a str, complex or object cell, such as an int beyond int64,
+    makes another) or that hold a bool, and a column name, provenance or
+    trailer that holds a line break or any other character but printable
+    ASCII, or a column name that holds a comma.
     """
 
     columns: list[str]
@@ -329,11 +334,13 @@ class ResultTable:
         if any("," in name for name in self.columns):
             raise ConfigError("table column names must not hold a comma")
         width = len(self.columns)
+        if not width:
+            raise ConfigError("a table needs at least one column")
         try:
             rows = np.asarray(self.rows)
         except ValueError as exc:  # a ragged nested list
             raise ConfigError("table rows must match the column count") from exc
-        if rows.dtype.kind not in "iuf":
+        if rows.dtype.kind not in "iuf" or _holds_bool(self.rows):
             raise ConfigError("table values must be real numbers within the float range")
         rows = rows.astype(float, copy=False)
         if rows.shape == (0,):
@@ -392,6 +399,8 @@ def write_csv(table: ResultTable, path) -> None:
 
 def parse_csv(text: str) -> ResultTable:
     """Inverse of :func:`format_csv`."""
+    if not isinstance(text, str):
+        raise ConfigError(f"a CSV must be text, got {type(text).__name__}")
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# provenance: "):
         raise ConfigError("missing provenance header")
@@ -407,6 +416,8 @@ def parse_csv(text: str) -> ResultTable:
         rows = [[float(token) for token in line.split(",")] for line in body]
     except ValueError as exc:
         raise ConfigError(f"non-numeric table cell: {exc}") from exc
+    with contextlib.suppress(ValueError):  # ragged rows stay lists, for the table to name
+        rows = np.array(rows)  # float() gives no bools, so the table need not look for one
     return ResultTable(columns=columns, rows=rows, provenance=provenance, trailer=trailer)
 
 
@@ -432,6 +443,8 @@ def _provenance(config: SweepConfig, **resolved) -> str:
 def replay_provenance(provenance: str) -> ResultTable:
     """Regenerate the table described by a provenance line: a subcommand,
     then ``key=value`` tokens, each read as a line of a config file."""
+    if not isinstance(provenance, str):
+        raise ConfigError(f"a provenance line must be text, got {type(provenance).__name__}")
     subcommand, *tokens = provenance.split() or [""]
     config = config_from_settings(subcommand, split_settings("\n".join(tokens), "provenance"))
     return COMMANDS[subcommand](config)
@@ -550,8 +563,9 @@ def _random_side(rng: np.random.Generator) -> SideCoefficients:
 def _random_interface(rng: np.random.Generator) -> MirrorInterface:
     side_a = _random_side(rng)
     side_b = _random_side(rng)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=4)
-    return MirrorInterface(side_a, side_b, *map(float, phases))
+    # Four draws, of which the coating takes phi1 and phi3, keep every seeded case's bits.
+    phi1, _, phi3, _ = map(float, rng.uniform(0.0, 2.0 * math.pi, size=4))
+    return MirrorInterface(side_a, side_b, phi1, phi3)
 
 
 def _random_dipole(rng: np.random.Generator) -> DipoleOrientation:

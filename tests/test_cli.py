@@ -300,6 +300,13 @@ class TestCommandLine:
         assert line.startswith("error: ") and message in line
         assert captured.out == ""
 
+    def test_an_empty_svg_value_is_refused_before_any_file_is_written(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["eta-map", "--grid-count", "3", "--out", str(out), "--svg="]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: --svg takes no value, got ''"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_space_equals_and_config_file_give_the_same_bytes(self, tmp_path, capsys):
         # A value is read verbatim, so a leading '-' does not make it a flag.
         cfg = tmp_path / "run.cfg"

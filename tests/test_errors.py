@@ -56,9 +56,10 @@ from mirrorfield import (
     validate_interface,
     write_csv,
 )
+from mirrorfield.interface import as_real
 from mirrorfield.sweep import COMMANDS, MAX_TABLE_VALUES, SUBCOMMAND_KEYS
 
-COATING = (0.5, 0.6, None, 0.4, 0.7, None, 0.3, 0.2, 0.4, 0.1)
+COATING = (0.5, 0.6, None, 0.4, 0.7, None, 0.3, 0.4)
 IFACE = validate_interface(*COATING)
 DIPOLE = DipoleOrientation.from_components(0.3, 0.5j, 0.8)
 MEDIUM = (2.25, 1.0)
@@ -128,7 +129,7 @@ CALLS = {
     ),
     "Medium": slots(Medium, *MEDIUM),
     "MirrorInterface": slots(
-        lambda *phases: MirrorInterface(IFACE.side_a, IFACE.side_b, *phases), 0.3, 0.2, 0.4, 0.1
+        lambda *phases: MirrorInterface(IFACE.side_a, IFACE.side_b, *phases), 0.3, 0.4
     ),
     "OracleCase": slots(lambda index, u: OracleCase(index, IFACE, "a", DIPOLE, u), 0, 1.0),
     "OracleReport": slots(
@@ -169,7 +170,7 @@ CALLS = {
         + slots(lambda *medium: gamma_med(AtomParams(*ATOM), NATURAL_UNITS, Medium(*medium)),
                 *MEDIUM)
     ),
-    "lossless_interface": slots(lossless_interface, 0.5, 0.1, 0.2, 0.3, 0.4),
+    "lossless_interface": slots(lossless_interface, 0.5, 0.1, 0.3),
     "mirror_parameter": coating_slots(lambda iface: mirror_parameter(iface, "b")),
     "normalisation_constants": coating_slots(normalisation_constants),
     "oracle_compare": [oracle_u(lambda x: oracle_compare(IFACE, "b", DIPOLE, x))],
@@ -281,7 +282,7 @@ def test_record_side_must_be_a_or_b(build):
 
 #: Arguments of a kind the rate path does not take: not a real number or an
 #: array of real numbers (u), or not one real number (alignment, oracle u).
-BAD_U = ["1", ["1", "2"], True, 1 + 1j, [[1.0], [1.0, 2.0]], np.array(["1", "2"]),
+BAD_U = ["1", ["1", "2"], True, [1.0, True], 1 + 1j, [[1.0], [1.0, 2.0]], np.array(["1", "2"]),
          np.array([1.0, None])]
 BAD_ALIGNMENT = ["0.3", [0.1, 0.2], np.array([0.1, 0.2]), None, True, 1 + 0j]
 RATE_CALLS = {
@@ -300,11 +301,13 @@ ONE_CELL = validate_interface(np.array([0.5]), *COATING[1:])
 ONE_CELL_ONLY = "the oracles take a coating of one cell"
 
 #: Constructor arguments of the wrong kind, each with the error and message
-#: it raises: a str, bool, complex, None, ragged list or, for a scalar, an
-#: array; amplitudes, coating sides or a coating and ``u`` whose cells do
-#: not broadcast, an array coating for the oracles, curve columns of two
-#: lengths; a side that is not a str; table values that are not real or
-#: leave the float range, and table text that its CSV cannot carry.
+#: it raises: a str, bool (also inside a list), complex, None, ragged list
+#: or, for a scalar, an array; amplitudes, coating sides or a coating and
+#: ``u`` whose cells do not broadcast, an array coating for the oracles,
+#: curve columns of two lengths; a side that is not a str; table values
+#: that are not real or leave the float range, a table of no columns, table
+#: text that its CSV cannot carry, and a CSV or provenance line that is not
+#: text.
 BAD_CONSTRUCTIONS = {
     "SideCoefficients str": (lambda: SideCoefficients("0.6", "0.8", "0"), DomainError, REAL),
     "SideCoefficients bool": (lambda: SideCoefficients(True, False, 0.0), DomainError, REAL),
@@ -313,6 +316,8 @@ BAD_CONSTRUCTIONS = {
     "SideCoefficients shapes": (
         lambda: SideCoefficients([0.6, 0.8], [0.8, 0.6, 0.0], 0.0), DomainError, "do not broadcast"
     ),
+    "as_real nested bool": (lambda: as_real("r", [True, 0.5]), DomainError, REAL),
+    "SideCoefficients nested bool": (lambda: SideCoefficients([False, 0.6], 0.8), DomainError, REAL),
     "SideCoefficients implied-loss str": (lambda: SideCoefficients("0.6", "0.8"), DomainError, REAL),
     "SideCoefficients implied-loss shapes": (
         lambda: SideCoefficients([0.6, 0.8], [0.8, 0.6, 0.0]), DomainError, "do not broadcast"
@@ -353,6 +358,15 @@ BAD_CONSTRUCTIONS = {
     "ResultTable huge int": (lambda: ResultTable(["x"], [[10**400]], "p"), ConfigError, "within the float range"),
     "ResultTable str": (lambda: ResultTable(["x"], [["2.5"]], "p"), ConfigError, "must be real numbers"),
     "ResultTable bool": (lambda: ResultTable(["x"], [[True]], "p"), ConfigError, "must be real numbers"),
+    "ResultTable nested bool": (
+        lambda: ResultTable(["a", "b"], [[True, 2.5]], "p"), ConfigError, "real numbers within the float range"
+    ),
+    "ResultTable no columns": (lambda: ResultTable([], [], "p"), ConfigError, "at least one column"),
+    "ResultTable no columns, rows": (
+        lambda: ResultTable([], np.empty((3, 0)), "p"), ConfigError, "at least one column"
+    ),
+    "parse_csv bytes": (lambda: parse_csv(b"# provenance: x\na\n1\n"), ConfigError, "a CSV must be text"),
+    "replay_provenance int": (lambda: replay_provenance(5), ConfigError, "a provenance line must be text"),
     "ResultTable non-ASCII column": (lambda: ResultTable(["é"], [[1.0]], "p"), ConfigError, "printable ASCII"),
     "ResultTable column line separator": (
         lambda: ResultTable(["x\x85"], [[1.0]], "p"), ConfigError, "printable ASCII"

@@ -42,7 +42,7 @@ def valid_side_squares(draw):
 def coatings(draw):
     r_a_sq, l_a_sq = valid_side_squares(draw)
     r_b_sq, l_b_sq = valid_side_squares(draw)
-    phases = [draw(st.floats(0.0, TWO_PI, exclude_max=True)) for _ in range(4)]
+    phases = [draw(st.floats(0.0, TWO_PI, exclude_max=True)) for _ in range(2)]
     return validate_interface(
         r_a=math.sqrt(r_a_sq),
         t_a=math.sqrt(max(0.0, 1.0 - r_a_sq - l_a_sq)),
@@ -51,9 +51,7 @@ def coatings(draw):
         t_b=math.sqrt(max(0.0, 1.0 - r_b_sq - l_b_sq)),
         l_b=math.sqrt(l_b_sq),
         phi1=phases[0],
-        phi2=phases[1],
-        phi3=phases[2],
-        phi4=phases[3],
+        phi3=phases[1],
     )
 
 
@@ -101,9 +99,9 @@ class TestSideCoefficients:
 
 class TestMirrorInterface:
     def test_phases_reduced_to_principal_range(self):
-        iface = validate_interface(0.5, 0.5, None, 0.5, 0.5, None, phi3=TWO_PI + 0.5, phi4=-0.5 * math.pi)
+        iface = validate_interface(0.5, 0.5, None, 0.5, 0.5, None, phi1=-0.5 * math.pi, phi3=TWO_PI + 0.5)
         assert math.isclose(iface.phi3, 0.5, abs_tol=1e-12)
-        assert math.isclose(iface.phi4, 1.5 * math.pi, abs_tol=1e-12)
+        assert math.isclose(iface.phi1, 1.5 * math.pi, abs_tol=1e-12)
 
     def test_fully_transparent_sheet_rejected(self):
         with pytest.raises(DegenerateTransparency):
@@ -219,7 +217,7 @@ class TestReturnValues:
     """``normalisation_constants`` and ``mirror_parameter`` return plain values."""
 
     def test_scalar_coating_gives_python_floats(self):
-        iface = validate_interface(0.5, 0.6, None, 0.4, 0.7, None, 0.3, 0.2, 0.4, 0.1)
+        iface = validate_interface(0.5, 0.6, None, 0.4, 0.7, None, 0.3, 0.4)
         pair = normalisation_constants(iface)
         assert type(pair) is tuple
         assert [type(value) for value in pair] == [float, float]

@@ -148,12 +148,13 @@ class TestMirrorField:
 
     def test_transmitted_wave_scaling(self):
         # Species b reaches an emitter on side a as its transmitted wave,
-        # (t_b / eta_b) e^{i phi4} times the free mode: it adds
-        # (t_b / eta_b)**2 times the free pattern, whatever phi4 is.
+        # (t_b / eta_b) times the free mode up to a phase: it adds
+        # (t_b / eta_b)**2 times the free pattern, whatever the far side's
+        # reflection phase phi1 is.
         eta_b_sq = 1.0 + 0.04 + (1.04 - 0.36) / (1.25 - 0.25) * 0.25
         rng = np.random.default_rng(29)
-        for phi4 in (0.0, 0.9, 4.0):
-            iface = validate_interface(0.5, 0.5, None, 0.2, 0.6, None, phi4=phi4)
+        for phi1 in (0.0, 0.9, 4.0):
+            iface = validate_interface(0.5, 0.5, None, 0.2, 0.6, None, phi1=phi1)
             terms = side_rate_terms(iface, "a")
             assert terms.t_opposite == 0.6
             assert terms.eta_opposite_sq == pytest.approx(eta_b_sq, rel=1e-15)
@@ -201,7 +202,7 @@ class TestCoupling:
             ((0.0, 0.6, None, 0.3, 0.0, None), "a"),  # opaque far side: no transmitted share
             ((0.5, 0.5, None, 0.0, 0.7, None), "b"),
         ):
-            iface = validate_interface(*coating, phi1=0.4, phi2=1.3, phi3=2.2, phi4=0.9)
+            iface = validate_interface(*coating, phi1=0.4, phi3=2.2)
             terms = side_rate_terms(iface, side)
             weight = 1.0 / terms.eta_sq + terms.t_opposite**2 / terms.eta_opposite_sq
             for dipole in random_dipoles(rng):

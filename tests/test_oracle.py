@@ -137,7 +137,7 @@ def edge_sides(draw):
 @st.composite
 def edge_coatings(draw):
     (r_a, t_a), (r_b, t_b) = draw(edge_sides()), draw(edge_sides())
-    phases = [draw(st.floats(0.0, 2.0 * math.pi, exclude_max=True)) for _ in range(4)]
+    phases = [draw(st.floats(0.0, 2.0 * math.pi, exclude_max=True)) for _ in range(2)]
     return validate_interface(r_a, t_a, None, r_b, t_b, None, *phases)
 
 

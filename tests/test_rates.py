@@ -246,13 +246,8 @@ class TestRelativeDecayRate:
             assert abs(relative_decay_rate(iface, "a", 0.0, u) - 1.0) <= 3.0 * 1.5 / u
 
     def test_side_b_equals_swapped_side_a(self):
-        iface = validate_interface(
-            0.7, 0.2, None, 0.3, 0.5, None, phi1=0.9, phi2=1.7, phi3=2.5, phi4=0.4
-        )
-        swapped = MirrorInterface(
-            iface.side_b, iface.side_a,
-            phi1=iface.phi3, phi2=iface.phi4, phi3=iface.phi1, phi4=iface.phi2,
-        )
+        iface = validate_interface(0.7, 0.2, None, 0.3, 0.5, None, phi1=0.9, phi3=2.5)
+        swapped = MirrorInterface(iface.side_b, iface.side_a, phi1=iface.phi3, phi3=iface.phi1)
         for u in (0.05, 1.3, 9.0):
             assert relative_decay_rate(iface, "b", 0.6, u) == relative_decay_rate(swapped, "a", 0.6, u)
 

@@ -474,6 +474,18 @@ class TestReplay:
         again = replay_provenance(table.provenance)
         assert format_csv(again) == format_csv(table)
 
+    def test_transmission_phase_settings_replay_and_change_no_ratio(self):
+        # No output reads phi2 or phi4, but a provenance line that sets them
+        # still replays byte for byte.
+        line = ("decay-curve side=b u_min=0.01 u_max=50.0 u_count=21 alignment=0.3 r_a=0.8 t_a=0.5 "
+                "r_b=0.3 t_b=0.6 phi1=2.356194490192345 phi2={} phi3=0.0 phi4={}")
+        text = format_csv(replay_provenance(line.format(0.2, 0.7)))
+        assert text.splitlines()[0] == "# provenance: " + line.format(0.2, 0.7)
+        assert format_csv(replay_provenance(parse_csv(text).provenance)) == text
+        ratio = parse_csv(text).column("ratio_vs_gamma_med")
+        zero = replay_provenance(line.format(0.0, 0.0)).column("ratio_vs_gamma_med")
+        assert ratio.tobytes() == zero.tobytes()
+
     @pytest.mark.parametrize(
         "config, setting",
         [

@@ -160,7 +160,7 @@ def figures(size: dict) -> dict:
                 call(*args)
         return run
 
-    amplitudes = (0.6, 0.2, None, 0.3, 0.1, None, 0.0, 0.0, 3.0, 0.0)
+    amplitudes = (0.6, 0.2, None, 0.3, 0.1, None, 0.0, 3.0)
     table["interface.validate_us_per_cell.scalar"] = (
         wall, scalar(mf.validate_interface, *amplitudes), 1e6 / calls, "us")
     coating = mf.validate_interface(*amplitudes)
